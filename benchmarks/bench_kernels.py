@@ -64,11 +64,17 @@ def bench_end_to_end(gap):
         "print(k.BACKEND, time.perf_counter() - t)" % gap
     )
     rows = []
-    for pure in ("0", "1"):
+    # Without the extension both settings select the pure backend.
+    for pure in ("0", "1") if _speedups is not None else ("1",):
         env = dict(os.environ, FLAGSERIES_PURE=pure)
         out = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True
         )
+        if out.returncode:
+            sys.exit(
+                f"rational_form_D({gap}) with FLAGSERIES_PURE={pure} failed "
+                f"(exit {out.returncode}):\n{out.stderr}"
+            )
         backend, elapsed = out.stdout.split()
         rows.append((f"rational_form_D({gap}) [{backend}]", float(elapsed)))
     return rows

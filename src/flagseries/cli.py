@@ -43,6 +43,13 @@ def _parse_int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
 
 
+def _guard(text):
+    guard = int(text)
+    if guard < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1: {text!r}")
+    return guard
+
+
 def _rational_payload(rf, series, prefix):
     return {
         "numerator": list(rf.numerator),
@@ -58,15 +65,15 @@ def _cmd_fz(args):
         if any(x < 0 for x in k):
             print("gap entries must be nonnegative", file=sys.stderr)
             return 2
-        rf = engine.rational_form_k(k, guard=args.guard, jobs=args.jobs)
-        series = engine.fz_k(k, prefix, jobs=args.jobs)
+        rf = engine.rational_form_k(k, guard=args.guard)
+        series = engine.fz_k(k, prefix)
         payload = {"command": "fz", "k": list(k)}
     else:
         if args.D is None or args.D < 1:
             print("need --D >= 1 or --k", file=sys.stderr)
             return 2
-        rf = engine.rational_form_D(args.D, guard=args.guard, jobs=args.jobs)
-        series = engine.fz_D(args.D, prefix, jobs=args.jobs)
+        rf = engine.rational_form_D(args.D, guard=args.guard)
+        series = engine.fz_D(args.D, prefix)
         payload = {"command": "fz", "D": args.D}
     payload.update(_rational_payload(rf, series, prefix))
     text = [
@@ -306,7 +313,7 @@ def _cmd_tables(args):
 
     one_gap = {}
     for D in range(1, args.max_gap + 1):
-        rf = engine.rational_form_D(D, jobs=args.jobs)
+        rf = engine.rational_form_D(D)
         one_gap[str(D)] = rf.to_json_dict()
     path = outdir / "one_gap_rational_forms.json"
     path.write_text(json.dumps(one_gap, sort_keys=True, indent=2) + "\n")
@@ -317,7 +324,7 @@ def _cmd_tables(args):
         (1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1),
         (1, 2), (2, 1), (2, 2),
     ):
-        rf = engine.rational_form_k(k, jobs=args.jobs)
+        rf = engine.rational_form_k(k)
         multi[",".join(map(str, k))] = rf.to_json_dict()
     path = outdir / "multi_gap_rational_forms.json"
     path.write_text(json.dumps(multi, sort_keys=True, indent=2) + "\n")
@@ -338,17 +345,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, jobs=True):
+    def common(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1,
-                           help="parallel workers; results are identical for any value")
 
     p = sub.add_parser("fz", help="one-gap or multi-gap flag series and rational form")
     p.add_argument("--D", type=int, default=None, help="single gap size")
     p.add_argument("--k", type=_parse_int_list, default=None,
                    help="comma-separated gap vector, e.g. 1,2")
-    p.add_argument("--guard", type=int, default=None)
+    p.add_argument("--guard", type=_guard, default=None,
+                   help="trailing coefficients checked to vanish (>= 1)")
     p.add_argument("--prefix", type=int, default=12,
                    help="length of the emitted series prefix")
     common(p)
@@ -357,7 +362,8 @@ def build_parser():
     p = sub.add_parser("fq", help="higher-rank one-gap series and rational form")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--guard", type=int, default=None)
+    p.add_argument("--guard", type=_guard, default=None,
+                   help="trailing coefficients checked to vanish (>= 1)")
     p.add_argument("--prefix", type=int, default=12)
     common(p)
     p.set_defaults(func=_cmd_fq)
@@ -365,7 +371,7 @@ def build_parser():
     p = sub.add_parser("oracle", help="brute-force nested/coloured flag counts")
     p.add_argument("--nesting", type=_parse_int_list, required=True)
     p.add_argument("--rank", type=int, default=1)
-    common(p, jobs=False)
+    common(p)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("motive", help="motivic classes for small nestings")
@@ -373,7 +379,7 @@ def build_parser():
     p.add_argument("--strata", type=int, default=None)
     p.add_argument("--series", type=int, default=None)
     p.add_argument("--order", type=int, default=12)
-    common(p, jobs=False)
+    common(p)
     p.set_defaults(func=_cmd_motive)
 
     p = sub.add_parser("globalize", help="global nested counts for a surface")
@@ -382,12 +388,12 @@ def build_parser():
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--coeff", type=_parse_int_list, default=None)
-    common(p, jobs=False)
+    common(p)
     p.set_defaults(func=_cmd_globalize)
 
     p = sub.add_parser("verify", help="run the full identity suite")
     p.add_argument("--quick", action="store_true")
-    common(p, jobs=False)
+    common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tables", help="regenerate the published tables to files")

@@ -9,17 +9,30 @@ staircase of an ambient partition at offset j >= 0 contributes the weight
 and the ratio (flag series / partition series) is the sum of these weights
 over all offsets.  Disconnected diagrams sum the product of component
 weights over placements at pairwise disjoint offset intervals of lengths
-L_c, one weight per component, with identical components unordered.  The
-combinatorial insertion oracle in :mod:`flagseries.partitions` is the
-referee for all of this.
+L_c, one weight per component, with identical components unordered.
+
+Every placement sum is one dynamic program over a budget vector b.
+Components are merged into groups g of equal cost vector cost_g and west
+length L_g, with summed weight W_g(j).  Conditioning on the leftmost
+placed component, the sum U(b, j) over placements with every offset >= j
+satisfies
+
+    U(b, j) = U(b, j+1) + sum_g W_g(j) * U(b - cost_g, j + L_g),
+    U(0, j) = 1,
+
+and the ratio is U(b, 0) (the transfer-matrix method, Stanley EC1 4.7).
+A single shape spends one unit per component of each type.  The one-gap
+sum FZ_D / Z spends s boxes of the budget (D,) per component of size s,
+so one run yields FZ_d / Z for every d <= D.  Multi-gap sums weight each
+shape by its filling count.  The per-class sum and the combinatorial
+insertion oracle in :mod:`flagseries.partitions` referee all of this in
+the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from math import comb
 
@@ -28,6 +41,7 @@ from .series import QSeries, RationalForm, clear_denominator
 from .shapes import (
     ConnectedSkew,
     SkewShape,
+    enum_connected_skew,
     enum_skew_classes,
     rp_count,
     transpose,
@@ -53,7 +67,10 @@ __all__ = [
 
 def default_guard() -> int:
     """Trailing-coefficient guard for rationality checks (env-overridable)."""
-    return int(os.environ.get("FLAGSERIES_GUARD", "10"))
+    raw = os.environ.get("FLAGSERIES_GUARD", "10")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"FLAGSERIES_GUARD must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 @lru_cache(maxsize=None)
@@ -103,130 +120,93 @@ class PlacementWeight:
         return offset * self.V + self.B + comb(self.L, 2) + (self.L - 1) * offset
 
 
-def _relative_connected(weight: PlacementWeight, n: int) -> list:
-    """Sum of placement weights over all offsets, dense up to degree n."""
-    out = [0] * (n + 1)
-    jmax = (n - weight.B) // weight.V if weight.B <= n else -1
-    for j in range(jmax + 1):
-        for tplus, base, sign in weight.terms:
-            e = j * tplus + base
-            if e <= n:
-                out[e] += sign
-    return out
+def _add_weight(groups, cost, component) -> None:
+    """Merge the placement weight of ``component`` into its (cost, L) group."""
+    weight = PlacementWeight(component)
+    terms = groups.setdefault((cost, weight.L), {})
+    for tplus, base, sign in weight.terms:
+        terms[tplus, base] = terms.get((tplus, base), 0) + sign
 
 
-def _relative_multiset(components, n: int) -> list:
-    """Placement sum for a multiset of components over disjoint intervals.
+def _relative_dense(groups, budget, n: int) -> dict:
+    """Placement sums U(b, 0), dense to n, for every budget b <= ``budget``.
 
-    States are multisets of still-unplaced component types; U(state, j) sums
-    the weights of all placements of the state with every offset >= j.
-    Conditioning on the leftmost placed component gives
-
-        U(state, j) = U(state, j+1)
-                      + sum_c W_c(j) * U(state - c, j + L_c).
+    ``groups`` maps (cost, L) to merged terms {(t, base): coef}: a group
+    placed at offset j has weight sum coef * q^(j*t + base) and occupies
+    the offsets [j, j + L).  Tables U(b, j) are built for sub-budgets
+    first, in lexicographic order, so every U(b - cost, .) is ready.
     """
-    types = []
-    mults = []
-    for comp, group in itertools.groupby(components):
-        types.append(PlacementWeight(comp))
-        mults.append(sum(1 for _ in group))
-    k = len(types)
-    full = tuple(mults)
-
-    def v_and_b(state):
-        return (
-            sum(c * t.V for c, t in zip(state, types)),
-            sum(c * t.B for c, t in zip(state, types)),
-        )
-
-    # tables[state] = (jmax, [dense list for j = 0..jmax])
-    tables = {}
-    states_by_size = {}
-    for state in itertools.product(*(range(m + 1) for m in mults)):
-        states_by_size.setdefault(sum(state), []).append(state)
-
-    for size in range(1, sum(mults) + 1):
-        for state in states_by_size[size]:
-            vs, bs = v_and_b(state)
-            jmax = (n - bs) // vs if bs <= n else -1
-            arrays = [None] * (jmax + 1)
-            prev = [0] * (n + 1)
-            for j in range(jmax, -1, -1):
-                arr = list(prev)
-                for ci in range(k):
-                    if not state[ci]:
+    moves = []
+    for (cost, L), terms in groups.items():
+        terms = sorted((t, base, c) for (t, base), c in terms.items() if c)
+        if terms:
+            lowest = min(base for _, base, _ in terms)
+            moves.append((cost, L, terms[0][0], lowest, terms))
+    zero = (0,) * len(budget)
+    tables = {zero: None}
+    out = {zero: [1] + [0] * n}
+    for b in itertools.product(*(range(m + 1) for m in budget)):
+        if b == zero:
+            continue
+        steps = []
+        for cost, L, tmin, lowest, terms in moves:
+            sub = tuple(x - c for x, c in zip(b, cost))
+            if min(sub) >= 0:
+                steps.append((tables[sub], L, tmin, lowest, terms))
+        desc = []  # U(b, j) for j descending, from the first nonzero one
+        prev = None
+        for j in range(n, -1, -1):
+            arr = prev
+            for table, L, tmin, lowest, terms in steps:
+                if j * tmin + lowest > n:
+                    continue
+                if table is None:
+                    src = None
+                elif j + L < len(table):
+                    src = table[j + L]
+                else:
+                    continue
+                for t, base, coef in terms:
+                    e = j * t + base
+                    if e > n:
                         continue
-                    w = types[ci]
-                    sub = list(state)
-                    sub[ci] -= 1
-                    sub = tuple(sub)
-                    j_next = j + w.L
-                    if size == 1:
-                        for e, sign in w.exponents_at(j, n):
-                            arr[e] += sign
-                        continue
-                    sub_jmax, sub_arrays = tables[sub]
-                    if j_next > sub_jmax:
-                        continue
-                    src = sub_arrays[j_next]
-                    for e, sign in w.exponents_at(j, n):
-                        kernels.addmul_shifted(arr, src, e, sign, n)
-                arrays[j] = arr
-                prev = arr
-            tables[state] = (jmax, arrays)
-        if size >= 2:
-            for state in states_by_size[size - 2]:
-                tables.pop(state, None)
-
-    jmax, arrays = tables[full]
-    return arrays[0] if jmax >= 0 else [0] * (n + 1)
-
-
-_memo_lock = threading.Lock()
-_relative_memo: dict = {}
-
-
-def _placement_cost(shape: SkewShape) -> int:
-    return sum(2 ** (c.nw_path().west_total - 1) for c in shape.components)
+                    if arr is prev:
+                        arr = [0] * (n + 1) if prev is None else list(prev)
+                    if src is None:
+                        arr[e] += coef
+                    else:
+                        kernels.addmul_shifted(arr, src, e, coef, n)
+            if arr is not None:
+                desc.append(arr)
+            prev = arr
+        desc.reverse()
+        tables[b] = desc
+        out[b] = desc[0] if desc else [0] * (n + 1)
+    return out
 
 
 def _compute_relative_dense(shape: SkewShape, n: int) -> list:
-    """Honest evaluation of the placement sum for the given orientation."""
-    if shape.is_connected:
-        return _relative_connected(PlacementWeight(shape.components[0]), n)
-    return _relative_multiset(shape.components, n)
-
-
-def _relative_dense(shape: SkewShape, n: int) -> list:
     """(flag series / partition series) for one shape class, dense to n.
 
-    Transposition leaves the series invariant, so the cheaper of the two
-    orientations is evaluated and the result cached under both keys.
+    The budget counts the components of each type; placing one component
+    spends one unit of its type.
     """
-    key = shape.key()
-    with _memo_lock:
-        hit = _relative_memo.get(key)
-    if hit is not None and hit[0] >= n:
-        return list(hit[1][: n + 1])
-    flipped = transpose(shape)
-    candidate = shape
-    if flipped.key() != key:
-        if (_placement_cost(flipped), flipped.key()) < (
-            _placement_cost(shape),
-            key,
-        ):
-            candidate = flipped
-    out = _compute_relative_dense(candidate, n)
-    with _memo_lock:
-        _relative_memo[key] = (n, tuple(out))
-        _relative_memo[flipped.key()] = (n, tuple(out))
-    return out
+    types = [
+        (comp, sum(1 for _ in group))
+        for comp, group in itertools.groupby(shape.components)
+    ]
+    budget = tuple(mult for _, mult in types)
+    groups = {}
+    for i, (comp, _) in enumerate(types):
+        cost = tuple(int(i == k) for k in range(len(types)))
+        _add_weight(groups, cost, comp)
+    return _relative_dense(groups, budget, n)[budget]
 
 
 def fz_ratio_lambda(shape: SkewShape, truncation: int) -> QSeries:
     """The ratio (insertion series of ``shape``) / (partition series)."""
     return QSeries.from_dense(
-        "q", _relative_dense(shape, truncation), truncation
+        "q", _compute_relative_dense(shape, truncation), truncation
     )
 
 
@@ -234,96 +214,83 @@ def fz_lambda(shape: SkewShape, truncation: int) -> QSeries:
     """Series whose q^m coefficient counts insertions of ``shape`` into all
     partitions of size m (pairs nu c mu with difference class ``shape``)."""
     out = kernels.mul_trunc(
-        _relative_dense(shape, truncation), list(_z_dense(truncation)), truncation
+        _compute_relative_dense(shape, truncation),
+        list(_z_dense(truncation)),
+        truncation,
     )
     return QSeries.from_dense("q", out, truncation)
 
 
-def _sum_relative_chunk(D, n, start, stop, weights=None):
-    classes = enum_skew_classes(D)
-    acc = [0] * (n + 1)
-    for idx in range(start, stop):
-        rel = _relative_dense(classes[idx], n)
-        w = 1 if weights is None else weights[idx - start]
-        if not w:
-            continue
-        for i, c in enumerate(rel):
-            if c:
-                acc[i] += w * c
-    return acc
+#: (D, n) -> rows FZ_d / Z for d <= D, dense to n, as tuples.
+_rows_cache: dict = {}
 
 
-def _sum_relatives(D, n, weights=None, jobs=1):
-    classes = enum_skew_classes(D)
-    total = len(classes)
-    if jobs is None or jobs <= 1 or total < 8:
-        return _sum_relative_chunk(D, n, 0, total, weights)
-    jobs = min(jobs, total)
-    bounds = [(total * i) // jobs for i in range(jobs + 1)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(
-                _sum_relative_chunk,
-                D,
-                n,
-                bounds[i],
-                bounds[i + 1],
-                None if weights is None else weights[bounds[i] : bounds[i + 1]],
-            )
-            for i in range(jobs)
-        ]
-        acc = [0] * (n + 1)
-        for fut in futures:
-            part = fut.result()
-            for i, c in enumerate(part):
-                if c:
-                    acc[i] += c
-    return acc
+def _ratio_rows(D: int, n: int) -> list:
+    """FZ_d / Z, dense to n, for every d <= D from one budget-DP run.
+
+    Every connected component of size s <= D costs s boxes of the budget
+    (D,); components are grouped by size and west length.  A table cached
+    for (D', n') with D' >= D and n' >= n is served sliced.  Entries are
+    only ever added, so concurrent callers need no lock.
+    """
+    for (D2, n2), rows in list(_rows_cache.items()):
+        if D2 >= D and n2 >= n:
+            return [list(row[: n + 1]) for row in rows[: D + 1]]
+    groups = {}
+    for s in range(1, D + 1):
+        for comp in enum_connected_skew(s):
+            _add_weight(groups, (s,), comp)
+    table = _relative_dense(groups, (D,), n)
+    rows = tuple(tuple(table[(d,)]) for d in range(D + 1))
+    _rows_cache[(D, n)] = rows
+    return [list(row) for row in rows]
 
 
-def fz_ratio_D(D: int, truncation: int, jobs: int = 1) -> QSeries:
+def fz_ratio_D(D: int, truncation: int) -> QSeries:
     """Sum of shape ratios over all classes of size D (equals FZ_D / Z)."""
     if D < 0:
         raise ValueError("D must be nonnegative")
-    if D == 0:
-        return QSeries.one(("q",), (truncation,))
-    return QSeries.from_dense(
-        "q", _sum_relatives(D, truncation, jobs=jobs), truncation
-    )
+    return QSeries.from_dense("q", _ratio_rows(D, truncation)[D], truncation)
 
 
-def fz_D(D: int, truncation: int, jobs: int = 1) -> QSeries:
+def fz_D(D: int, truncation: int) -> QSeries:
     """Series whose q^n coefficient is the number of nested partition pairs
     of sizes (n, n+D); equivalently the Euler characteristic of the punctual
     nested Hilbert scheme with that size vector."""
-    rel = fz_ratio_D(D, truncation, jobs=jobs).dense()
+    rel = fz_ratio_D(D, truncation).dense()
     out = kernels.mul_trunc(rel, list(_z_dense(truncation)), truncation)
     return QSeries.from_dense("q", out, truncation)
 
 
-def _rp_weights(D, block_sizes):
-    classes = enum_skew_classes(D)
-    return [rp_count(shape, block_sizes) for shape in classes]
+def fz_ratio_k(block_sizes, truncation: int) -> QSeries:
+    """Filling-weighted sum of shape ratios (equals FZ_k / Z).
 
-
-def fz_ratio_k(block_sizes, truncation: int, jobs: int = 1) -> QSeries:
-    """Filling-weighted sum of shape ratios (equals FZ_k / Z)."""
+    Both the filling count and the ratio are invariant under transposition,
+    so each transposition orbit is evaluated once, through its smaller key.
+    """
     block_sizes = tuple(int(x) for x in block_sizes)
     if any(x < 0 for x in block_sizes):
         raise ValueError("gap sizes must be nonnegative")
     K = sum(block_sizes)
     if K == 0:
         return QSeries.one(("q",), (truncation,))
-    weights = _rp_weights(K, block_sizes)
-    return QSeries.from_dense(
-        "q", _sum_relatives(K, truncation, weights=weights, jobs=jobs), truncation
-    )
+    acc = [0] * (truncation + 1)
+    for shape in enum_skew_classes(K):
+        key, flipped = shape.key(), transpose(shape).key()
+        if flipped < key:
+            continue
+        weight = rp_count(shape, block_sizes) * (1 if flipped == key else 2)
+        if weight:
+            kernels.addmul_shifted(
+                acc, _compute_relative_dense(shape, truncation), 0, weight, truncation
+            )
+    return QSeries.from_dense("q", acc, truncation)
 
 
-def fz_k(block_sizes, truncation: int, jobs: int = 1) -> QSeries:
+def fz_k(block_sizes, truncation: int) -> QSeries:
     """Series whose q^n coefficient counts nested chains of partitions with
     sizes (n, n+k_1, n+k_1+k_2, ...)."""
-    rel = fz_ratio_k(block_sizes, truncation, jobs=jobs).dense()
+    rel = fz_ratio_k(block_sizes, truncation).dense()
     out = kernels.mul_trunc(rel, list(_z_dense(truncation)), truncation)
     return QSeries.from_dense("q", out, truncation)
 
@@ -364,7 +331,7 @@ def rational_form_lambda(shape: SkewShape, guard: int | None = None) -> Rational
     return clear_denominator(ratio, denominator, max_deg, guard)
 
 
-def rational_form_D(D: int, guard: int | None = None, jobs: int = 1) -> RationalForm:
+def rational_form_D(D: int, guard: int | None = None) -> RationalForm:
     """Closed rational form of FZ_D / Z over prod_{j=1}^{D} (1 - q^j)."""
     if D < 1:
         raise ValueError("D must be positive")
@@ -372,11 +339,11 @@ def rational_form_D(D: int, guard: int | None = None, jobs: int = 1) -> Rational
         guard = default_guard()
     max_deg = rational_form_degree_bound(D)
     truncation = max_deg + D * (D + 1) // 2 + guard
-    ratio = fz_ratio_D(D, truncation, jobs=jobs)
+    ratio = fz_ratio_D(D, truncation)
     return clear_denominator(ratio, {j: 1 for j in range(1, D + 1)}, max_deg, guard)
 
 
-def rational_form_k(block_sizes, guard: int | None = None, jobs: int = 1) -> RationalForm:
+def rational_form_k(block_sizes, guard: int | None = None) -> RationalForm:
     """Closed rational form of FZ_k / Z over prod_{j=1}^{K} (1 - q^j)."""
     block_sizes = tuple(int(x) for x in block_sizes)
     K = sum(block_sizes)
@@ -386,5 +353,5 @@ def rational_form_k(block_sizes, guard: int | None = None, jobs: int = 1) -> Rat
         guard = default_guard()
     max_deg = rational_form_k_degree_bound(K)
     truncation = max_deg + K * (K + 1) // 2 + guard
-    ratio = fz_ratio_k(block_sizes, truncation, jobs=jobs)
+    ratio = fz_ratio_k(block_sizes, truncation)
     return clear_denominator(ratio, {j: 1 for j in range(1, K + 1)}, max_deg, guard)

@@ -14,6 +14,7 @@ from functools import lru_cache
 from math import comb, factorial, perm
 
 from .engine import (
+    _ratio_rows,
     _z_dense,
     default_guard,
     fz_D,
@@ -70,6 +71,7 @@ def _injections(r: int, parts) -> int:
 
 def _ratio_rD_dense(r: int, D: int, n: int) -> list:
     """FQ_{r,D} / Z^r, dense: gap multisets weighted by colour injections."""
+    rows = _ratio_rows(D, n)
     acc = [0] * (n + 1)
     for lam in enum_partitions(D):
         weight = _injections(r, lam)
@@ -77,7 +79,7 @@ def _ratio_rD_dense(r: int, D: int, n: int) -> list:
             continue
         prod = [1] + [0] * n
         for part in lam:
-            prod = kernels.mul_trunc(prod, fz_ratio_D(part, n).dense(), n)
+            prod = kernels.mul_trunc(prod, rows[part], n)
         kernels.addmul_shifted(acc, prod, 0, weight, n)
     return acc
 

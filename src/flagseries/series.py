@@ -292,6 +292,8 @@ def clear_denominator(series: QSeries, denominator, max_deg: int, guard: int = 1
     """
     if len(series.variables) != 1:
         raise ValueError("rational forms are extracted from one-variable series")
+    if guard < 1:
+        raise ValueError(f"guard must be at least 1, got {guard}")
     denominator = {int(j): int(e) for j, e in dict(denominator).items()}
     den_deg = sum(j * e for j, e in denominator.items())
     n = series.truncation[0]

@@ -119,20 +119,17 @@ def test_tables_json_payload(capsys, tmp_path):
 
 
 def test_tables_deterministic(tmp_path):
-    def run(sub, jobs):
+    def run(sub):
         out = tmp_path / sub
-        code = main(
-            ["tables", "--out", str(out), "--max-gap", "4", "--jobs", str(jobs)]
-        )
+        code = main(["tables", "--out", str(out), "--max-gap", "4"])
         assert code == 0
         return {
             p.name: p.read_bytes() for p in sorted(out.iterdir())
         }
 
-    first = run("a", 1)
-    second = run("b", 1)
-    parallel = run("c", 2)
-    assert first == second == parallel
+    first = run("a")
+    second = run("b")
+    assert first == second
     data = json.loads(first["one_gap_rational_forms.json"])
     assert data["3"]["numerator"] == [3, -1, -1]
 
@@ -152,3 +149,27 @@ def test_guard_env_override(monkeypatch):
     from flagseries.engine import default_guard
 
     assert default_guard() == 12
+
+
+def test_jobs_option_removed():
+    with pytest.raises(SystemExit) as exc:
+        main(["fz", "--D", "2", "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_guard_must_be_positive():
+    for guard in ("-10", "0", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["fz", "--D", "4", "--guard", guard])
+        assert exc.value.code == 2
+
+
+def test_malformed_guard_env_rejected(monkeypatch, capsys):
+    from flagseries.engine import default_guard
+
+    for raw in ("ten", "-3", "0"):
+        monkeypatch.setenv("FLAGSERIES_GUARD", raw)
+        with pytest.raises(ValueError, match="FLAGSERIES_GUARD"):
+            default_guard()
+        assert main(["fz", "--D", "2"]) == 2
+        assert "FLAGSERIES_GUARD" in capsys.readouterr().err

@@ -2,12 +2,15 @@ from math import comb
 
 import pytest
 
+from flagseries import engine
 from flagseries.engine import (
     _compute_relative_dense,
+    _ratio_rows,
     fz_D,
     fz_k,
     fz_lambda,
     fz_ratio_D,
+    fz_ratio_k,
     fz_ratio_lambda,
     partition_series,
     rational_form_D,
@@ -21,8 +24,8 @@ from flagseries.partitions import (
     insertion_count,
     partition_count,
 )
-from flagseries.series import RationalForm, clear_denominator, ps_mul
-from flagseries.shapes import SkewShape, enum_skew_classes, transpose
+from flagseries.series import QSeries, RationalForm, clear_denominator, ps_mul
+from flagseries.shapes import SkewShape, enum_skew_classes, rp_count, transpose
 
 BOX = SkewShape.of([(0, 1)])
 H_DOMINO = SkewShape.of([(0, 2)])
@@ -205,11 +208,39 @@ def test_first_coefficient_laws():
             )
 
 
-def test_parallel_consistency():
-    serial = rational_form_D(5, jobs=1)
-    parallel = rational_form_D(5, jobs=2)
-    assert serial == parallel
-    assert fz_D(4, 20, jobs=3) == fz_D(4, 20, jobs=1)
+def per_class_sum(D, n, weight=lambda shape: 1):
+    """Referee for the budget DP: the weighted sum of single-shape ratios."""
+    acc = [0] * (n + 1)
+    for shape in enum_skew_classes(D):
+        w = weight(shape)
+        for i, c in enumerate(fz_ratio_lambda(shape, n).dense()):
+            acc[i] += w * c
+    return QSeries.from_dense("q", acc, n)
+
+
+def test_fz_ratio_D_equals_per_class_sum():
+    for D in range(1, 8):
+        assert fz_ratio_D(D, 18) == per_class_sum(D, 18), D
+
+
+def test_fz_ratio_k_equals_unpaired_per_class_sum():
+    n = 18
+    for k in ((1, 1), (2, 1), (1, 2, 1), (1, 1, 1, 1), (0, 2, 1), (2, 0, 2)):
+        expected = per_class_sum(sum(k), n, lambda shape: rp_count(shape, k))
+        assert fz_ratio_k(k, n) == expected, k
+
+
+def test_sliced_ratio_rows_match_referees():
+    _ratio_rows(6, 30)
+    cached = dict(engine._rows_cache)
+    ratio = fz_ratio_D(3, 12)
+    series = fz_D(3, 12)
+    assert engine._rows_cache == cached  # served from a larger table
+    assert ratio == per_class_sum(3, 12)
+    for n in range(13):
+        assert series[(n,)] == count_nested_flags((n, n + 3))
+    # a longer truncation than any cached table is computed, not sliced
+    assert fz_ratio_D(3, 40) == per_class_sum(3, 40)
 
 
 def test_rational_form_requires_positive_gap():

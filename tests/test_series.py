@@ -152,6 +152,13 @@ def test_clear_denominator_guard_failure():
         clear_denominator(z, {1: 1}, 5, guard=10)
 
 
+def test_clear_denominator_requires_positive_guard():
+    # a guard of -3 left the checked range empty and accepted a false form
+    for guard in (-3, 0):
+        with pytest.raises(ValueError, match="guard"):
+            clear_denominator(partition_series(5), {1: 1, 2: 1}, 5, guard)
+
+
 @given(
     st.lists(st.integers(-4, 4), min_size=1, max_size=6),
     st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=3),

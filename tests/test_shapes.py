@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from flagseries.partitions import count_nested_flags, insertion_count
@@ -166,6 +168,24 @@ def test_rp_chain_equivalence():
             )
             spec = tuple(range(m, m + D + 1))
             assert total == count_nested_flags(spec)
+
+
+def compositions(K):
+    """Every composition of K into positive parts."""
+    for r in range(K):
+        for cuts in itertools.combinations(range(1, K), r):
+            bounds = (0,) + cuts + (K,)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def test_rp_count_transposition_invariant():
+    for K in range(1, 7):
+        for shape in enum_skew_classes(K):
+            flipped = transpose(shape)
+            if flipped.key() <= shape.key():
+                continue  # self-transpose, or checked from the other side
+            for k in compositions(K):
+                assert rp_count(shape, k) == rp_count(flipped, k), (shape, k)
 
 
 def test_ascii_art():
