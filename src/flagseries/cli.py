@@ -6,7 +6,9 @@ Euler numbers, series coefficients) are serialized as decimal strings;
 rational-form numerators stay plain integers.
 
 Exit codes: 0 success (and, for ``verify``, all identities hold);
-1 rationality-guard or identity failure; 2 parameter validation failure.
+1 rationality-guard or identity failure; 2 parameter validation failure;
+3 internal consistency check failure (two independent constructions of
+the same answer disagree, which is a bug in the program, not in the input).
 """
 
 from __future__ import annotations
@@ -413,9 +415,12 @@ def main(argv=None):
     except RationalityError as exc:
         print(f"rationality guard failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal consistency check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
-"""Pure-Python dense series kernels.
+"""Dense single-variable series kernels, in pure Python.
 
+There is one backend, because no workload shows that a second one pays.
 All routines work on plain lists of Python ints indexed by exponent and
 truncated at a given order (inclusive).  Coefficients are exact arbitrary
 precision integers; nothing here may introduce floats.

@@ -304,15 +304,17 @@ def enum_skew_classes(size: int):
     return tuple(sorted(out))
 
 
-def _component_fillings(component: ConnectedSkew, num_labels: int):
+def _component_fillings(component: ConnectedSkew, caps):
     """Counter over label-count vectors of monotone fillings of a component.
 
-    A filling assigns labels 1..num_labels to boxes, weakly increasing west
+    A filling assigns labels 1..len(caps) to boxes, weakly increasing west
     to east along rows and north to south down columns; equivalently every
     sublevel set is itself a skew layer growing from the inner boundary.
+    Label ``i`` is used on at most ``caps[i - 1]`` boxes.
     """
     cells = sorted(component.cells(), key=lambda c: (c[1], c[0]))
     cellset = set(cells)
+    num_labels = len(caps)
     counts = {}
 
     def fill(i, assign, vec):
@@ -327,11 +329,14 @@ def _component_fillings(component: ConnectedSkew, num_labels: int):
         if (x, y - 1) in cellset:
             lo = max(lo, assign[(x, y - 1)])
         for lab in range(lo, num_labels + 1):
+            if vec[lab - 1] == caps[lab - 1]:
+                continue
             assign[(x, y)] = lab
             vec[lab - 1] += 1
             fill(i + 1, assign, vec)
             vec[lab - 1] -= 1
-        del assign[(x, y)]
+        # Every label may be capped, leaving the cell unassigned.
+        assign.pop((x, y), None)
 
     fill(0, {}, [0] * num_labels)
     return counts
@@ -348,7 +353,7 @@ def rp_count(shape: SkewShape, block_sizes) -> int:
     s = len(block_sizes)
     total = {(0,) * s: 1}
     for comp in shape.components:
-        comp_counts = _component_fillings(comp, s)
+        comp_counts = _component_fillings(comp, block_sizes)
         merged = {}
         for va, ca in total.items():
             for vb, cb in comp_counts.items():

@@ -245,11 +245,9 @@ def test_criterion_8e_leading_coefficients():
                 "2n", n
             ), n
         for n in range(4, 15):
-            # The closed stratification formula and the closed component
-            # count genuinely disagree on even n >= 6 (the former gives one
-            # less); both are implemented as stated, so this clause is
-            # expected to fail there.  See README, "Known source
-            # inconsistency".
+            # The closed (3, n) motive once gave one less than the component
+            # count on even n >= 6; F_q point counts showed the motive was
+            # at fault.  See README, "Known source inconsistency (resolved)".
             assert motive_3n(n).leading_coefficient == component_count(
                 "3n", n
             ), n

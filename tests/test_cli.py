@@ -6,6 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from flagseries import engine
 from flagseries.cli import main
 
 SCHEMA = json.loads(
@@ -60,6 +61,23 @@ def test_oracle_rank(capsys):
 
 def test_oracle_rejects_decreasing(capsys):
     assert main(["oracle", "--nesting", "4,2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (AssertionError, 3, "internal consistency check failed: "),
+        (ValueError, 2, ""),
+    ],
+)
+def test_internal_check_exit_code(capsys, monkeypatch, exc, code, prefix):
+    def broken(*args, **kwargs):
+        raise exc("closed form disagrees with termwise build")
+
+    monkeypatch.setattr(engine, "rational_form_D", broken)
+    assert main(["fz", "--D", "3"]) == code
+    err = capsys.readouterr().err
+    assert err == prefix + "closed form disagrees with termwise build\n"
 
 
 def test_motive_nesting(capsys):

@@ -158,16 +158,19 @@ def test_rp_zero_blocks_are_transparent():
 
 
 def test_rp_chain_equivalence():
-    # unit-block fillings weighted by insertions enumerate full chains
-    for D in range(1, 4):
-        ones = (1,) * D
-        for m in range(7):
-            total = sum(
-                rp_count(shape, ones) * insertion_count(shape, m)
-                for shape in enum_skew_classes(D)
-            )
-            spec = tuple(range(m, m + D + 1))
-            assert total == count_nested_flags(spec)
+    # fillings into blocks k weighted by insertions enumerate the flags of
+    # sizes (m, m+k1, m+k1+k2, ...), so the block caps are refereed too
+    gaps = [k for D in range(1, 5) for k in compositions(D)] + [(1, 0, 2)]
+    for m in range(7):
+        insertions = {}
+        for k in gaps:
+            total = 0
+            for shape in enum_skew_classes(sum(k)):
+                if shape not in insertions:
+                    insertions[shape] = insertion_count(shape, m)
+                total += rp_count(shape, k) * insertions[shape]
+            spec = tuple(itertools.accumulate(k, initial=m))
+            assert total == count_nested_flags(spec), (k, m)
 
 
 def compositions(K):
