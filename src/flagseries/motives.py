@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb
 
 from .series import LEFSCHETZ as L
-from .series import LPoly, lpoly_eval_at_one, projective_space
+from .series import LPoly, projective_space
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -318,6 +318,3 @@ GLOBAL_PLANE_MOTIVES = {
     (1, 3): LPoly((-1, -1, 0, 2, 3)) * L**2,
 }
 
-
-def euler_of_motive(p: LPoly) -> int:
-    return lpoly_eval_at_one(p)

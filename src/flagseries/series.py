@@ -92,9 +92,6 @@ class QSeries:
 
     # -- accessors ----------------------------------------------------
 
-    def coefficient(self, *exponents):
-        return self.coefficients.get(tuple(exponents), 0)
-
     def __getitem__(self, exponents):
         if not isinstance(exponents, tuple):
             exponents = (exponents,)
@@ -114,12 +111,6 @@ class QSeries:
 
     def constant_term(self):
         return self.coefficients.get((0,) * len(self.variables), 0)
-
-    def truncate(self, truncation):
-        truncation = tuple(truncation)
-        if truncation == self.truncation:
-            return self
-        return QSeries(self.variables, truncation, self.coefficients)
 
     # -- arithmetic ---------------------------------------------------
 

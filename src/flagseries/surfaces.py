@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import count_coloured_flags
+from .partitions import count_nested_flags
 from .quot import fq_rD
-from .series import QSeries, ps_pow
+from .series import QSeries, ps_mul, ps_pow
 
 __all__ = [
     "DEL_PEZZO_TARGET",
@@ -53,18 +53,20 @@ def punctual_nested_table(rank: int, max1: int, max2: int) -> QSeries:
     """Two-variable table of r-coloured nested counts: the coefficient of
     q1^a q2^b is the number of r-coloured nested pairs of sizes (a, b).
 
-    Built from the colouring oracle, then cross-checked against the series
-    engine on every diagonal it covers.
+    An r-coloured nested pair is an r-tuple of nested pairs whose sizes add,
+    so the table is the rank-th power of the enumerated rank-one table.  It
+    is cross-checked against the series engine on every diagonal it covers.
     """
+    if rank < 1:
+        raise ValueError("the number of colours must be positive")
     if max1 > max2:
         raise ValueError("need max1 <= max2")
-    coeffs = {}
-    for a in range(max1 + 1):
-        for b in range(a, max2 + 1):
-            c = count_coloured_flags(rank, (a, b))
-            if c:
-                coeffs[(a, b)] = c
-    table = QSeries(("q1", "q2"), (max1, max2), coeffs)
+    single = {
+        (a, b): count_nested_flags((a, b))
+        for a in range(max1 + 1)
+        for b in range(a, max2 + 1)
+    }
+    table = ps_pow(QSeries(("q1", "q2"), (max1, max2), single), rank)
     for gap in range(max2 - max1 + 1):
         engine_side = fq_rD(rank, gap, max1)
         for a in range(max1 + 1):
@@ -72,8 +74,8 @@ def punctual_nested_table(rank: int, max1: int, max2: int) -> QSeries:
                 break
             if engine_side[(a,)] != table[(a, a + gap)]:
                 raise AssertionError(
-                    f"oracle/engine mismatch at sizes ({a}, {a + gap}), "
-                    f"rank {rank}"
+                    f"power-structure/engine mismatch at sizes "
+                    f"({a}, {a + gap}), rank {rank}"
                 )
     return table
 
@@ -91,8 +93,10 @@ def resolve_dp6_exponent(candidates=range(2, 13)) -> int:
     (6, 12)-nestings.  Raises unless exactly one candidate matches."""
     table = punctual_nested_table(6, 6, 12)
     matches = []
-    for e in candidates:
-        powered = ps_pow(table, e)
+    powered, reached = QSeries.one(table.variables, table.truncation), 0
+    for e in sorted(candidates):
+        powered = ps_mul(powered, ps_pow(table, e - reached))
+        reached = e
         if powered[(6, 12)] == DEL_PEZZO_TARGET:
             matches.append(e)
     if len(matches) != 1:

@@ -26,6 +26,21 @@ def test_table_rank_two_entry():
     assert table[(2, 2)] == count_coloured_flags(2, (2, 2))
 
 
+def test_table_equals_colouring_oracle_on_whole_box():
+    # entries with b - a > max2 - max1 lie beyond the engine cross-check
+    for rank in (1, 2, 3):
+        for max1, max2 in ((3, 7), (4, 6)):
+            table = punctual_nested_table(rank, max1, max2)
+            oracle = {
+                (a, b): count_coloured_flags(rank, (a, b))
+                for a in range(max1 + 1)
+                for b in range(a, max2 + 1)
+            }
+            assert table.coefficients == {e: c for e, c in oracle.items() if c}
+    with pytest.raises(ValueError, match="colours must be positive"):
+        punctual_nested_table(0, 2, 3)
+
+
 def test_globalize_identity():
     table = punctual_nested_table(1, 3, 4)
     surf = SurfaceProfile("anything", 1)
@@ -80,8 +95,12 @@ def test_resolve_dp6_exponent_unique():
 
 
 def test_resolve_fails_on_empty_candidates():
-    with pytest.raises(SurfaceResolutionError):
-        resolve_dp6_exponent(candidates=(2, 3))
+    for candidates in ((), (2, 3), (6, 6)):
+        with pytest.raises(SurfaceResolutionError):
+            resolve_dp6_exponent(candidates=candidates)
+    with pytest.raises(ValueError):
+        resolve_dp6_exponent(candidates=(7, -1))
+    assert resolve_dp6_exponent(candidates=iter((12, 6, 2))) == 6
 
 
 def test_surface_profile_rejects_negative():
