@@ -45,11 +45,11 @@ def _parse_int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
 
 
-def _guard(text):
-    guard = int(text)
-    if guard < 1:
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1: {text!r}")
-    return guard
+    return value
 
 
 def _rational_payload(rf, series, prefix):
@@ -211,16 +211,18 @@ def _cmd_globalize(args):
     if args.n1 > args.n2 or args.rank < 1 or args.chi < 0:
         print("need n1 <= n2, rank >= 1, chi >= 0", file=sys.stderr)
         return 2
-    table = surfaces.punctual_nested_table(args.rank, args.n1, args.n2)
-    surface = _surface_from_args(args)
-    powered = surfaces.globalize(table, surface)
+    a, b = args.n1, args.n2
     if args.coeff is not None:
         if len(args.coeff) != 2:
             print("--coeff takes a,b", file=sys.stderr)
             return 2
         a, b = args.coeff
-    else:
-        a, b = args.n1, args.n2
+        if not (0 <= a <= args.n1 and 0 <= b <= args.n2):
+            print("--coeff a,b needs 0 <= a <= n1 and 0 <= b <= n2", file=sys.stderr)
+            return 2
+    table = surfaces.punctual_nested_table(args.rank, args.n1, args.n2)
+    surface = _surface_from_args(args)
+    powered = surfaces.globalize(table, surface)
     requested = powered[(a, b)]
     rows = [["n1", "n2", "count"]]
     entries = []
@@ -354,7 +356,7 @@ def build_parser():
     p.add_argument("--D", type=int, default=None, help="single gap size")
     p.add_argument("--k", type=_parse_int_list, default=None,
                    help="comma-separated gap vector, e.g. 1,2")
-    p.add_argument("--guard", type=_guard, default=None,
+    p.add_argument("--guard", type=_positive_int, default=None,
                    help="trailing coefficients checked to vanish (>= 1)")
     p.add_argument("--prefix", type=int, default=12,
                    help="length of the emitted series prefix")
@@ -364,7 +366,7 @@ def build_parser():
     p = sub.add_parser("fq", help="higher-rank one-gap series and rational form")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--guard", type=_guard, default=None,
+    p.add_argument("--guard", type=_positive_int, default=None,
                    help="trailing coefficients checked to vanish (>= 1)")
     p.add_argument("--prefix", type=int, default=12)
     common(p)
@@ -400,7 +402,7 @@ def build_parser():
 
     p = sub.add_parser("tables", help="regenerate the published tables to files")
     p.add_argument("--out", required=True)
-    p.add_argument("--max-gap", type=int, default=10)
+    p.add_argument("--max-gap", type=_positive_int, default=10)
     common(p)
     p.set_defaults(func=_cmd_tables)
 

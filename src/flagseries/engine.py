@@ -24,9 +24,10 @@ and the ratio is U(b, 0) (the transfer-matrix method, Stanley EC1 4.7).
 A single shape spends one unit per component of each type.  The one-gap
 sum FZ_D / Z spends s boxes of the budget (D,) per component of size s,
 so one run yields FZ_d / Z for every d <= D.  Multi-gap sums weight each
-shape by its filling count.  The per-class sum and the combinatorial
-insertion oracle in :mod:`flagseries.partitions` referee all of this in
-the tests.
+shape by its filling count: the number of chains of order ideals that grow
+it from empty by the gap sizes in turn.  The per-class sum and the
+combinatorial insertion oracle in :mod:`flagseries.partitions` referee all
+of this in the tests.
 """
 
 from __future__ import annotations

@@ -159,7 +159,10 @@ def strata_assembly_3n(n: int) -> LPoly:
 def series_2bullet(order: int):
     """Generating series of the (2, n) motives, built both termwise and from
     the closed rational expression, asserted equal."""
+    if order < 0:
+        raise ValueError("the series order must be nonnegative")
     termwise = [LPoly()] * 2 + [motive_2n(n) for n in range(2, order + 1)]
+    termwise = termwise[: order + 1]
     hilb = gottsche_punctual(order)
     geom = [L**n for n in range(order + 1)]  # 1/(1 - L t)
     closed = []
@@ -174,6 +177,8 @@ def series_2bullet(order: int):
 def series_3bullet(order: int):
     """Generating series of the (3, n) motives, built both termwise and from
     the closed rational expression, asserted equal."""
+    if order < 0:
+        raise ValueError("the series order must be nonnegative")
     termwise = [LPoly()] * 3 + [motive_3n(n) for n in range(3, order + 1)]
     termwise = termwise[: order + 1]
     hilb = gottsche_punctual(order)

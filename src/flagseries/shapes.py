@@ -122,9 +122,6 @@ class NWPath:
             south += vee
         return total
 
-    def transposed(self) -> "NWPath":
-        return NWPath(tuple(reversed(self.vees)), tuple(reversed(self.ells)))
-
 
 def connected_from_cells(cells) -> ConnectedSkew:
     """Canonicalize a connected set of boxes into a ConnectedSkew."""
@@ -304,61 +301,51 @@ def enum_skew_classes(size: int):
     return tuple(sorted(out))
 
 
-def _component_fillings(component: ConnectedSkew, caps):
-    """Counter over label-count vectors of monotone fillings of a component.
-
-    A filling assigns labels 1..len(caps) to boxes, weakly increasing west
-    to east along rows and north to south down columns; equivalently every
-    sublevel set is itself a skew layer growing from the inner boundary.
-    Label ``i`` is used on at most ``caps[i - 1]`` boxes.
-    """
-    cells = sorted(component.cells(), key=lambda c: (c[1], c[0]))
-    cellset = set(cells)
-    num_labels = len(caps)
-    counts = {}
-
-    def fill(i, assign, vec):
-        if i == len(cells):
-            key = tuple(vec)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        x, y = cells[i]
-        lo = 1
-        if (x - 1, y) in cellset:
-            lo = max(lo, assign[(x - 1, y)])
-        if (x, y - 1) in cellset:
-            lo = max(lo, assign[(x, y - 1)])
-        for lab in range(lo, num_labels + 1):
-            if vec[lab - 1] == caps[lab - 1]:
-                continue
-            assign[(x, y)] = lab
-            vec[lab - 1] += 1
-            fill(i + 1, assign, vec)
-            vec[lab - 1] -= 1
-        # Every label may be capped, leaving the cell unassigned.
-        assign.pop((x, y), None)
-
-    fill(0, {}, [0] * num_labels)
-    return counts
+def _grow(ideal, k, start, needs):
+    """Ideals made from ``ideal`` by adding ``k`` cells of index >= ``start``
+    in increasing index order, each only once its neighbours ``needs`` are in."""
+    if k == 0:
+        yield ideal
+        return
+    for i in range(start, len(needs) - k + 1):
+        if not ideal >> i & 1 and (ideal & needs[i]) == needs[i]:
+            yield from _grow(ideal | 1 << i, k - 1, i + 1, needs)
 
 
 def rp_count(shape: SkewShape, block_sizes) -> int:
-    """Number of fillings of ``shape`` into labelled blocks of the given
-    sizes such that each sublevel set is a valid skew layer."""
+    """Number of monotone fillings of ``shape`` with content ``block_sizes``.
+
+    A filling labels the boxes 1..s, weakly increasing east along rows and
+    south down columns, with ``k_i`` boxes labelled ``i``.  Its sublevel
+    sets are a chain of order ideals ``I_1 < ... < I_s = shape`` with
+    ``|I_i - I_(i-1)| = k_i``; an ideal holds the west and north neighbours
+    of each of its boxes (Stanley, EC1 ch. 3).  Sorted by (component, row,
+    column), every box follows its neighbours, so each level adds its boxes
+    in increasing order and each chain is counted once.
+    """
     block_sizes = tuple(int(k) for k in block_sizes)
     if any(k < 0 for k in block_sizes):
         raise ValueError("block sizes must be nonnegative")
     if sum(block_sizes) != shape.size:
         raise ValueError("block sizes must sum to the shape size")
-    s = len(block_sizes)
-    total = {(0,) * s: 1}
-    for comp in shape.components:
-        comp_counts = _component_fillings(comp, block_sizes)
-        merged = {}
-        for va, ca in total.items():
-            for vb, cb in comp_counts.items():
-                v = tuple(x + y for x, y in zip(va, vb))
-                if all(x <= k for x, k in zip(v, block_sizes)):
-                    merged[v] = merged.get(v, 0) + ca * cb
-        total = merged
-    return total.get(block_sizes, 0)
+    cells = sorted(
+        (c, y, x)
+        for c, comp in enumerate(shape.components)
+        for x, y in comp.cells()
+    )
+    index = {cell: i for i, cell in enumerate(cells)}
+    needs = [
+        sum(1 << index[nb] for nb in ((c, y, x - 1), (c, y - 1, x)) if nb in index)
+        for c, y, x in cells
+    ]
+
+    @lru_cache(maxsize=None)
+    def chains(level, ideal):
+        if level == len(block_sizes):
+            return 1
+        return sum(
+            chains(level + 1, grown)
+            for grown in _grow(ideal, block_sizes[level], 0, needs)
+        )
+
+    return chains(0, 0)

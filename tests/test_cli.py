@@ -99,6 +99,15 @@ def test_motive_series(capsys):
     assert payload["coefficients"][2] == ["1", "1"]
 
 
+@pytest.mark.parametrize("series", ["2", "3"])
+def test_motive_series_order_bounds(capsys, series):
+    assert main(["motive", "--series", series, "--order", "-1"]) == 2
+    assert "order must be nonnegative" in capsys.readouterr().err
+    code, payload = run_json(capsys, ["motive", "--series", series, "--order", "0"])
+    assert code == 0
+    assert len(payload["coefficients"]) == 1
+
+
 def test_motive_requires_one_mode(capsys):
     assert main(["motive", "--nesting", "2,4", "--strata", "5"]) == 2
 
@@ -111,6 +120,14 @@ def test_globalize(capsys):
     )
     assert code == 0
     assert payload["coefficient"] == "3"
+
+
+@pytest.mark.parametrize("coeff", ["9,9", "3,3", "2,4", "-1,0", "0,-1"])
+def test_globalize_rejects_coeff_outside_table(capsys, coeff):
+    argv = ["globalize", "--rank", "1", "--n1", "2", "--n2", "3", "--chi", "1",
+            f"--coeff={coeff}"]
+    assert main(argv) == 2
+    assert "--coeff" in capsys.readouterr().err
 
 
 def test_verify_quick(capsys):
@@ -150,6 +167,14 @@ def test_tables_deterministic(tmp_path):
     assert first == second
     data = json.loads(first["one_gap_rational_forms.json"])
     assert data["3"]["numerator"] == [3, -1, -1]
+
+
+def test_tables_max_gap_must_be_positive(tmp_path):
+    for max_gap in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--out", str(tmp_path / "t"), "--max-gap", max_gap])
+        assert exc.value.code == 2
+    assert not (tmp_path / "t").exists()
 
 
 def test_entry_point_subprocess():

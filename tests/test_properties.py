@@ -1,5 +1,7 @@
 """Randomized structural properties tying the modules together."""
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +10,7 @@ from flagseries.partitions import Partition, contains, enum_partitions
 from flagseries.shapes import (
     SkewShape,
     enum_skew_classes,
+    rp_count,
     skew_class_of_cells,
     sym_factor,
     transpose,
@@ -84,3 +87,32 @@ def test_zero_gaps_are_transparent(gaps):
     base = fz_ratio_k(gaps, 10)
     assert fz_ratio_k([0] + gaps, 10) == base
     assert fz_ratio_k(gaps + [0], 10) == base
+
+
+def brute_force_fillings(shape, k):
+    """Monotone fillings of ``shape`` with content ``k``, counted by trying
+    every labelling of the boxes."""
+    cells = [
+        (c, x, y) for c, comp in enumerate(shape.components) for x, y in comp.cells()
+    ]
+    where = {cell: i for i, cell in enumerate(cells)}
+    steps = [
+        (where[c, x, y], where[nb])
+        for c, x, y in cells
+        for nb in ((c, x + 1, y), (c, x, y + 1))
+        if nb in where
+    ]
+    return sum(
+        all(labels[a] <= labels[b] for a, b in steps)
+        and [labels.count(i) for i in range(len(k))] == list(k)
+        for labels in itertools.product(range(len(k)), repeat=len(cells))
+    )
+
+
+@given(shapes_by_size, st.data())
+@settings(max_examples=60, deadline=None)
+def test_rp_count_matches_brute_force(shape, data):
+    cuts = data.draw(st.lists(st.integers(0, shape.size), max_size=4))
+    bounds = [0] + sorted(cuts) + [shape.size]
+    k = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    assert rp_count(shape, k) == brute_force_fillings(shape, k)
