@@ -52,6 +52,19 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0: {text!r}")
+    return value
+
+
+def _guard(args):
+    """``--guard``, else ``FLAGSERIES_GUARD``; a malformed env value is
+    rejected whether or not the mode uses the guard."""
+    return engine.default_guard() if args.guard is None else args.guard
+
+
 def _rational_payload(rf, series, prefix):
     return {
         "numerator": list(rf.numerator),
@@ -62,19 +75,27 @@ def _rational_payload(rf, series, prefix):
 
 def _cmd_fz(args):
     prefix = args.prefix
+    if args.k is not None and args.D is not None:
+        print("choose one of --D / --k", file=sys.stderr)
+        return 2
+    guard = _guard(args)
     if args.k is not None:
         k = args.k
         if any(x < 0 for x in k):
             print("gap entries must be nonnegative", file=sys.stderr)
             return 2
-        rf = engine.rational_form_k(k, guard=args.guard)
+        rf = engine.rational_form_k(k, guard=guard)
         series = engine.fz_k(k, prefix)
         payload = {"command": "fz", "k": list(k)}
     else:
         if args.D is None or args.D < 1:
             print("need --D >= 1 or --k", file=sys.stderr)
             return 2
-        rf = engine.rational_form_D(args.D, guard=args.guard)
+        if args.guard is not None:
+            print("--guard does not apply to --D: the one-gap form is exact",
+                  file=sys.stderr)
+            return 2
+        rf = engine.rational_form_D(args.D)
         series = engine.fz_D(args.D, prefix)
         payload = {"command": "fz", "D": args.D}
     payload.update(_rational_payload(rf, series, prefix))
@@ -93,7 +114,7 @@ def _cmd_fq(args):
     if args.r < 1 or args.D < 1:
         print("need --r >= 1 and --D >= 1", file=sys.stderr)
         return 2
-    rf = quot.rational_form_rD(args.r, args.D, guard=args.guard)
+    rf = quot.rational_form_rD(args.r, args.D, guard=_guard(args))
     series = quot.fq_rD(args.r, args.D, args.prefix)
     payload = {"command": "fq", "r": args.r, "D": args.D}
     payload.update(_rational_payload(rf, series, args.prefix))
@@ -357,9 +378,10 @@ def build_parser():
     p.add_argument("--k", type=_parse_int_list, default=None,
                    help="comma-separated gap vector, e.g. 1,2")
     p.add_argument("--guard", type=_positive_int, default=None,
-                   help="trailing coefficients checked to vanish (>= 1)")
-    p.add_argument("--prefix", type=int, default=12,
-                   help="length of the emitted series prefix")
+                   help="trailing coefficients checked to vanish (>= 1); "
+                   "--k only, the --D form is exact")
+    p.add_argument("--prefix", type=_nonnegative_int, default=12,
+                   help="highest degree of the emitted series prefix (>= 0)")
     common(p)
     p.set_defaults(func=_cmd_fz)
 
@@ -368,7 +390,8 @@ def build_parser():
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--guard", type=_positive_int, default=None,
                    help="trailing coefficients checked to vanish (>= 1)")
-    p.add_argument("--prefix", type=int, default=12)
+    p.add_argument("--prefix", type=_nonnegative_int, default=12,
+                   help="highest degree of the emitted series prefix (>= 0)")
     common(p)
     p.set_defaults(func=_cmd_fq)
 

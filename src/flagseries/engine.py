@@ -21,13 +21,19 @@ satisfies
     U(0, j) = 1,
 
 and the ratio is U(b, 0) (the transfer-matrix method, Stanley EC1 4.7).
-A single shape spends one unit per component of each type.  The one-gap
-sum FZ_D / Z spends s boxes of the budget (D,) per component of size s,
-so one run yields FZ_d / Z for every d <= D.  Multi-gap sums weight each
-shape by its filling count: the number of chains of order ideals that grow
-it from empty by the gap sizes in turn.  The per-class sum and the
-combinatorial insertion oracle in :mod:`flagseries.partitions` referee all
-of this in the tests.
+A single shape spends one unit per component of each type, truncated at
+the order the caller asks for.  Multi-gap sums weight each shape by its
+filling count: the number of chains of order ideals that grow it from
+empty by the gap sizes in turn.
+
+The one-gap sum FZ_D / Z spends s boxes of the budget (D,) per component
+of size s.  Its groups come from a row DP instead of enumerated shapes,
+and summing the geometric series in j turns the DP into an exact integer
+recurrence for the numerators P_d of FZ_d / Z = P_d / prod_{i<=d} (1 - q^i),
+d <= D: no truncation, no guard and no degree bound.  Series callers expand
+P_d to the order they need.  The truncated DP over enumerated components,
+the per-class sum and the combinatorial insertion oracle in
+:mod:`flagseries.partitions` referee all of this in the tests.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .series import QSeries, RationalForm, clear_denominator
 from .shapes import (
     ConnectedSkew,
     SkewShape,
-    enum_connected_skew,
     enum_skew_classes,
     rp_count,
     transpose,
@@ -222,36 +227,157 @@ def fz_lambda(shape: SkewShape, truncation: int) -> QSeries:
     return QSeries.from_dense("q", out, truncation)
 
 
-#: (D, n) -> rows FZ_d / Z for d <= D, dense to n, as tuples.
-_rows_cache: dict = {}
+def _grow_add(dst: list, src, shift: int, coef: int = 1) -> None:
+    """dst += coef * q^shift * src, lengthening dst as needed."""
+    top = shift + len(src)
+    if len(dst) < top:
+        dst.extend([0] * (top - len(dst)))
+    kernels.addmul_shifted(dst, src, shift, coef, top - 1)
+
+
+def _times_one_minus(poly: list, i: int) -> list:
+    """poly * (1 - q^i), exact."""
+    out = poly + [0] * i
+    for m in range(len(out) - 1, i - 1, -1):
+        out[m] -= out[m - i]
+    return out
+
+
+def _mul(a, b) -> list:
+    """Full product of two dense polynomials."""
+    return kernels.mul_trunc(a, b, len(a) + len(b) - 2)
+
+
+@lru_cache(maxsize=None)
+def _q_binomial(n: int, k: int) -> tuple:
+    """Gaussian binomial [n choose k]_q for 0 <= k <= n, dense."""
+    if k == 0 or k == n:
+        return (1,)
+    out = list(_q_binomial(n - 1, k - 1))
+    _grow_add(out, _q_binomial(n - 1, k), k)
+    return tuple(out)
+
+
+def _one_gap_groups(D: int) -> dict:
+    """Merged placement weights of every connected shape of size <= D.
+
+    Maps (s, L) to {t: A}, where the components of size s and west length
+    L have summed weight sum_t A_t(q) * q^(j*t) at offset j: the group
+    terms of the one-gap placement DP, without enumerating shapes.  A row
+    DP over (last row length, s, L, V) yields sum_c q^(B_c) for each
+    (s, L, V): a row of length l1 under a row of length l0 starts
+    delta >= max(0, l1 - l0), delta < l1, columns further west, adding l1
+    boxes, one row, delta to L and delta * (rows above) to B.  The factor
+    prod_{p<L} (1 - x q^p) then expands by the q-binomial theorem as
+    sum_u (-1)^u q^(u(u+1)/2) [L-1 choose u]_q x^u, with t = V + u.
+    """
+    layers = [{} for _ in range(D + 1)]  # s -> (last row length, L, V) -> poly
+    for l in range(1, D + 1):
+        layers[l][l, l, 1] = [1]
+    groups = {}
+    for s in range(1, D + 1):
+        by_path = {}  # (L, V) -> sum_c q^(B_c)
+        for (l0, L, V), poly in layers[s].items():
+            _grow_add(by_path.setdefault((L, V), []), poly, 0)
+            for l1 in range(1, D - s + 1):
+                for delta in range(max(0, l1 - l0), l1):
+                    target = layers[s + l1].setdefault((l1, L + delta, V + 1), [])
+                    _grow_add(target, poly, delta * V)
+        for (L, V), poly in by_path.items():
+            terms = groups.setdefault((s, L), {})
+            for u in range(L):
+                binom = [0] * (u * (u + 1) // 2) + list(_q_binomial(L - 1, u))
+                _grow_add(terms.setdefault(V + u, []), _mul(poly, binom), 0, (-1) ** u)
+    return groups
+
+
+#: D -> exact numerators (P_0, ..., P_D); a smaller D is served from a
+#: larger entry.  Entries are only ever added, so callers need no lock.
+_numerators_cache: dict = {}
+
+
+def _one_gap_numerators(D: int) -> tuple:
+    """P_d with FZ_d / Z = P_d / prod_{i<=d} (1 - q^i), for every d <= D.
+
+    Writing U(b, j) = sum_T q^(j*T) R_{b,T} in the placement DP and summing
+    the geometric series in j gives
+    R_{b,T} = (1 - q^T)^(-1) sum coef * q^(base + L*T') * R_{b-s,T'} over
+    group terms with t + T' = T.  Every t >= 1 and a component of size s
+    has t <= s, so T' < T <= b.  With N_{b,T} = R_{b,T} prod_{i<=T} (1 - q^i),
+    N_{0,0} = 1 and
+
+        N_{b,T} = sum_{T'<T} X_{b,T,T'} prod_{T'<i<T} (1 - q^i),
+        X_{b,T,T'} = sum_{s,L} A_{s,L,T-T'} q^(L*T') N_{b-s,T'},
+        P_b = sum_{T<=b} N_{b,T} prod_{T<i<=b} (1 - q^i),
+
+    both sums taken by Horner's rule: integer polynomial arithmetic with no
+    division, no truncation and no degree bound.
+    """
+    for D2, nums in list(_numerators_cache.items()):
+        if D2 >= D:
+            return nums[: D + 1]
+    groups = _one_gap_groups(D)
+    # shifted[s, T', t] = sum_L q^(L*T') A_{s,L,t}
+    shifted = {}
+    for (s, L), terms in groups.items():
+        for t, poly in terms.items():
+            for T0 in range(D - s + 1):
+                _grow_add(shifted.setdefault((s, T0, t), []), poly, L * T0)
+    N = [{0: [1]}]  # N[b][T]
+    nums = [(1,)]
+    for b in range(1, D + 1):
+        row = {}
+        for T in range(1, b + 1):
+            acc = []
+            for T0 in range(T):
+                if T0 and acc:
+                    acc = _times_one_minus(acc, T0)
+                for s in range(1, b - T0 + 1):
+                    src = N[b - s].get(T0)
+                    weight = shifted.get((s, T0, T - T0))
+                    if src and weight:
+                        _grow_add(acc, _mul(src, weight), 0)
+            row[T] = acc
+        N.append(row)
+        acc = []
+        for T in range(1, b + 1):
+            if acc:
+                acc = _times_one_minus(acc, T)
+            _grow_add(acc, row[T], 0)
+        while acc and not acc[-1]:
+            acc.pop()
+        nums.append(tuple(acc))
+    nums = tuple(nums)
+    _numerators_cache[D] = nums
+    return nums
+
+
+def _expand_numerator(numerator, d: int, n: int) -> list:
+    """numerator / prod_{i<=d} (1 - q^i), dense to n, by strided prefix sums."""
+    out = list(numerator[: n + 1]) + [0] * max(0, n + 1 - len(numerator))
+    for i in range(1, d + 1):
+        for m in range(i, n + 1):
+            out[m] += out[m - i]
+    return out
 
 
 def _ratio_rows(D: int, n: int) -> list:
-    """FZ_d / Z, dense to n, for every d <= D from one budget-DP run.
-
-    Every connected component of size s <= D costs s boxes of the budget
-    (D,); components are grouped by size and west length.  A table cached
-    for (D', n') with D' >= D and n' >= n is served sliced.  Entries are
-    only ever added, so concurrent callers need no lock.
-    """
-    for (D2, n2), rows in list(_rows_cache.items()):
-        if D2 >= D and n2 >= n:
-            return [list(row[: n + 1]) for row in rows[: D + 1]]
-    groups = {}
-    for s in range(1, D + 1):
-        for comp in enum_connected_skew(s):
-            _add_weight(groups, (s,), comp)
-    table = _relative_dense(groups, (D,), n)
-    rows = tuple(tuple(table[(d,)]) for d in range(D + 1))
-    _rows_cache[(D, n)] = rows
-    return [list(row) for row in rows]
+    """FZ_d / Z, dense to n, for every d <= D, from the exact numerators."""
+    return [
+        _expand_numerator(num, d, n)
+        for d, num in enumerate(_one_gap_numerators(D))
+    ]
 
 
 def fz_ratio_D(D: int, truncation: int) -> QSeries:
-    """Sum of shape ratios over all classes of size D (equals FZ_D / Z)."""
+    """FZ_D / Z (the sum of shape ratios over all classes of size D),
+    expanded from its exact numerator."""
     if D < 0:
         raise ValueError("D must be nonnegative")
-    return QSeries.from_dense("q", _ratio_rows(D, truncation)[D], truncation)
+    numerator = _one_gap_numerators(D)[D]
+    return QSeries.from_dense(
+        "q", _expand_numerator(numerator, D, truncation), truncation
+    )
 
 
 def fz_D(D: int, truncation: int) -> QSeries:
@@ -332,16 +458,11 @@ def rational_form_lambda(shape: SkewShape, guard: int | None = None) -> Rational
     return clear_denominator(ratio, denominator, max_deg, guard)
 
 
-def rational_form_D(D: int, guard: int | None = None) -> RationalForm:
-    """Closed rational form of FZ_D / Z over prod_{j=1}^{D} (1 - q^j)."""
+def rational_form_D(D: int) -> RationalForm:
+    """Closed rational form of FZ_D / Z over prod_{j=1}^{D} (1 - q^j), exact."""
     if D < 1:
         raise ValueError("D must be positive")
-    if guard is None:
-        guard = default_guard()
-    max_deg = rational_form_degree_bound(D)
-    truncation = max_deg + D * (D + 1) // 2 + guard
-    ratio = fz_ratio_D(D, truncation)
-    return clear_denominator(ratio, {j: 1 for j in range(1, D + 1)}, max_deg, guard)
+    return RationalForm(_one_gap_numerators(D)[D], {j: 1 for j in range(1, D + 1)})
 
 
 def rational_form_k(block_sizes, guard: int | None = None) -> RationalForm:

@@ -67,7 +67,8 @@ def punctual_nested_table(rank: int, max1: int, max2: int) -> QSeries:
         for b in range(a, max2 + 1)
     }
     table = ps_pow(QSeries(("q1", "q2"), (max1, max2), single), rank)
-    for gap in range(max2 - max1 + 1):
+    # Largest gap first: its one-gap numerators serve every smaller gap.
+    for gap in range(max2 - max1, -1, -1):
         engine_side = fq_rD(rank, gap, max1)
         for a in range(max1 + 1):
             if a + gap > max2:

@@ -207,6 +207,50 @@ def test_guard_must_be_positive():
         assert exc.value.code == 2
 
 
+def test_fz_rejects_D_with_k(capsys):
+    assert main(["fz", "--D", "2", "--k", "1"]) == 2
+    assert capsys.readouterr().err == "choose one of --D / --k\n"
+
+
+def test_prefix_must_be_nonnegative(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a form was computed before --prefix was checked")
+
+    monkeypatch.setattr(engine, "rational_form_D", unreachable)
+    monkeypatch.setattr(engine, "rational_form_k", unreachable)
+    for argv in (
+        ["fz", "--D", "2", "--prefix", "-1"],
+        ["fz", "--k", "1,1", "--prefix", "-1"],
+        ["fq", "--r", "2", "--D", "2", "--prefix", "-1"],
+        ["fz", "--D", "2", "--prefix", "x"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_prefix_zero_emits_one_coefficient(capsys):
+    code, payload = run_json(capsys, ["fz", "--D", "3", "--prefix", "0"])
+    assert code == 0
+    assert payload["series_prefix"] == ["3"]
+
+
+def test_guard_applies_to_k_and_fq_only(capsys):
+    assert main(["fz", "--D", "3", "--guard", "5"]) == 2
+    assert "the one-gap form is exact" in capsys.readouterr().err
+    code, payload = run_json(capsys, ["fz", "--k", "1,1", "--guard", "5"])
+    assert code == 0 and payload["numerator"] == [2]
+    code, payload = run_json(capsys, ["fq", "--r", "2", "--D", "2", "--guard", "5"])
+    assert code == 0 and payload["denominator"] == [[1, 2], [2, 1]]
+
+
+def test_malformed_guard_env_rejected_in_every_mode(monkeypatch, capsys):
+    monkeypatch.setenv("FLAGSERIES_GUARD", "ten")
+    for argv in (["fz", "--k", "1,1"], ["fq", "--r", "2", "--D", "2"]):
+        assert main(argv) == 2, argv
+        assert "FLAGSERIES_GUARD" in capsys.readouterr().err
+
+
 def test_malformed_guard_env_rejected(monkeypatch, capsys):
     from flagseries.engine import default_guard
 

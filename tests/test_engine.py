@@ -5,6 +5,7 @@ import pytest
 from flagseries import engine
 from flagseries.engine import (
     _compute_relative_dense,
+    _one_gap_groups,
     _ratio_rows,
     fz_D,
     fz_k,
@@ -25,7 +26,13 @@ from flagseries.partitions import (
     partition_count,
 )
 from flagseries.series import QSeries, RationalForm, clear_denominator, ps_mul
-from flagseries.shapes import SkewShape, enum_skew_classes, rp_count, transpose
+from flagseries.shapes import (
+    SkewShape,
+    enum_connected_skew,
+    enum_skew_classes,
+    rp_count,
+    transpose,
+)
 
 BOX = SkewShape.of([(0, 1)])
 H_DOMINO = SkewShape.of([(0, 2)])
@@ -232,15 +239,75 @@ def test_fz_ratio_k_equals_unpaired_per_class_sum():
 
 def test_sliced_ratio_rows_match_referees():
     _ratio_rows(6, 30)
-    cached = dict(engine._rows_cache)
+    cached = dict(engine._numerators_cache)
     ratio = fz_ratio_D(3, 12)
     series = fz_D(3, 12)
-    assert engine._rows_cache == cached  # served from a larger table
+    assert max(cached) >= 6
+    assert engine._numerators_cache == cached  # served from a larger entry
     assert ratio == per_class_sum(3, 12)
     for n in range(13):
         assert series[(n,)] == count_nested_flags((n, n + 3))
-    # a longer truncation than any cached table is computed, not sliced
+    # a longer truncation expands the same cached numerators further
     assert fz_ratio_D(3, 40) == per_class_sum(3, 40)
+
+
+def enumerated_groups(D):
+    """Referee for the row DP: one-gap group terms of the enumerated
+    components of every size <= D, as the truncated placement DP takes them."""
+    groups = {}
+    for s in range(1, D + 1):
+        for comp in enum_connected_skew(s):
+            engine._add_weight(groups, (s,), comp)
+    return groups
+
+
+def _trimmed(groups):
+    out = {}
+    for key, terms in groups.items():
+        for t, poly in terms.items():
+            poly = list(poly)
+            while poly and not poly[-1]:
+                poly.pop()
+            if poly:
+                out.setdefault(key, {})[t] = poly
+    return out
+
+
+def test_row_dp_groups_equal_enumerated_weights():
+    expected = {}
+    for ((s,), L), terms in enumerated_groups(9).items():
+        for (t, base), coef in terms.items():
+            poly = expected.setdefault((s, L), {}).setdefault(t, [])
+            poly.extend([0] * (base + 1 - len(poly)))
+            poly[base] += coef
+    assert _trimmed(_one_gap_groups(9)) == _trimmed(expected)
+
+
+def test_exact_numerators_equal_truncated_dp_referee():
+    D = 10
+    n = rational_form_degree_bound(D) + D * (D + 1) // 2 + 1
+    table = engine._relative_dense(enumerated_groups(D), (D,), n)
+    for d in range(1, D + 1):
+        bound = rational_form_degree_bound(d)
+        ratio = QSeries.from_dense("q", table[(d,)], n)
+        den = {j: 1 for j in range(1, d + 1)}
+        # every coefficient above the bound, up to n, must vanish
+        guard = n - bound - d * (d + 1) // 2
+        assert rational_form_D(d) == clear_denominator(ratio, den, bound, guard), d
+
+
+def test_value_laws_beyond_the_published_tables():
+    p = partition_count
+    for D in range(14, 10, -1):
+        rf = rational_form_D(D)
+        num = list(rf.numerator)
+        assert num[0] == p(D), D
+        assert rf.numerator_value(1) == 1, D
+        assert num[1] == p(D + 1) - 2 * p(D), D
+        assert num[2] == 2 * p(D + 2) - 2 * p(D + 1) - p(D) - 2, D
+        assert num[3] == (
+            3 * p(D + 3) - 4 * p(D + 2) - p(D + 1) + 2 * p(D) - 2 - D - (D % 2)
+        ), D
 
 
 def test_rational_form_requires_positive_gap():
