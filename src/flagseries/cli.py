@@ -59,12 +59,6 @@ def _nonnegative_int(text):
     return value
 
 
-def _guard(args):
-    """``--guard``, else ``FLAGSERIES_GUARD``; a malformed env value is
-    rejected whether or not the mode uses the guard."""
-    return engine.default_guard() if args.guard is None else args.guard
-
-
 def _rational_payload(rf, series, prefix):
     return {
         "numerator": list(rf.numerator),
@@ -78,7 +72,9 @@ def _cmd_fz(args):
     if args.k is not None and args.D is not None:
         print("choose one of --D / --k", file=sys.stderr)
         return 2
-    guard = _guard(args)
+    # --guard, else FLAGSERIES_GUARD; a malformed env value is rejected
+    # whether or not the mode uses the guard.
+    guard = engine.default_guard() if args.guard is None else args.guard
     if args.k is not None:
         k = args.k
         if any(x < 0 for x in k):
@@ -114,7 +110,10 @@ def _cmd_fq(args):
     if args.r < 1 or args.D < 1:
         print("need --r >= 1 and --D >= 1", file=sys.stderr)
         return 2
-    rf = quot.rational_form_rD(args.r, args.D, guard=_guard(args))
+    # The rank-r form is exact and uses no guard, but a malformed
+    # FLAGSERIES_GUARD is rejected here as in every fz mode.
+    engine.default_guard()
+    rf = quot.rational_form_rD(args.r, args.D)
     series = quot.fq_rD(args.r, args.D, args.prefix)
     payload = {"command": "fq", "r": args.r, "D": args.D}
     payload.update(_rational_payload(rf, series, args.prefix))
@@ -337,7 +336,8 @@ def _cmd_tables(args):
     written = []
 
     one_gap = {}
-    for D in range(1, args.max_gap + 1):
+    # Largest gap first: one numerator run then serves every smaller gap.
+    for D in range(args.max_gap, 0, -1):
         rf = engine.rational_form_D(D)
         one_gap[str(D)] = rf.to_json_dict()
     path = outdir / "one_gap_rational_forms.json"
@@ -385,11 +385,9 @@ def build_parser():
     common(p)
     p.set_defaults(func=_cmd_fz)
 
-    p = sub.add_parser("fq", help="higher-rank one-gap series and rational form")
+    p = sub.add_parser("fq", help="higher-rank one-gap series and exact rational form")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--guard", type=_positive_int, default=None,
-                   help="trailing coefficients checked to vanish (>= 1)")
     p.add_argument("--prefix", type=_nonnegative_int, default=12,
                    help="highest degree of the emitted series prefix (>= 0)")
     common(p)

@@ -44,7 +44,7 @@ from functools import lru_cache
 from math import comb
 
 from . import kernels
-from .series import QSeries, RationalForm, clear_denominator
+from .series import QSeries, RationalForm, clear_denominator, expand_dense
 from .shapes import (
     ConnectedSkew,
     SkewShape,
@@ -352,19 +352,10 @@ def _one_gap_numerators(D: int) -> tuple:
     return nums
 
 
-def _expand_numerator(numerator, d: int, n: int) -> list:
-    """numerator / prod_{i<=d} (1 - q^i), dense to n, by strided prefix sums."""
-    out = list(numerator[: n + 1]) + [0] * max(0, n + 1 - len(numerator))
-    for i in range(1, d + 1):
-        for m in range(i, n + 1):
-            out[m] += out[m - i]
-    return out
-
-
 def _ratio_rows(D: int, n: int) -> list:
     """FZ_d / Z, dense to n, for every d <= D, from the exact numerators."""
     return [
-        _expand_numerator(num, d, n)
+        expand_dense(num, dict.fromkeys(range(1, d + 1), 1), n)
         for d, num in enumerate(_one_gap_numerators(D))
     ]
 
@@ -374,10 +365,9 @@ def fz_ratio_D(D: int, truncation: int) -> QSeries:
     expanded from its exact numerator."""
     if D < 0:
         raise ValueError("D must be nonnegative")
-    numerator = _one_gap_numerators(D)[D]
-    return QSeries.from_dense(
-        "q", _expand_numerator(numerator, D, truncation), truncation
-    )
+    denominator = dict.fromkeys(range(1, D + 1), 1)
+    out = expand_dense(_one_gap_numerators(D)[D], denominator, truncation)
+    return QSeries.from_dense("q", out, truncation)
 
 
 def fz_D(D: int, truncation: int) -> QSeries:

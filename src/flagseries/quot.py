@@ -3,8 +3,11 @@ to the rank-one theory.
 
 The rank-r count with one gap D splits over r-tuples of gaps summing to D,
 so every rank-r series is a polynomial expression in the rank-one series.
-The three verify_* routines check the closed functional equations; each
-builds both sides independently and compares coefficients exactly.
+The series come from products of the expanded one-gap rows; the rational
+forms come, exactly, from products of the one-gap numerators, so the two
+constructions referee each other in the tests.  The three verify_*
+routines check the closed functional equations; each builds both sides
+independently and compares coefficients exactly.
 """
 
 from __future__ import annotations
@@ -14,15 +17,17 @@ from functools import lru_cache
 from math import comb, factorial, perm
 
 from .engine import (
+    _grow_add,
+    _mul,
+    _one_gap_numerators,
     _ratio_rows,
+    _times_one_minus,
     _z_dense,
-    default_guard,
     fz_D,
     fz_ratio_D,
-    rational_form_degree_bound,
 )
 from .partitions import count_coloured_flags, enum_partitions
-from .series import QSeries, RationalForm, clear_denominator, ps_inv, ps_mul
+from .series import QSeries, RationalForm, ps_inv, ps_mul
 from . import kernels
 
 __all__ = [
@@ -138,38 +143,33 @@ def rank_series_bundle(r: int, D: int, truncation: int) -> RankSeriesBundle:
     )
 
 
-@lru_cache(maxsize=None)
-def _best_excess(remaining: int, slots: int) -> int:
-    """Max over gap multisets of sum_i (num degree bound - denominator
-    degree) for each gap, used to bound the common-denominator numerator."""
-    if remaining == 0:
-        return 0
-    if slots == 0:
-        return -(10**9)
-    best = -(10**9)
-    for d in range(1, remaining + 1):
-        g = rational_form_degree_bound(d) - d * (d + 1) // 2
-        rest = _best_excess(remaining - d, slots - 1)
-        if rest > -(10**9) and g + rest > best:
-            best = g + rest
-    return best
-
-
-def rational_form_rD(r: int, D: int, guard: int | None = None) -> RationalForm:
+def rational_form_rD(r: int, D: int) -> RationalForm:
     """Rational form of FQ_{r,D} / Z^r over the canonical denominator
-    prod_{j=1}^{D} (1 - q^j)^{min(r, D // j)}."""
+    prod_{j=1}^{D} (1 - q^j)^{min(r, D // j)}, exact.
+
+    A gap multiset lam contributes inj(r, lam) * prod_i P_{lam_i} over
+    prod_j (1 - q^j)^{#{i : lam_i >= j}}, with P_d the one-gap numerators.
+    At most min(r, D // j) parts of lam are >= j, so bringing each term to
+    the canonical denominator only multiplies by factors (1 - q^j): no
+    division, truncation or degree bound.
+    """
     if r < 1 or D < 1:
         raise ValueError("rank and gap must be positive")
-    if guard is None:
-        guard = default_guard()
     denominator = {j: min(r, D // j) for j in range(1, D + 1)}
-    den_deg = sum(j * e for j, e in denominator.items())
-    max_deg = den_deg + max(0, _best_excess(D, r))
-    truncation = max_deg + den_deg + guard
-    ratio = QSeries.from_dense(
-        "q", _ratio_rD_dense(r, D, truncation), truncation
-    )
-    return clear_denominator(ratio, denominator, max_deg, guard)
+    nums = _one_gap_numerators(D)
+    numerator = []
+    for lam in enum_partitions(D):
+        weight = _injections(r, lam)
+        if not weight:
+            continue
+        term = [1]
+        for part in lam:
+            term = _mul(term, nums[part])
+        for j, e in denominator.items():
+            for _ in range(e - sum(1 for part in lam if part >= j)):
+                term = _times_one_minus(term, j)
+        _grow_add(numerator, term, 0, weight)
+    return RationalForm(numerator, denominator)
 
 
 # -- functional identities -------------------------------------------------

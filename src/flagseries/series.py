@@ -256,19 +256,17 @@ def ps_pow(a: QSeries, exponent: int) -> QSeries:
     return result
 
 
-def denominator_dense(denominator, n):
-    """Dense expansion of prod_j (1 - q^j)^{e_j} up to degree n."""
-    out = [0] * (n + 1)
-    out[0] = 1
-    for j, e in sorted(dict(denominator).items()):
-        if j <= 0 or e <= 0:
-            raise ValueError("denominator exponents must be positive")
-        factor = [0] * (n + 1)
-        factor[0] = 1
-        if j <= n:
-            factor[j] = -1
+def expand_dense(numerator, denominator, n):
+    """numerator / prod_j (1 - q^j)^{e_j}, dense up to degree n.
+
+    Dividing by (1 - q^j) is one prefix-sum pass of stride j, so the
+    expansion takes e_j passes per factor and no series inverse.
+    """
+    out = list(numerator[: n + 1]) + [0] * max(0, n + 1 - len(numerator))
+    for j, e in denominator.items():
         for _ in range(e):
-            out = kernels.mul_trunc(out, factor, n)
+            for m in range(j, n + 1):
+                out[m] += out[m - j]
     return out
 
 
@@ -341,11 +339,8 @@ class RationalForm:
 
     def expand(self, truncation, variable="q"):
         """Re-expand numerator/denominator as a series up to ``truncation``."""
-        n = truncation
-        num = list(self.numerator[: n + 1]) + [0] * max(0, n + 1 - len(self.numerator))
-        den = denominator_dense(self.denominator, n)
-        out = kernels.mul_trunc(num, kernels.inv_trunc(den, n), n)
-        return QSeries.from_dense(variable, out, n)
+        out = expand_dense(self.numerator, self.denominator, truncation)
+        return QSeries.from_dense(variable, out, truncation)
 
     def __eq__(self, other):
         return (

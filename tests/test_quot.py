@@ -5,6 +5,8 @@ import pytest
 from flagseries.engine import fz_D, partition_series
 from flagseries.partitions import count_coloured_flags
 from flagseries.quot import (
+    _ratio_rD_dense,
+    _z_pow_dense,
     fq_rD,
     fq_rD_via_generating,
     q_rank_series,
@@ -82,6 +84,24 @@ def test_rational_form_rD_examples():
 def test_rational_form_rD_denominator_shape():
     rf = rational_form_rD(3, 4)
     assert rf.denominator == {1: 3, 2: 2, 3: 1, 4: 1}
+
+
+def test_rational_form_rD_expands_to_row_products():
+    # The exact form against the truncated products of one-gap rows, ten
+    # coefficients past the numerator and denominator degrees.
+    for r in range(1, 6):
+        for D in range(1, 11):
+            rf = rational_form_rD(r, D)
+            den_deg = sum(j * e for j, e in rf.denominator.items())
+            n = rf.numerator_degree + den_deg + 10
+            assert rf.expand(n).dense() == _ratio_rD_dense(r, D, n), (r, D)
+
+
+def test_rational_form_rD_constant_term():
+    # q^0 of FQ_{r,D}: r-tuples of partitions of total size D.
+    for r in range(1, 6):
+        for D in range(11, 15):
+            assert rational_form_rD(r, D).numerator[0] == _z_pow_dense(r, D)[D]
 
 
 def test_rank_bundle():
