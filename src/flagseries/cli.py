@@ -6,7 +6,7 @@ Euler numbers, series coefficients) are serialized as decimal strings;
 rational-form numerators stay plain integers.
 
 Exit codes: 0 success (and, for ``verify``, all identities hold);
-1 rationality-guard or identity failure; 2 parameter validation failure;
+1 a ``verify`` identity failed; 2 parameter validation failure;
 3 internal consistency check failure (two independent constructions of
 the same answer disagree, which is a bug in the program, not in the input).
 """
@@ -21,7 +21,7 @@ import sys
 
 from . import engine, motives, quot, surfaces
 from .partitions import count_coloured_flags, count_nested_flags
-from .series import RationalityError, lpoly_eval_at_one
+from .series import lpoly_eval_at_one, ps_mul
 
 
 def _emit(args, payload, text_lines, csv_rows=None):
@@ -72,28 +72,20 @@ def _cmd_fz(args):
     if args.k is not None and args.D is not None:
         print("choose one of --D / --k", file=sys.stderr)
         return 2
-    # --guard, else FLAGSERIES_GUARD; a malformed env value is rejected
-    # whether or not the mode uses the guard.
-    guard = engine.default_guard() if args.guard is None else args.guard
     if args.k is not None:
         k = args.k
         if any(x < 0 for x in k):
             print("gap entries must be nonnegative", file=sys.stderr)
             return 2
-        rf = engine.rational_form_k(k, guard=guard)
-        series = engine.fz_k(k, prefix)
+        rf = engine.rational_form_k(k)
         payload = {"command": "fz", "k": list(k)}
     else:
         if args.D is None or args.D < 1:
             print("need --D >= 1 or --k", file=sys.stderr)
             return 2
-        if args.guard is not None:
-            print("--guard does not apply to --D: the one-gap form is exact",
-                  file=sys.stderr)
-            return 2
         rf = engine.rational_form_D(args.D)
-        series = engine.fz_D(args.D, prefix)
         payload = {"command": "fz", "D": args.D}
+    series = ps_mul(rf.expand(prefix), engine.partition_series(prefix))
     payload.update(_rational_payload(rf, series, prefix))
     text = [
         f"ratio to the partition series: {rf!r}",
@@ -110,9 +102,6 @@ def _cmd_fq(args):
     if args.r < 1 or args.D < 1:
         print("need --r >= 1 and --D >= 1", file=sys.stderr)
         return 2
-    # The rank-r form is exact and uses no guard, but a malformed
-    # FLAGSERIES_GUARD is rejected here as in every fz mode.
-    engine.default_guard()
     rf = quot.rational_form_rD(args.r, args.D)
     series = quot.fq_rD(args.r, args.D, args.prefix)
     payload = {"command": "fq", "r": args.r, "D": args.D}
@@ -312,11 +301,7 @@ def _cmd_verify(args):
     results = []
     all_ok = True
     for name, check in _identity_suite(args.quick):
-        try:
-            ok = bool(check())
-        except RationalityError as exc:
-            ok = False
-            name = f"{name} ({exc})"
+        ok = bool(check())
         results.append({"name": name, "ok": ok})
         all_ok = all_ok and ok
     payload = {"command": "verify", "results": results, "all_ok": all_ok}
@@ -377,9 +362,6 @@ def build_parser():
     p.add_argument("--D", type=int, default=None, help="single gap size")
     p.add_argument("--k", type=_parse_int_list, default=None,
                    help="comma-separated gap vector, e.g. 1,2")
-    p.add_argument("--guard", type=_positive_int, default=None,
-                   help="trailing coefficients checked to vanish (>= 1); "
-                   "--k only, the --D form is exact")
     p.add_argument("--prefix", type=_nonnegative_int, default=12,
                    help="highest degree of the emitted series prefix (>= 0)")
     common(p)
@@ -435,9 +417,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RationalityError as exc:
-        print(f"rationality guard failure: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -21,30 +21,30 @@ satisfies
     U(0, j) = 1,
 
 and the ratio is U(b, 0) (the transfer-matrix method, Stanley EC1 4.7).
-A single shape spends one unit per component of each type, truncated at
-the order the caller asks for.  Multi-gap sums weight each shape by its
-filling count: the number of chains of order ideals that grow it from
-empty by the gap sizes in turn.
+A single shape spends one unit per component of each type.  The one-gap
+sum FZ_D / Z spends s boxes of the budget (D,) per component of size s,
+with groups from a row DP instead of enumerated shapes.  Multi-gap sums
+weight each shape class by its filling count: the number of chains of
+order ideals that grow it from empty by the gap sizes in turn.
 
-The one-gap sum FZ_D / Z spends s boxes of the budget (D,) per component
-of size s.  Its groups come from a row DP instead of enumerated shapes,
-and summing the geometric series in j turns the DP into an exact integer
-recurrence for the numerators P_d of FZ_d / Z = P_d / prod_{i<=d} (1 - q^i),
-d <= D: no truncation, no guard and no degree bound.  Series callers expand
-P_d to the order they need.  The truncated DP over enumerated components,
-the per-class sum and the combinatorial insertion oracle in
-:mod:`flagseries.partitions` referee all of this in the tests.
+Summing the geometric series in j turns the DP into one exact integer
+recurrence (:func:`_numerator_rows`) for the numerators over
+prod_{i<=K} (1 - q^i) of the one-gap, multi-gap and single-shape ratios:
+no truncation, no guard and no degree bound.  A connected shape also has
+a closed q-beta form.  Series callers expand a form to the order they
+need.  The truncated DP :func:`_relative_dense`, the per-class sum and the
+insertion oracle in :mod:`flagseries.partitions` referee all of this in
+the tests.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from functools import lru_cache
 from math import comb
 
 from . import kernels
-from .series import QSeries, RationalForm, clear_denominator, expand_dense
+from .series import QSeries, RationalForm, expand_dense
 from .shapes import (
     ConnectedSkew,
     SkewShape,
@@ -55,7 +55,6 @@ from .shapes import (
 
 __all__ = [
     "PlacementWeight",
-    "default_guard",
     "fz_lambda",
     "fz_D",
     "fz_k",
@@ -69,14 +68,6 @@ __all__ = [
     "rational_form_degree_bound",
     "rational_form_k_degree_bound",
 ]
-
-
-def default_guard() -> int:
-    """Trailing-coefficient guard for rationality checks (env-overridable)."""
-    raw = os.environ.get("FLAGSERIES_GUARD", "10")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"FLAGSERIES_GUARD must be an integer >= 1, got {raw!r}")
-    return int(raw)
 
 
 @lru_cache(maxsize=None)
@@ -191,21 +182,24 @@ def _relative_dense(groups, budget, n: int) -> dict:
     return out
 
 
-def _compute_relative_dense(shape: SkewShape, n: int) -> list:
-    """(flag series / partition series) for one shape class, dense to n.
-
-    The budget counts the components of each type; placing one component
-    spends one unit of its type.
-    """
+def _shape_groups(shape: SkewShape):
+    """Groups (merged as by :func:`_add_weight`) and budget of one shape
+    class: the budget counts the components of each type, and placing one
+    component spends one unit of its type."""
     types = [
         (comp, sum(1 for _ in group))
         for comp, group in itertools.groupby(shape.components)
     ]
-    budget = tuple(mult for _, mult in types)
     groups = {}
     for i, (comp, _) in enumerate(types):
         cost = tuple(int(i == k) for k in range(len(types)))
         _add_weight(groups, cost, comp)
+    return groups, tuple(mult for _, mult in types)
+
+
+def _compute_relative_dense(shape: SkewShape, n: int) -> list:
+    """(flag series / partition series) for one shape class, dense to n."""
+    groups, budget = _shape_groups(shape)
     return _relative_dense(groups, budget, n)[budget]
 
 
@@ -216,15 +210,16 @@ def fz_ratio_lambda(shape: SkewShape, truncation: int) -> QSeries:
     )
 
 
+def _times_z(ratio: list, truncation: int) -> QSeries:
+    """A dense ratio times the partition series, truncated."""
+    out = kernels.mul_trunc(ratio, list(_z_dense(truncation)), truncation)
+    return QSeries.from_dense("q", out, truncation)
+
+
 def fz_lambda(shape: SkewShape, truncation: int) -> QSeries:
     """Series whose q^m coefficient counts insertions of ``shape`` into all
     partitions of size m (pairs nu c mu with difference class ``shape``)."""
-    out = kernels.mul_trunc(
-        _compute_relative_dense(shape, truncation),
-        list(_z_dense(truncation)),
-        truncation,
-    )
-    return QSeries.from_dense("q", out, truncation)
+    return _times_z(_compute_relative_dense(shape, truncation), truncation)
 
 
 def _grow_add(dst: list, src, shift: int, coef: int = 1) -> None:
@@ -291,6 +286,80 @@ def _one_gap_groups(D: int) -> dict:
     return groups
 
 
+def _horner(parts, stop: int) -> list:
+    """sum_{T<stop} parts[T] * prod_{T<i<stop} (1 - q^i), by Horner's rule."""
+    acc = []
+    for T in range(stop):
+        if acc:
+            acc = _times_one_minus(acc, T)
+        if T in parts:
+            _grow_add(acc, parts[T], 0)
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
+
+
+def _numerator_rows(groups, budget) -> dict:
+    """N_{b,T} with U(b, 0) = sum_T N_{b,T} / prod_{i<=T} (1 - q^i), for
+    every budget b <= ``budget``.
+
+    ``groups`` maps (cost, L) to {t: A}: the group placed at offset j has
+    weight sum_t A_t(q) * q^(j*t), with every t >= 1.  Writing
+    U(b, j) = sum_T q^(j*T) R_{b,T} in the placement DP and summing the
+    geometric series in j gives
+    R_{b,T} = (1 - q^T)^(-1) sum A_{cost,L,t} * q^(L*T') * R_{b-cost,T'} over
+    group terms with t + T' = T, so T' < T.  With
+    N_{b,T} = R_{b,T} prod_{i<=T} (1 - q^i), N_{0,0} = 1 and
+
+        N_{b,T} = sum_{T'<T} X_{b,T,T'} prod_{T'<i<T} (1 - q^i),
+        X_{b,T,T'} = sum_{cost,t} [sum_L q^(L*T') A_{cost,L,t}] N_{b-cost,T'}:
+
+    integer polynomial arithmetic with no division, no truncation and no
+    degree bound.  The ratio itself is then
+    _horner(N_b, top + 1) / prod_{i<=top} (1 - q^i) for any top >= max T.
+    """
+    by_cost = {}  # cost -> t -> [(L, A)]
+    for (cost, L), terms in groups.items():
+        for t, poly in terms.items():
+            by_cost.setdefault(cost, {}).setdefault(t, []).append((L, poly))
+    shifted = {}  # (cost, T', t) -> sum_L q^(L*T') A_{cost,L,t}
+
+    def weight(cost, T0, t):
+        if (cost, T0, t) not in shifted:
+            acc = shifted[cost, T0, t] = []
+            for L, poly in by_cost[cost][t]:
+                _grow_add(acc, poly, L * T0)
+        return shifted[cost, T0, t]
+
+    zero = (0,) * len(budget)
+    rows = {zero: {0: [1]}}
+    for b in itertools.product(*(range(m + 1) for m in budget)):
+        if b == zero:
+            continue
+        X = {}  # T -> T' -> X_{b,T,T'}
+        for cost, by_t in by_cost.items():
+            sub = tuple(x - c for x, c in zip(b, cost))
+            if min(sub) < 0:
+                continue
+            for T0, src in rows[sub].items():
+                for t in by_t:
+                    part = X.setdefault(T0 + t, {}).setdefault(T0, [])
+                    _grow_add(part, _mul(src, weight(cost, T0, t)), 0)
+        rows[b] = {T: _horner(parts, T) for T, parts in X.items()}
+    return rows
+
+
+def _class_numerator(shape: SkewShape) -> list:
+    """Numerator of one shape's ratio over prod_{i<=size} (1 - q^i), exact:
+    a component of size s has t <= V + L - 1 <= s, so every T <= size."""
+    groups, budget = _shape_groups(shape)
+    polys = {}
+    for key, terms in groups.items():
+        for (t, base), coef in terms.items():
+            _grow_add(polys.setdefault(key, {}).setdefault(t, []), [coef], base)
+    return _horner(_numerator_rows(polys, budget)[budget], shape.size + 1)
+
+
 #: D -> exact numerators (P_0, ..., P_D); a smaller D is served from a
 #: larger entry.  Entries are only ever added, so callers need no lock.
 _numerators_cache: dict = {}
@@ -298,56 +367,13 @@ _numerators_cache: dict = {}
 
 def _one_gap_numerators(D: int) -> tuple:
     """P_d with FZ_d / Z = P_d / prod_{i<=d} (1 - q^i), for every d <= D.
-
-    Writing U(b, j) = sum_T q^(j*T) R_{b,T} in the placement DP and summing
-    the geometric series in j gives
-    R_{b,T} = (1 - q^T)^(-1) sum coef * q^(base + L*T') * R_{b-s,T'} over
-    group terms with t + T' = T.  Every t >= 1 and a component of size s
-    has t <= s, so T' < T <= b.  With N_{b,T} = R_{b,T} prod_{i<=T} (1 - q^i),
-    N_{0,0} = 1 and
-
-        N_{b,T} = sum_{T'<T} X_{b,T,T'} prod_{T'<i<T} (1 - q^i),
-        X_{b,T,T'} = sum_{s,L} A_{s,L,T-T'} q^(L*T') N_{b-s,T'},
-        P_b = sum_{T<=b} N_{b,T} prod_{T<i<=b} (1 - q^i),
-
-    both sums taken by Horner's rule: integer polynomial arithmetic with no
-    division, no truncation and no degree bound.
-    """
+    A component of size s costs (s,) and has t <= s, so T <= d."""
     for D2, nums in list(_numerators_cache.items()):
         if D2 >= D:
             return nums[: D + 1]
-    groups = _one_gap_groups(D)
-    # shifted[s, T', t] = sum_L q^(L*T') A_{s,L,t}
-    shifted = {}
-    for (s, L), terms in groups.items():
-        for t, poly in terms.items():
-            for T0 in range(D - s + 1):
-                _grow_add(shifted.setdefault((s, T0, t), []), poly, L * T0)
-    N = [{0: [1]}]  # N[b][T]
-    nums = [(1,)]
-    for b in range(1, D + 1):
-        row = {}
-        for T in range(1, b + 1):
-            acc = []
-            for T0 in range(T):
-                if T0 and acc:
-                    acc = _times_one_minus(acc, T0)
-                for s in range(1, b - T0 + 1):
-                    src = N[b - s].get(T0)
-                    weight = shifted.get((s, T0, T - T0))
-                    if src and weight:
-                        _grow_add(acc, _mul(src, weight), 0)
-            row[T] = acc
-        N.append(row)
-        acc = []
-        for T in range(1, b + 1):
-            if acc:
-                acc = _times_one_minus(acc, T)
-            _grow_add(acc, row[T], 0)
-        while acc and not acc[-1]:
-            acc.pop()
-        nums.append(tuple(acc))
-    nums = tuple(nums)
+    groups = {((s,), L): terms for (s, L), terms in _one_gap_groups(D).items()}
+    rows = _numerator_rows(groups, (D,))
+    nums = tuple(tuple(_horner(rows[d,], d + 1)) for d in range(D + 1))
     _numerators_cache[D] = nums
     return nums
 
@@ -374,78 +400,58 @@ def fz_D(D: int, truncation: int) -> QSeries:
     """Series whose q^n coefficient is the number of nested partition pairs
     of sizes (n, n+D); equivalently the Euler characteristic of the punctual
     nested Hilbert scheme with that size vector."""
-    rel = fz_ratio_D(D, truncation).dense()
-    out = kernels.mul_trunc(rel, list(_z_dense(truncation)), truncation)
-    return QSeries.from_dense("q", out, truncation)
+    return _times_z(fz_ratio_D(D, truncation).dense(), truncation)
 
 
 def fz_ratio_k(block_sizes, truncation: int) -> QSeries:
-    """Filling-weighted sum of shape ratios (equals FZ_k / Z).
-
-    Both the filling count and the ratio are invariant under transposition,
-    so each transposition orbit is evaluated once, through its smaller key.
-    """
-    block_sizes = tuple(int(x) for x in block_sizes)
-    if any(x < 0 for x in block_sizes):
-        raise ValueError("gap sizes must be nonnegative")
-    K = sum(block_sizes)
-    if K == 0:
+    """FZ_k / Z, expanded from its exact rational form."""
+    if not any(block_sizes):
         return QSeries.one(("q",), (truncation,))
-    acc = [0] * (truncation + 1)
-    for shape in enum_skew_classes(K):
-        key, flipped = shape.key(), transpose(shape).key()
-        if flipped < key:
-            continue
-        weight = rp_count(shape, block_sizes) * (1 if flipped == key else 2)
-        if weight:
-            kernels.addmul_shifted(
-                acc, _compute_relative_dense(shape, truncation), 0, weight, truncation
-            )
-    return QSeries.from_dense("q", acc, truncation)
+    return rational_form_k(block_sizes).expand(truncation)
 
 
 def fz_k(block_sizes, truncation: int) -> QSeries:
     """Series whose q^n coefficient counts nested chains of partitions with
     sizes (n, n+k_1, n+k_1+k_2, ...)."""
-    rel = fz_ratio_k(block_sizes, truncation).dense()
-    out = kernels.mul_trunc(rel, list(_z_dense(truncation)), truncation)
-    return QSeries.from_dense("q", out, truncation)
+    return _times_z(fz_ratio_k(block_sizes, truncation).dense(), truncation)
 
 
 def rational_form_degree_bound(D: int) -> int:
-    """Numerator degree bound for the one-gap ratio over prod_{j<=D}(1-q^j)."""
+    """Numerator degree bound for the one-gap ratio over prod_{j<=D}(1-q^j).
+
+    No production caller: the tests clear truncated referee series with it.
+    """
     return comb(D, 2) + comb(D - 1, 2) + (D * D + 3) // 4
 
 
 def rational_form_k_degree_bound(K: int) -> int:
-    """Numerator degree bound for a multi-gap ratio: (5/4)K^2 - K/2 + 1."""
+    """Numerator degree bound for a multi-gap ratio: (5/4)K^2 - K/2 + 1.
+
+    No production caller: the tests clear truncated referee series with it.
+    """
     return (5 * K * K - 2 * K + 4 + 3) // 4
 
 
-def rational_form_lambda(shape: SkewShape, guard: int | None = None) -> RationalForm:
-    """Closed rational form of the single-shape ratio.
+def rational_form_lambda(shape: SkewShape) -> RationalForm:
+    """Closed rational form of the single-shape ratio, exact.
 
-    Connected shapes use the refined denominator
-    prod_{i=max(L,V)}^{L+V-1} (1 - q^i); general shapes use
-    prod_{j=1}^{size} (1 - q^j).  The re-expansion identity is enforced by
-    the guarded denominator clearing.
+    A connected shape sums its placement weights by the q-beta sum
+    sum_j z^j (q^(j+1); q)_n = (q; q)_n / (z; q)_(n+1) at z = q^V, n = L - 1:
+
+        q^B prod_{i<min(L,V)} (1 - q^i) / prod_{max(L,V)<=i<L+V} (1 - q^i).
+
+    A disconnected shape takes its class numerator over
+    prod_{j=1}^{size} (1 - q^j).
     """
-    if guard is None:
-        guard = default_guard()
-    if shape.is_connected:
-        path = shape.components[0].nw_path()
-        lo = max(path.west_total, path.south_total)
-        hi = path.length - 1
-        denominator = {i: 1 for i in range(lo, hi + 1)}
-        max_deg = comb(path.length - 1, 2) + path.offset_weight
-    else:
-        D = shape.size
-        denominator = {j: 1 for j in range(1, D + 1)}
-        max_deg = rational_form_degree_bound(D)
-    den_deg = sum(j * e for j, e in denominator.items())
-    truncation = max_deg + den_deg + guard
-    ratio = fz_ratio_lambda(shape, truncation)
-    return clear_denominator(ratio, denominator, max_deg, guard)
+    if not shape.is_connected:
+        denominator = dict.fromkeys(range(1, shape.size + 1), 1)
+        return RationalForm(_class_numerator(shape), denominator)
+    path = shape.components[0].nw_path()
+    L, V = path.west_total, path.south_total
+    numerator = [0] * path.offset_weight + [1]
+    for i in range(1, min(L, V)):
+        numerator = _times_one_minus(numerator, i)
+    return RationalForm(numerator, dict.fromkeys(range(max(L, V), L + V), 1))
 
 
 def rational_form_D(D: int) -> RationalForm:
@@ -455,15 +461,23 @@ def rational_form_D(D: int) -> RationalForm:
     return RationalForm(_one_gap_numerators(D)[D], {j: 1 for j in range(1, D + 1)})
 
 
-def rational_form_k(block_sizes, guard: int | None = None) -> RationalForm:
-    """Closed rational form of FZ_k / Z over prod_{j=1}^{K} (1 - q^j)."""
+def rational_form_k(block_sizes) -> RationalForm:
+    """Closed rational form of FZ_k / Z over prod_{j=1}^{K} (1 - q^j), exact:
+    the filling-weighted sum of class numerators.  Both are invariant under
+    transposition, so each orbit is evaluated once, through its smaller key.
+    """
     block_sizes = tuple(int(x) for x in block_sizes)
+    if any(x < 0 for x in block_sizes):
+        raise ValueError("gap sizes must be nonnegative")
     K = sum(block_sizes)
     if K < 1:
         raise ValueError("the gap sizes must sum to at least 1")
-    if guard is None:
-        guard = default_guard()
-    max_deg = rational_form_k_degree_bound(K)
-    truncation = max_deg + K * (K + 1) // 2 + guard
-    ratio = fz_ratio_k(block_sizes, truncation)
-    return clear_denominator(ratio, {j: 1 for j in range(1, K + 1)}, max_deg, guard)
+    numerator = []
+    for shape in enum_skew_classes(K):
+        key, flipped = shape.key(), transpose(shape).key()
+        if flipped < key:
+            continue
+        weight = rp_count(shape, block_sizes) * (1 if flipped == key else 2)
+        if weight:
+            _grow_add(numerator, _class_numerator(shape), 0, weight)
+    return RationalForm(numerator, {j: 1 for j in range(1, K + 1)})

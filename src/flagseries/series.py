@@ -16,7 +16,8 @@ VARIABLE_NAMES = ("q", "s", "v", "t", "q1", "q2")
 
 
 class RationalityError(ValueError):
-    """A series failed a rationality check against a claimed denominator."""
+    """A series failed a rationality check against a claimed denominator.
+    No production caller: :func:`clear_denominator` raises it for the tests."""
 
 
 def _as_int(value):
@@ -277,7 +278,8 @@ def clear_denominator(series: QSeries, denominator, max_deg: int, guard: int = 1
     The series truncation must reach ``max_deg`` plus the denominator degree
     plus ``guard``; every coefficient of the cleared numerator in degrees
     (max_deg, truncation] must vanish, otherwise the series is not rational
-    with the claimed denominator at this truncation.
+    with the claimed denominator at this truncation.  No production caller:
+    the tests clear truncated referee series with it.
     """
     if len(series.variables) != 1:
         raise ValueError("rational forms are extracted from one-variable series")

@@ -193,11 +193,40 @@ def test_entry_point_subprocess():
     assert proc.stdout.strip() == "10"
 
 
-def test_guard_env_override(monkeypatch):
-    monkeypatch.setenv("FLAGSERIES_GUARD", "12")
-    from flagseries.engine import default_guard
+GUARD_ENV_ARGVS = (
+    ["fz", "--k", "1,1"],
+    ["fz", "--D", "2"],
+    ["fq", "--r", "2", "--D", "2"],
+)
 
-    assert default_guard() == 12
+
+def assert_guard_env_ignored(monkeypatch, capsys, raws, argvs=GUARD_ENV_ARGVS):
+    # Every rational form is exact, so FLAGSERIES_GUARD is no longer read:
+    # any value, well formed or not, leaves exit code and output unchanged.
+    monkeypatch.delenv("FLAGSERIES_GUARD", raising=False)
+    expected = []
+    for argv in argvs:
+        expected.append((main(argv), capsys.readouterr()))
+    for raw in raws:
+        monkeypatch.setenv("FLAGSERIES_GUARD", raw)
+        for argv, want in zip(argvs, expected):
+            assert (main(argv), capsys.readouterr()) == want, (raw, argv)
+
+
+def test_guard_env_override(monkeypatch, capsys):
+    assert_guard_env_ignored(monkeypatch, capsys, ("12",))
+
+
+def test_malformed_guard_env_rejected(monkeypatch, capsys):
+    # A malformed value used to exit 2; with the variable unread it changes
+    # nothing, and the parser that rejected it is gone.
+    assert not hasattr(engine, "default_guard")
+    assert_guard_env_ignored(monkeypatch, capsys, ("ten", "-3", "0"))
+
+
+def test_malformed_guard_env_rejected_in_every_mode(monkeypatch, capsys):
+    for argv in GUARD_ENV_ARGVS:
+        assert_guard_env_ignored(monkeypatch, capsys, ("ten",), (argv,))
 
 
 def test_jobs_option_removed():
@@ -207,10 +236,24 @@ def test_jobs_option_removed():
 
 
 def test_guard_must_be_positive():
-    for guard in ("-10", "0", "x"):
+    # fz --guard is removed, so argparse rejects every value, positive or not.
+    for guard in ("-10", "0", "x", "5"):
         with pytest.raises(SystemExit) as exc:
             main(["fz", "--D", "4", "--guard", guard])
         assert exc.value.code == 2
+
+
+def test_guard_applies_to_k_only():
+    # --guard used to apply to fz --k only; every form is now exact, so no
+    # mode takes it.
+    for argv in (
+        ["fz", "--D", "3", "--guard", "5"],
+        ["fz", "--k", "1,1", "--guard", "5"],
+        ["fq", "--r", "2", "--D", "2", "--guard", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_fz_rejects_D_with_k(capsys):
@@ -239,31 +282,3 @@ def test_prefix_zero_emits_one_coefficient(capsys):
     code, payload = run_json(capsys, ["fz", "--D", "3", "--prefix", "0"])
     assert code == 0
     assert payload["series_prefix"] == ["3"]
-
-
-def test_guard_applies_to_k_only(capsys):
-    assert main(["fz", "--D", "3", "--guard", "5"]) == 2
-    assert "the one-gap form is exact" in capsys.readouterr().err
-    code, payload = run_json(capsys, ["fz", "--k", "1,1", "--guard", "5"])
-    assert code == 0 and payload["numerator"] == [2]
-    with pytest.raises(SystemExit) as exc:
-        main(["fq", "--r", "2", "--D", "2", "--guard", "5"])
-    assert exc.value.code == 2
-
-
-def test_malformed_guard_env_rejected_in_every_mode(monkeypatch, capsys):
-    monkeypatch.setenv("FLAGSERIES_GUARD", "ten")
-    for argv in (["fz", "--k", "1,1"], ["fq", "--r", "2", "--D", "2"]):
-        assert main(argv) == 2, argv
-        assert "FLAGSERIES_GUARD" in capsys.readouterr().err
-
-
-def test_malformed_guard_env_rejected(monkeypatch, capsys):
-    from flagseries.engine import default_guard
-
-    for raw in ("ten", "-3", "0"):
-        monkeypatch.setenv("FLAGSERIES_GUARD", raw)
-        with pytest.raises(ValueError, match="FLAGSERIES_GUARD"):
-            default_guard()
-        assert main(["fz", "--D", "2"]) == 2
-        assert "FLAGSERIES_GUARD" in capsys.readouterr().err

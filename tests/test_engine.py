@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -124,8 +125,9 @@ def test_rational_form_lambda_single_box():
 
 def test_rational_form_lambda_all_small_shapes():
     # the refined denominator for connected shapes and the full one for
-    # disconnected shapes both pass the guard and re-expand correctly
-    for D in range(1, 6):
+    # disconnected shapes; each form re-expands to the truncated DP one
+    # degree past its numerator degree plus its denominator degree
+    for D in range(1, 7):
         for shape in enum_skew_classes(D):
             rf = rational_form_lambda(shape)
             if shape.is_connected:
@@ -134,7 +136,10 @@ def test_rational_form_lambda_all_small_shapes():
                 assert rf.denominator == {
                     i: 1 for i in range(lo, path.length)
                 }, shape
-            n = 30
+            else:
+                assert rf.denominator == {j: 1 for j in range(1, D + 1)}, shape
+            den_deg = sum(j * e for j, e in rf.denominator.items())
+            n = rf.numerator_degree + den_deg + 1
             assert rf.expand(n) == fz_ratio_lambda(shape, n), shape
 
 
@@ -157,6 +162,38 @@ def test_rational_form_k_one_two():
     rf = rational_form_k((1, 2))
     n = 40
     assert rf.expand(n) == expand_ratio([3, 2, -1, -1], {1: 1, 2: 1, 3: 1}, n)
+
+
+def compositions(K):
+    """Every composition of K into positive parts."""
+    for r in range(K):
+        for cuts in itertools.combinations(range(1, K), r):
+            bounds = (0,) + cuts + (K,)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def test_rational_form_k_equals_cleared_class_sum():
+    # Referee for the exact multi-gap form: the filling-weighted sum of
+    # truncated single-shape ratios, cleared over prod_{j<=K} (1 - q^j) at
+    # rational_form_k_degree_bound(K) with ten trailing coefficients checked.
+    gaps = [k for K in range(1, 6) for k in compositions(K)]
+    gaps += [(0, 2, 1), (2, 0, 2), (1,) * 6, (1, 1, 1, 2, 2)]
+    by_size = {}
+    for k in gaps:
+        by_size.setdefault(sum(k), []).append(k)
+    for K, ks in by_size.items():
+        bound = rational_form_k_degree_bound(K)
+        n = bound + K * (K + 1) // 2 + 10
+        ratios = [(s, fz_ratio_lambda(s, n).dense()) for s in enum_skew_classes(K)]
+        for k in ks:
+            acc = [0] * (n + 1)
+            for shape, ratio in ratios:
+                w = rp_count(shape, k)
+                for i, c in enumerate(ratio):
+                    acc[i] += w * c
+            ratio = QSeries.from_dense("q", acc, n)
+            den = {j: 1 for j in range(1, K + 1)}
+            assert rational_form_k(k) == clear_denominator(ratio, den, bound, 10), k
 
 
 def test_transposition_invariance_up_to_size_six():
