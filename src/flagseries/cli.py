@@ -217,8 +217,8 @@ def _cmd_motive(args):
 
 
 def _cmd_globalize(args):
-    if args.n1 > args.n2 or args.rank < 1 or args.chi < 0:
-        print("need n1 <= n2, rank >= 1, chi >= 0", file=sys.stderr)
+    if not 0 <= args.n1 <= args.n2 or args.rank < 1 or args.chi < 0:
+        print("need 0 <= n1 <= n2, rank >= 1, chi >= 0", file=sys.stderr)
         return 2
     a, b = args.n1, args.n2
     if args.coeff is not None:

@@ -191,70 +191,118 @@ def ps_add(a: QSeries, b: QSeries) -> QSeries:
     return QSeries(a.variables, trunc, coeffs)
 
 
+def _rows(a: QSeries, n):
+    """Terms of a multivariate series as dense rows of its last variable,
+    keyed by the leading exponents; terms past degree ``n`` in the last
+    variable are dropped."""
+    rows = {}
+    for e, c in a.coefficients.items():
+        if e[-1] > n:
+            continue
+        key = e[:-1]
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = [0] * (n + 1)
+        row[e[-1]] = c
+    return rows
+
+
+def _from_rows(variables, trunc, rows):
+    """Series from dense rows whose keys and lengths already respect
+    ``trunc``; skips the per-term checks of the public constructor."""
+    out = object.__new__(QSeries)
+    object.__setattr__(out, "variables", variables)
+    object.__setattr__(out, "truncation", trunc)
+    object.__setattr__(
+        out,
+        "coefficients",
+        {key + (i,): c for key, row in rows.items() for i, c in enumerate(row) if c},
+    )
+    return out
+
+
 def ps_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product, truncated to the minimum truncation."""
+    """Cauchy product, truncated to the minimum truncation.
+
+    A multivariate product convolves dense rows of the last variable for
+    every pair of leading keys whose sum stays inside the truncation.
+    """
     trunc = a._check_compatible(b)
+    n = trunc[-1]
     if len(a.variables) == 1:
-        n = trunc[0]
         out = kernels.mul_trunc(a.dense(), b.dense(), n)
         return QSeries.from_dense(a.variables[0], out, n)
+    lead = trunc[:-1]
+    rows_b = _rows(b, n).items()
     out = {}
-    small, large = (a, b) if len(a.coefficients) <= len(b.coefficients) else (b, a)
-    for ea, ca in small.coefficients.items():
-        for eb, cb in large.coefficients.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if all(x <= t for x, t in zip(e, trunc)):
-                out[e] = out.get(e, 0) + ca * cb
-    return QSeries(a.variables, trunc, out)
+    for ka, ra in _rows(a, n).items():
+        for kb, rb in rows_b:
+            key = tuple(x + y for x, y in zip(ka, kb))
+            if any(x > t for x, t in zip(key, lead)):
+                continue
+            prod = kernels.mul_trunc(ra, rb, n)
+            acc = out.get(key)
+            if acc is None:
+                out[key] = prod
+            else:
+                kernels.addmul_shifted(acc, prod, 0, 1, n)
+    return _from_rows(a.variables, trunc, out)
 
 
 def ps_inv(a: QSeries) -> QSeries:
-    """Multiplicative inverse up to truncation; constant term must be +-1."""
+    """Multiplicative inverse up to truncation; constant term must be +-1.
+
+    A multivariate inverse is a graded back-substitution on dense rows of
+    the last variable: ``B_0 = A_0^-1`` and, for each leading key k > 0,
+    ``B_k = -B_0 * sum_{f != 0} A_f B_{k-f}``, where every ``k - f`` is
+    solved before k.
+    """
     c0 = a.constant_term()
     if c0 not in (1, -1):
         raise ValueError("constant term must be a unit (+1 or -1)")
+    n = a.truncation[-1]
     if len(a.variables) == 1:
-        n = a.truncation[0]
         return QSeries.from_dense(a.variables[0], kernels.inv_trunc(a.dense(), n), n)
-    # Graded back-substitution: exponents in increasing total degree only
-    # ever reference previously solved coefficients.
-    nonconst = [
-        (e, c) for e, c in a.coefficients.items() if any(e)
-    ]
-    out = {(0,) * len(a.variables): c0}
-    lattice = sorted(
-        itertools.product(*(range(t + 1) for t in a.truncation)),
-        key=lambda e: (sum(e), e),
+    rows = _rows(a, n)
+    zero = (0,) * (len(a.variables) - 1)
+    b0 = kernels.inv_trunc(rows.pop(zero), n)
+    minus_b0 = [-c for c in b0]
+    out = {zero: b0}
+    keys = sorted(
+        itertools.product(*(range(t + 1) for t in a.truncation[:-1])), key=sum
     )
-    for e in lattice:
-        if not any(e):
-            continue
-        acc = 0
-        for f, cf in nonconst:
-            g = tuple(x - y for x, y in zip(e, f))
-            if any(x < 0 for x in g):
+    for k in keys[1:]:
+        acc = None
+        for f, af in rows.items():
+            bg = out.get(tuple(x - y for x, y in zip(k, f)))
+            if bg is None:
                 continue
-            bg = out.get(g, 0)
-            if bg:
-                acc += cf * bg
-        if acc:
-            out[e] = -acc * c0
-    return QSeries(a.variables, a.truncation, out)
+            prod = kernels.mul_trunc(af, bg, n)
+            if acc is None:
+                acc = prod
+            else:
+                kernels.addmul_shifted(acc, prod, 0, 1, n)
+        if acc is not None and any(acc):
+            out[k] = kernels.mul_trunc(minus_b0, acc, n)
+    return _from_rows(a.variables, a.truncation, out)
 
 
 def ps_pow(a: QSeries, exponent: int) -> QSeries:
     """Nonnegative integer power by binary exponentiation."""
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    result = QSeries.one(a.variables, a.truncation)
+    if exponent == 0:
+        return QSeries.one(a.variables, a.truncation)
+    result = None
     base = a
     e = exponent
-    while e:
+    while True:
         if e & 1:
-            result = ps_mul(result, base)
-        base = ps_mul(base, base) if e > 1 else base
+            result = base if result is None else ps_mul(result, base)
         e >>= 1
-    return result
+        if not e:
+            return result
+        base = ps_mul(base, base)
 
 
 def expand_dense(numerator, denominator, n):

@@ -131,6 +131,12 @@ def test_globalize_rejects_coeff_outside_table(capsys, coeff):
     assert "--coeff" in capsys.readouterr().err
 
 
+def test_globalize_rejects_negative_n1(capsys):
+    argv = ["globalize", "--rank", "1", "--n1", "-1", "--n2", "3", "--chi", "1"]
+    assert main(argv) == 2
+    assert "need 0 <= n1 <= n2, rank >= 1, chi >= 0" in capsys.readouterr().err
+
+
 def test_verify_quick(capsys):
     code, payload = run_json(capsys, ["verify", "--quick"])
     assert code == 0

@@ -24,6 +24,19 @@ def q(coeffs, trunc=None):
     return QSeries.from_dense("q", coeffs, trunc)
 
 
+def term_convolution(a, b):
+    """Referee product: every pair of terms, kept when inside the minimum
+    truncation."""
+    trunc = tuple(min(x, y) for x, y in zip(a.truncation, b.truncation))
+    out = {}
+    for ea, ca in a.coefficients.items():
+        for eb, cb in b.coefficients.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if all(x <= t for x, t in zip(e, trunc)):
+                out[e] = out.get(e, 0) + ca * cb
+    return QSeries(a.variables, trunc, out)
+
+
 def test_add_cancellation():
     assert ps_add(q([1, 1]), q([1, -1])) == q([2, 0])
 
@@ -85,6 +98,14 @@ def test_pow_edge_cases():
     assert ps_pow(z, 1) == z
     sq = ps_pow(z, 2)
     assert sq[(2,)] == 5  # p(0)p(2) + p(1)p(1) + p(2)p(0)
+    t = QSeries(("q1", "q2"), (2, 4), {(0, 0): 1, (0, 1): 1, (1, 1): 2, (1, 3): -1})
+    one = QSeries.one(("q1", "q2"), (2, 4))
+    assert ps_pow(t, 0) == one
+    assert ps_pow(t, 1) == t
+    power = one
+    for e in range(1, 7):
+        power = term_convolution(power, t)
+        assert ps_pow(t, e) == power
 
 
 small_series = st.builds(
@@ -118,6 +139,56 @@ def test_inv_involution_and_product(a):
     inv = ps_inv(a)
     assert ps_inv(inv) == a
     assert ps_mul(a, inv) == QSeries.one(("q",), (8,))
+
+
+MULTI_VARIABLES = {2: ("q", "s"), 3: ("q", "s", "v")}
+
+
+@st.composite
+def multivariate_series(draw, nvars, constant=None):
+    """A 2- or 3-variable series; exponents up to 6 also reach past its own
+    truncation, and ``constant`` fixes the constant term."""
+    trunc = draw(st.tuples(*[st.integers(0, 4)] * nvars))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 6)] * nvars), st.integers(-9, 9), max_size=8
+    ))
+    if constant is not None:
+        terms[(0,) * nvars] = draw(constant)
+    return QSeries(MULTI_VARIABLES[nvars], trunc, terms)
+
+
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda k: st.tuples(multivariate_series(k), multivariate_series(k))
+))
+@settings(max_examples=150, deadline=None)
+def test_multivariate_mul_matches_term_convolution(pair):
+    a, b = pair
+    product = ps_mul(a, b)
+    assert product == term_convolution(a, b)
+    assert product.truncation == tuple(map(min, a.truncation, b.truncation))
+    assert ps_mul(b, a) == product
+
+
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda k: multivariate_series(k, constant=st.sampled_from([1, -1]))
+))
+@settings(max_examples=100, deadline=None)
+def test_multivariate_inverse_matches_term_convolution(a):
+    inv = ps_inv(a)
+    assert inv.truncation == a.truncation
+    assert term_convolution(a, inv) == QSeries.one(a.variables, a.truncation)
+    assert ps_inv(inv) == a
+
+
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda k: multivariate_series(
+        k, constant=st.integers(-9, 9).filter(lambda c: c not in (1, -1))
+    )
+))
+@settings(max_examples=30, deadline=None)
+def test_multivariate_inverse_requires_unit(a):
+    with pytest.raises(ValueError, match="unit"):
+        ps_inv(a)
 
 
 def test_multivariate_inverse():
