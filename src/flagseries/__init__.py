@@ -55,8 +55,6 @@ from .series import (
     LPoly,
     QSeries,
     RationalForm,
-    RationalityError,
-    clear_denominator,
     lpoly_eval_at_one,
     projective_space,
     ps_add,

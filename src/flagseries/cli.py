@@ -6,7 +6,8 @@ Euler numbers, series coefficients) are serialized as decimal strings;
 rational-form numerators stay plain integers.
 
 Exit codes: 0 success (and, for ``verify``, all identities hold);
-1 a ``verify`` identity failed; 2 parameter validation failure;
+1 a ``verify`` identity failed; 2 parameter validation failure (or a
+``tables --out`` that cannot be written);
 3 internal consistency check failure (two independent constructions of
 the same answer disagree, which is a bug in the program, not in the input).
 """
@@ -59,16 +60,28 @@ def _nonnegative_int(text):
     return value
 
 
-def _rational_payload(rf, series, prefix):
-    return {
+def _emit_form(args, payload, rf, rank, ratio_to):
+    """Emit a rational form of (series / Z^rank) with the series prefix:
+    the form expanded to ``--prefix`` and multiplied by Z^rank."""
+    prefix = args.prefix
+    series = ps_mul(rf.expand(prefix), quot.q_rank_series(rank, prefix))
+    payload.update({
         "numerator": list(rf.numerator),
         "denominator": [[j, e] for j, e in sorted(rf.denominator.items())],
-        "series_prefix": [str(c) for c in series.dense()[: prefix + 1]],
-    }
+        "series_prefix": [str(c) for c in series.dense()],
+    })
+    text = [
+        f"ratio to the {ratio_to}: {rf!r}",
+        "series prefix: " + ", ".join(payload["series_prefix"]),
+    ]
+    rows = [["degree", "numerator"]] + [
+        [i, c] for i, c in enumerate(payload["numerator"])
+    ]
+    _emit(args, payload, text, rows)
+    return 0
 
 
 def _cmd_fz(args):
-    prefix = args.prefix
     if args.k is not None and args.D is not None:
         print("choose one of --D / --k", file=sys.stderr)
         return 2
@@ -85,17 +98,7 @@ def _cmd_fz(args):
             return 2
         rf = engine.rational_form_D(args.D)
         payload = {"command": "fz", "D": args.D}
-    series = ps_mul(rf.expand(prefix), engine.partition_series(prefix))
-    payload.update(_rational_payload(rf, series, prefix))
-    text = [
-        f"ratio to the partition series: {rf!r}",
-        "series prefix: " + ", ".join(payload["series_prefix"]),
-    ]
-    rows = [["degree", "numerator"]] + [
-        [i, c] for i, c in enumerate(payload["numerator"])
-    ]
-    _emit(args, payload, text, rows)
-    return 0
+    return _emit_form(args, payload, rf, 1, "partition series")
 
 
 def _cmd_fq(args):
@@ -103,18 +106,10 @@ def _cmd_fq(args):
         print("need --r >= 1 and --D >= 1", file=sys.stderr)
         return 2
     rf = quot.rational_form_rD(args.r, args.D)
-    series = quot.fq_rD(args.r, args.D, args.prefix)
     payload = {"command": "fq", "r": args.r, "D": args.D}
-    payload.update(_rational_payload(rf, series, args.prefix))
-    text = [
-        f"ratio to the rank-{args.r} partition series power: {rf!r}",
-        "series prefix: " + ", ".join(payload["series_prefix"]),
-    ]
-    rows = [["degree", "numerator"]] + [
-        [i, c] for i, c in enumerate(payload["numerator"])
-    ]
-    _emit(args, payload, text, rows)
-    return 0
+    return _emit_form(
+        args, payload, rf, args.r, f"rank-{args.r} partition series power"
+    )
 
 
 def _cmd_oracle(args):
@@ -316,19 +311,11 @@ def _cmd_verify(args):
 def _cmd_tables(args):
     import pathlib
 
-    outdir = pathlib.Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
     one_gap = {}
     # Largest gap first: one numerator run then serves every smaller gap.
     for D in range(args.max_gap, 0, -1):
         rf = engine.rational_form_D(D)
         one_gap[str(D)] = rf.to_json_dict()
-    path = outdir / "one_gap_rational_forms.json"
-    path.write_text(json.dumps(one_gap, sort_keys=True, indent=2) + "\n")
-    written.append(str(path))
-
     multi = {}
     for k in (
         (1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1),
@@ -336,9 +323,21 @@ def _cmd_tables(args):
     ):
         rf = engine.rational_form_k(k)
         multi[",".join(map(str, k))] = rf.to_json_dict()
-    path = outdir / "multi_gap_rational_forms.json"
-    path.write_text(json.dumps(multi, sort_keys=True, indent=2) + "\n")
-    written.append(str(path))
+
+    outdir = pathlib.Path(args.out)
+    written = []
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, table in (
+            ("one_gap_rational_forms.json", one_gap),
+            ("multi_gap_rational_forms.json", multi),
+        ):
+            path = outdir / name
+            path.write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
+            written.append(str(path))
+    except OSError as exc:
+        print(f"cannot write the tables to --out {args.out}: {exc}", file=sys.stderr)
+        return 2
 
     payload = {"command": "tables", "written": written}
     _emit(args, payload, written, [["file"]] + [[w] for w in written])

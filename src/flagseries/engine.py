@@ -65,8 +65,6 @@ __all__ = [
     "rational_form_lambda",
     "rational_form_D",
     "rational_form_k",
-    "rational_form_degree_bound",
-    "rational_form_k_degree_bound",
 ]
 
 
@@ -378,14 +376,6 @@ def _one_gap_numerators(D: int) -> tuple:
     return nums
 
 
-def _ratio_rows(D: int, n: int) -> list:
-    """FZ_d / Z, dense to n, for every d <= D, from the exact numerators."""
-    return [
-        expand_dense(num, dict.fromkeys(range(1, d + 1), 1), n)
-        for d, num in enumerate(_one_gap_numerators(D))
-    ]
-
-
 def fz_ratio_D(D: int, truncation: int) -> QSeries:
     """FZ_D / Z (the sum of shape ratios over all classes of size D),
     expanded from its exact numerator."""
@@ -414,22 +404,6 @@ def fz_k(block_sizes, truncation: int) -> QSeries:
     """Series whose q^n coefficient counts nested chains of partitions with
     sizes (n, n+k_1, n+k_1+k_2, ...)."""
     return _times_z(fz_ratio_k(block_sizes, truncation).dense(), truncation)
-
-
-def rational_form_degree_bound(D: int) -> int:
-    """Numerator degree bound for the one-gap ratio over prod_{j<=D}(1-q^j).
-
-    No production caller: the tests clear truncated referee series with it.
-    """
-    return comb(D, 2) + comb(D - 1, 2) + (D * D + 3) // 4
-
-
-def rational_form_k_degree_bound(K: int) -> int:
-    """Numerator degree bound for a multi-gap ratio: (5/4)K^2 - K/2 + 1.
-
-    No production caller: the tests clear truncated referee series with it.
-    """
-    return (5 * K * K - 2 * K + 4 + 3) // 4
 
 
 def rational_form_lambda(shape: SkewShape) -> RationalForm:

@@ -182,11 +182,19 @@ def insertion_count(shape: SkewShape, m: int) -> int:
     ``shape`` up to translation, by exhaustive flag enumeration."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    total = 0
-    for mu in enum_partitions(m + shape.size):
+    return _insertion_census(shape.size, m).get(shape, 0)
+
+
+@lru_cache(maxsize=None)
+def _insertion_census(size: int, m: int) -> dict:
+    """Shape class -> number of pairs nu c mu with |nu| = m and
+    |mu| = m + size whose set difference realizes it: every pair is
+    enumerated and classified once."""
+    census = {}
+    for mu in enum_partitions(m + size):
         mu_cells = mu.cells()
         for nu in enum_partitions(m):
             if contains(nu, mu):
-                if skew_class_of_cells(mu_cells - nu.cells()) == shape:
-                    total += 1
-    return total
+                shape = skew_class_of_cells(mu_cells - nu.cells())
+                census[shape] = census.get(shape, 0) + 1
+    return census

@@ -3,16 +3,18 @@ to the rank-one theory.
 
 The rank-r count with one gap D splits over r-tuples of gaps summing to D,
 so every rank-r series is a polynomial expression in the rank-one series.
-The series come from products of the expanded one-gap rows; the rational
-forms come, exactly, from products of the one-gap numerators, so the two
-constructions referee each other in the tests.  The three verify_*
-routines check the closed functional equations; each builds both sides
-independently and compares coefficients exactly.
+:func:`rational_form_rD` builds that expression exactly, from products of
+the one-gap numerators over one canonical denominator, and every rank-r
+series is expanded from it, as the one-gap series are from theirs.  The
+verify_* routines check the closed functional equations; each builds both
+sides independently and compares coefficients exactly.  In the functional
+equation and the exponential identity one side is built from these exact
+forms and the other from the rank-one series, so both referee the forms
+that ``fq`` prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, perm
 
@@ -20,7 +22,6 @@ from .engine import (
     _grow_add,
     _mul,
     _one_gap_numerators,
-    _ratio_rows,
     _times_one_minus,
     _z_dense,
     fz_D,
@@ -31,11 +32,8 @@ from .series import QSeries, RationalForm, ps_inv, ps_mul
 from . import kernels
 
 __all__ = [
-    "RankSeriesBundle",
     "q_rank_series",
     "fq_rD",
-    "fq_rD_via_generating",
-    "rank_series_bundle",
     "rational_form_rD",
     "verify_q_identity",
     "verify_fq_functional",
@@ -74,73 +72,18 @@ def _injections(r: int, parts) -> int:
     return perm(r, l) // denom
 
 
-def _ratio_rD_dense(r: int, D: int, n: int) -> list:
-    """FQ_{r,D} / Z^r, dense: gap multisets weighted by colour injections."""
-    rows = _ratio_rows(D, n)
-    acc = [0] * (n + 1)
-    for lam in enum_partitions(D):
-        weight = _injections(r, lam)
-        if not weight:
-            continue
-        prod = [1] + [0] * n
-        for part in lam:
-            prod = kernels.mul_trunc(prod, rows[part], n)
-        kernels.addmul_shifted(acc, prod, 0, weight, n)
-    return acc
-
-
 def fq_rD(r: int, D: int, truncation: int) -> QSeries:
     """Series whose q^n coefficient counts r-coloured nested pairs of sizes
-    (n, n+D): the sum over gap compositions D = d_1 + ... + d_r of the
-    product of one-colour gap series."""
+    (n, n+D): the exact form of FQ_{r,D} / Z^r expanded and multiplied by
+    Z^r.  D = 0 gives Z^r."""
     if r < 1:
         raise ValueError("rank must be positive")
     if D < 0:
         raise ValueError("D must be nonnegative")
-    out = kernels.mul_trunc(
-        _ratio_rD_dense(r, D, truncation), _z_pow_dense(r, truncation), truncation
-    )
-    return QSeries.from_dense("q", out, truncation)
-
-
-def fq_rD_via_generating(r: int, D: int, truncation: int) -> QSeries:
-    """Same series extracted as the v^D coefficient of (sum_d FZ_d v^d)^r;
-    kept as an independent route for consistency checks."""
-    n = truncation
-    # dense-in-v list of dense-in-q lists
-    fz = [fz_D(d, n).dense() for d in range(D + 1)]
-    power = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(D)]
-    for _ in range(r):
-        nxt = [[0] * (n + 1) for _ in range(D + 1)]
-        for a in range(D + 1):
-            if not any(power[a]):
-                continue
-            for b in range(D + 1 - a):
-                prod = kernels.mul_trunc(power[a], fz[b], n)
-                kernels.addmul_shifted(nxt[a + b], prod, 0, 1, n)
-        power = nxt
-    return QSeries.from_dense("q", power[D], n)
-
-
-@dataclass(frozen=True)
-class RankSeriesBundle:
-    """A rank-r, gap-D series together with its rational form over Z^r."""
-
-    rank: int
-    gap: int
-    truncation: int
-    series: QSeries
-    rational_form: RationalForm
-
-
-def rank_series_bundle(r: int, D: int, truncation: int) -> RankSeriesBundle:
-    return RankSeriesBundle(
-        rank=r,
-        gap=D,
-        truncation=truncation,
-        series=fq_rD(r, D, truncation),
-        rational_form=rational_form_rD(r, D),
-    )
+    z_r = q_rank_series(r, truncation)
+    if D == 0:
+        return z_r
+    return ps_mul(rational_form_rD(r, D).expand(truncation), z_r)
 
 
 def rational_form_rD(r: int, D: int) -> RationalForm:
@@ -213,9 +156,7 @@ def fq_surface(nq: int, ns: int, nv: int) -> QSeries:
     for D in range(nv + 1):
         coeffs[(0, 0, D)] = 1 if D == 0 else 0
         for r in range(1, ns + 1):
-            for a, c in enumerate(kernels.mul_trunc(
-                _ratio_rD_dense(r, D, nq), _z_pow_dense(r, nq), nq
-            )):
+            for a, c in enumerate(fq_rD(r, D, nq).dense()):
                 if c:
                     coeffs[(a, r, D)] = c
     coeffs = {e: c for e, c in coeffs.items() if c}

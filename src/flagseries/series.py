@@ -15,11 +15,6 @@ from . import kernels
 VARIABLE_NAMES = ("q", "s", "v", "t", "q1", "q2")
 
 
-class RationalityError(ValueError):
-    """A series failed a rationality check against a claimed denominator.
-    No production caller: :func:`clear_denominator` raises it for the tests."""
-
-
 def _as_int(value):
     if isinstance(value, int):
         return value
@@ -317,45 +312,6 @@ def expand_dense(numerator, denominator, n):
             for m in range(j, n + 1):
                 out[m] += out[m - j]
     return out
-
-
-def clear_denominator(series: QSeries, denominator, max_deg: int, guard: int = 10):
-    """Extract the rational form numerator of ``series`` over a fixed
-    product of cyclotomic-type factors prod_j (1 - q^j)^{e_j}.
-
-    The series truncation must reach ``max_deg`` plus the denominator degree
-    plus ``guard``; every coefficient of the cleared numerator in degrees
-    (max_deg, truncation] must vanish, otherwise the series is not rational
-    with the claimed denominator at this truncation.  No production caller:
-    the tests clear truncated referee series with it.
-    """
-    if len(series.variables) != 1:
-        raise ValueError("rational forms are extracted from one-variable series")
-    if guard < 1:
-        raise ValueError(f"guard must be at least 1, got {guard}")
-    denominator = {int(j): int(e) for j, e in dict(denominator).items()}
-    den_deg = sum(j * e for j, e in denominator.items())
-    n = series.truncation[0]
-    if n < max_deg + den_deg + guard:
-        raise ValueError(
-            f"truncation {n} too small: need at least {max_deg + den_deg + guard}"
-        )
-    num = series.dense()
-    for j, e in sorted(denominator.items()):
-        for _ in range(e):
-            # multiply in place by (1 - q^j), highest degree first
-            for i in range(n, j - 1, -1):
-                num[i] -= num[i - j]
-    for i in range(max_deg + 1, n + 1):
-        if num[i]:
-            raise RationalityError(
-                "series is not rational with the claimed denominator at this "
-                f"truncation (degree {i} coefficient {num[i]})"
-            )
-    del num[max_deg + 1 :]
-    while num and not num[-1]:
-        num.pop()
-    return RationalForm(num, denominator)
 
 
 class RationalForm:

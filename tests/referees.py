@@ -1,0 +1,108 @@
+"""Truncated constructions and checks that only the tests use.
+
+Production builds every rational form exactly and expands series from the
+forms.  The helpers here build the same answers a second way, from
+truncated series, so the tests can referee the exact forms against them:
+clearing a truncated series over a claimed denominator at a degree bound,
+the rank-r series as products of expanded one-gap rows, and the rank-r
+series as a coefficient of a power of the one-gap generating series.
+"""
+
+from __future__ import annotations
+
+from math import comb, factorial, perm
+
+from flagseries import kernels
+from flagseries.engine import fz_D, fz_ratio_D
+from flagseries.partitions import enum_partitions
+from flagseries.series import QSeries, RationalForm
+
+
+class RationalityError(ValueError):
+    """A series failed a rationality check against a claimed denominator."""
+
+
+def clear_denominator(series: QSeries, denominator, max_deg: int, guard: int = 10):
+    """Extract the rational form numerator of ``series`` over a fixed
+    product of cyclotomic-type factors prod_j (1 - q^j)^{e_j}.
+
+    The series truncation must reach ``max_deg`` plus the denominator degree
+    plus ``guard``; every coefficient of the cleared numerator in degrees
+    (max_deg, truncation] must vanish, otherwise the series is not rational
+    with the claimed denominator at this truncation.
+    """
+    if len(series.variables) != 1:
+        raise ValueError("rational forms are extracted from one-variable series")
+    if guard < 1:
+        raise ValueError(f"guard must be at least 1, got {guard}")
+    denominator = {int(j): int(e) for j, e in dict(denominator).items()}
+    den_deg = sum(j * e for j, e in denominator.items())
+    n = series.truncation[0]
+    if n < max_deg + den_deg + guard:
+        raise ValueError(
+            f"truncation {n} too small: need at least {max_deg + den_deg + guard}"
+        )
+    num = series.dense()
+    for j, e in sorted(denominator.items()):
+        for _ in range(e):
+            # multiply in place by (1 - q^j), highest degree first
+            for i in range(n, j - 1, -1):
+                num[i] -= num[i - j]
+    for i in range(max_deg + 1, n + 1):
+        if num[i]:
+            raise RationalityError(
+                "series is not rational with the claimed denominator at this "
+                f"truncation (degree {i} coefficient {num[i]})"
+            )
+    del num[max_deg + 1 :]
+    while num and not num[-1]:
+        num.pop()
+    return RationalForm(num, denominator)
+
+
+def rational_form_degree_bound(D: int) -> int:
+    """Numerator degree bound for the one-gap ratio over prod_{j<=D}(1-q^j)."""
+    return comb(D, 2) + comb(D - 1, 2) + (D * D + 3) // 4
+
+
+def rational_form_k_degree_bound(K: int) -> int:
+    """Numerator degree bound for a multi-gap ratio: (5/4)K^2 - K/2 + 1."""
+    return (5 * K * K - 2 * K + 4 + 3) // 4
+
+
+def ratio_rD_dense(r: int, D: int, n: int) -> list:
+    """FQ_{r,D} / Z^r, dense to n, as truncated products of the expanded
+    one-gap rows FZ_d / Z: each gap multiset lam, with multiplicities m_i,
+    can be given distinct colours in r! / ((r - len(lam))! prod_i m_i!) ways."""
+    # Largest gap first: its numerators then serve every smaller row.
+    rows = {d: fz_ratio_D(d, n).dense() for d in range(D, -1, -1)}
+    acc = [0] * (n + 1)
+    for lam in enum_partitions(D):
+        if len(lam) > r:
+            continue
+        weight = perm(r, len(lam))
+        for m in lam.multiplicities().values():
+            weight //= factorial(m)
+        prod = [1] + [0] * n
+        for part in lam:
+            prod = kernels.mul_trunc(prod, rows[part], n)
+        kernels.addmul_shifted(acc, prod, 0, weight, n)
+    return acc
+
+
+def fq_rD_via_generating(r: int, D: int, truncation: int) -> QSeries:
+    """FQ_{r,D} extracted as the v^D coefficient of (sum_d FZ_d v^d)^r."""
+    n = truncation
+    # dense-in-v list of dense-in-q lists
+    fz = [fz_D(d, n).dense() for d in range(D + 1)]
+    power = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(D)]
+    for _ in range(r):
+        nxt = [[0] * (n + 1) for _ in range(D + 1)]
+        for a in range(D + 1):
+            if not any(power[a]):
+                continue
+            for b in range(D + 1 - a):
+                prod = kernels.mul_trunc(power[a], fz[b], n)
+                kernels.addmul_shifted(nxt[a + b], prod, 0, 1, n)
+        power = nxt
+    return QSeries.from_dense("q", power[D], n)

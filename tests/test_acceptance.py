@@ -15,9 +15,7 @@ from flagseries.engine import (
     fz_ratio_lambda,
     partition_series,
     rational_form_D,
-    rational_form_degree_bound,
     rational_form_k,
-    rational_form_k_degree_bound,
 )
 from flagseries.motives import (
     component_count,
@@ -41,7 +39,7 @@ from flagseries.quot import (
     verify_fq_functional,
     verify_q_identity,
 )
-from flagseries.series import LPoly, RationalForm, clear_denominator, ps_mul
+from flagseries.series import LPoly, RationalForm, ps_mul
 from flagseries.shapes import enum_skew_classes, transpose
 from flagseries.surfaces import (
     DEL_PEZZO_TARGET,
@@ -49,6 +47,11 @@ from flagseries.surfaces import (
     globalize,
     punctual_nested_table,
     resolve_dp6_exponent,
+)
+from referees import (
+    clear_denominator,
+    rational_form_degree_bound,
+    rational_form_k_degree_bound,
 )
 
 

@@ -7,8 +7,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from flagseries import engine
+from flagseries import engine, quot, surfaces
 from flagseries.cli import main
+from flagseries.partitions import count_coloured_flags
+from flagseries.series import RationalForm
 
 SCHEMA = json.loads(
     (
@@ -46,6 +48,34 @@ def test_fq(capsys):
     code, payload = run_json(capsys, ["fq", "--r", "2", "--D", "2"])
     assert code == 0
     assert payload["denominator"] == [[1, 2], [2, 1]]
+    assert payload["series_prefix"] == [
+        str(count_coloured_flags(2, (n, n + 2))) for n in range(13)
+    ]
+
+
+def test_corrupted_rank_form_fails_verify_and_globalize(monkeypatch, capsys):
+    # fq prints rational_form_rD, so verify and the cross-check behind
+    # globalize must referee that very form: a corrupted one has to show.
+    original = quot.rational_form_rD
+
+    def corrupted(r, D):
+        rf = original(r, D)
+        if (r, D) != (2, 2):
+            return rf
+        numerator = list(rf.numerator)
+        numerator[1] += 1
+        return RationalForm(numerator, rf.denominator)
+
+    monkeypatch.setattr(quot, "rational_form_rD", corrupted)
+    surfaces.punctual_nested_table.cache_clear()
+    try:
+        assert main(["verify", "--quick"]) == 1
+        argv = ["globalize", "--rank", "2", "--n1", "2", "--n2", "4", "--chi", "1"]
+        assert main(argv) == 3
+    finally:
+        surfaces.punctual_nested_table.cache_clear()
+    err = capsys.readouterr().err
+    assert err.startswith("internal consistency check failed:")
 
 
 def test_oracle(capsys):
@@ -174,6 +204,19 @@ def test_tables_deterministic(tmp_path):
     assert first == second
     data = json.loads(first["one_gap_rational_forms.json"])
     assert data["3"]["numerator"] == [3, -1, -1]
+
+
+def test_tables_out_must_be_writable(capsys, tmp_path):
+    # An existing regular file as --out, or a path below one, is a user
+    # error: one line on stderr and exit 2, not a traceback.
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    for out in (blocker, blocker / "sub"):
+        assert main(["tables", "--out", str(out), "--max-gap", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write the tables to --out "), out
+        assert err.count("\n") == 1, out
+    assert blocker.read_text() == "keep"
 
 
 def test_tables_max_gap_must_be_positive(tmp_path):

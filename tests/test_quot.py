@@ -5,13 +5,10 @@ import pytest
 from flagseries.engine import fz_D, partition_series
 from flagseries.partitions import count_coloured_flags
 from flagseries.quot import (
-    _ratio_rD_dense,
     _z_pow_dense,
     fq_rD,
-    fq_rD_via_generating,
     q_rank_series,
     q_surface,
-    rank_series_bundle,
     rational_form_rD,
     verify_exponential_identity,
     verify_fq2_example,
@@ -19,6 +16,7 @@ from flagseries.quot import (
     verify_q_identity,
 )
 from flagseries.series import RationalForm, ps_mul, ps_pow
+from referees import fq_rD_via_generating, ratio_rD_dense
 
 
 def test_q_rank_series():
@@ -94,7 +92,7 @@ def test_rational_form_rD_expands_to_row_products():
             rf = rational_form_rD(r, D)
             den_deg = sum(j * e for j, e in rf.denominator.items())
             n = rf.numerator_degree + den_deg + 10
-            assert rf.expand(n).dense() == _ratio_rD_dense(r, D, n), (r, D)
+            assert rf.expand(n).dense() == ratio_rD_dense(r, D, n), (r, D)
 
 
 def test_rational_form_rD_constant_term():
@@ -102,12 +100,6 @@ def test_rational_form_rD_constant_term():
     for r in range(1, 6):
         for D in range(11, 15):
             assert rational_form_rD(r, D).numerator[0] == _z_pow_dense(r, D)[D]
-
-
-def test_rank_bundle():
-    bundle = rank_series_bundle(2, 2, 10)
-    assert bundle.series == fq_rD(2, 2, 10)
-    assert bundle.rational_form == rational_form_rD(2, 2)
 
 
 def test_q_identity():

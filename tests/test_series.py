@@ -9,8 +9,6 @@ from flagseries.series import (
     LPoly,
     QSeries,
     RationalForm,
-    RationalityError,
-    clear_denominator,
     lpoly_eval_at_one,
     projective_space,
     ps_add,
@@ -18,6 +16,7 @@ from flagseries.series import (
     ps_mul,
     ps_pow,
 )
+from referees import RationalityError, clear_denominator
 
 
 def q(coeffs, trunc=None):
