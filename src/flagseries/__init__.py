@@ -33,12 +33,14 @@ from .motives import (
 from .partitions import (
     FlagSpec,
     Partition,
+    coloured_flag_counts,
     contains,
     count_coloured_flags,
     count_nested_flags,
     count_partitions_with_k_parts,
     enum_partitions,
     insertion_count,
+    nested_pair_counts,
     partition_count,
 )
 from .quot import (

@@ -17,11 +17,19 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 
 from . import engine, motives, quot, surfaces
-from .partitions import count_coloured_flags, count_nested_flags
+from .partitions import (
+    FlagSpec,
+    _increasing_vectors_below,
+    coloured_flag_counts,
+    count_coloured_flags,
+    count_nested_flags,
+    partition_count,
+)
 from .series import lpoly_eval_at_one, ps_mul
 
 
@@ -112,10 +120,48 @@ def _cmd_fq(args):
     )
 
 
+#: Largest ``oracle`` work estimate accepted: about 2 s on a 2-vCPU VM.
+ORACLE_MAX_WORK = 2 * 10**6
+
+
+def _oracle_work(rank, spec):
+    """Estimated cost of the brute-force oracle in microseconds.  Each
+    partition of a size tries every partition of the size below it
+    (building one costs about 20 tries).  A rank above one counts every
+    weakly increasing vector below ``spec`` that way and convolves the
+    counts rank times, about 3 microseconds a product.  Sizes past 100 are
+    far beyond the cap, so p(100) stands in for their p(n)."""
+    def p(n):
+        return partition_count(min(n, 100))
+
+    def chains(v):
+        return sum(p(n) * (20 + (p(v[i - 1]) if i else 0)) for i, n in enumerate(v))
+
+    work = chains(spec)
+    if rank == 1 or work > ORACLE_MAX_WORK:
+        return work
+    ways = [1]  # ways[v]: weakly increasing prefixes ending at v
+    for n in spec:
+        ways = list(itertools.accumulate(ways + [0] * (n + 1 - len(ways))))
+    convolution = 3 * rank * sum(ways) ** 2
+    if convolution > ORACLE_MAX_WORK:
+        return convolution
+    return convolution + sum(chains(v) for v in _increasing_vectors_below(spec))
+
+
 def _cmd_oracle(args):
     spec = args.nesting
     if any(a > b for a, b in zip(spec, spec[1:])):
         print("nesting sizes must be weakly increasing", file=sys.stderr)
+        return 2
+    spec = FlagSpec(spec)
+    work = _oracle_work(args.rank, spec)
+    if work > ORACLE_MAX_WORK:
+        print(
+            f"oracle work estimate {work} exceeds the cap {ORACLE_MAX_WORK}: "
+            "brute force is meant for small sizes",
+            file=sys.stderr,
+        )
         return 2
     if args.rank == 1:
         count = count_nested_flags(spec)
@@ -275,10 +321,11 @@ def _identity_suite(quick):
     checks.append(("one-gap series equals the flag oracle", oracle_one_gap))
     def oracle_coloured():
         for r in (2, 3):
+            oracle = coloured_flag_counts(r, (6, 8))
             for D in range(3):
                 series = quot.fq_rD(r, D, 6)
                 for n in range(7):
-                    if series[(n,)] != count_coloured_flags(r, (n, n + D)):
+                    if series[(n,)] != oracle[(n, n + D)]:
                         return False
         return True
     checks.append(("rank series equals the colouring oracle", oracle_coloured))
@@ -376,7 +423,7 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="brute-force nested/coloured flag counts")
     p.add_argument("--nesting", type=_parse_int_list, required=True)
-    p.add_argument("--rank", type=int, default=1)
+    p.add_argument("--rank", type=_positive_int, default=1)
     common(p)
     p.set_defaults(func=_cmd_oracle)
 

@@ -1,13 +1,16 @@
-"""Brute-force partition, flag and coloured-flag enumeration.
+"""Partition, flag and coloured-flag counts.
 
-This module is the ground truth the series engines are tested against: every
-count here is obtained by direct enumeration of partitions and nestings, not
-from any closed formula.
+The oracles here are the ground truth the series engines are tested
+against: each count is obtained by direct enumeration of partitions and
+nestings, not from any closed formula.  ``nested_pair_counts`` is the one
+production count: it builds the rank-one table behind ``globalize`` by a
+walk over outer partitions, and ``count_nested_flags`` is its referee.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, le
 
 from .shapes import SkewShape, skew_class_of_cells
 
@@ -109,9 +112,7 @@ def _parts_table(n: int, k: int) -> int:
 
 def contains(inner, outer) -> bool:
     """True iff inner_i <= outer_i rowwise (missing rows count as 0)."""
-    if len(inner) > len(outer):
-        return False
-    return all(a <= b for a, b in zip(inner, outer))
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def count_nested_flags(spec) -> int:
@@ -135,29 +136,67 @@ def _chains_below(outer, sizes) -> int:
     )
 
 
+def nested_pair_counts(max1: int, max2: int) -> dict:
+    """``{(a, b): #{nu c mu : |nu| = a, |mu| = b}}`` for a <= max1 and
+    a <= b <= max2.
+
+    Every outer partition mu with |mu| <= max2 is visited once, its rows
+    added in decreasing order.  ``suffix[p]`` holds the counts, by size
+    <= max1, of the nu inside the rows so far whose last row is >= p
+    (nu padded with zero rows).  Appending a row r gives the nu whose new
+    row is p <= r as ``suffix[p]`` shifted by p; every prefix of mu is a
+    smaller partition, so each mu costs one row of work.
+    """
+    if max1 < 0 or max2 < 0:
+        raise ValueError("sizes must be nonnegative")
+    width = max1 + 1
+    rows = [[0] * width for _ in range(max2 + 1)]
+
+    def walk(size, top, suffix):
+        rows[size] = [x + y for x, y in zip(rows[size], suffix[0])]
+        for r in range(min(top, max2 - size), 0, -1):
+            acc = [0] * width
+            new = [None] * (r + 1)
+            for p in range(r, -1, -1):
+                acc[p:] = [x + y for x, y in zip(acc[p:], suffix[p])]
+                new[p] = acc[:]
+            walk(size + r, r, new)
+
+    walk(0, max2, [[1] + [0] * max1] * (max2 + 1))
+    return {
+        (a, b): rows[b][a]
+        for a in range(width)
+        for b in range(a, max2 + 1)
+    }
+
+
 def count_coloured_flags(r: int, spec) -> int:
-    """Number of r-tuples of nested chains whose sizes sum to ``spec``,
-    obtained by convolving the one-colour counts over all splittings of the
-    size vector into r weakly increasing summand vectors."""
+    """Number of r-tuples of nested chains whose sizes sum to ``spec``."""
+    return coloured_flag_counts(r, spec)[FlagSpec(spec)]
+
+
+def coloured_flag_counts(r: int, box) -> dict:
+    """``{v: count_coloured_flags(r, v)}`` for every weakly increasing
+    v <= box, obtained by convolving the one-colour counts over all
+    splittings of each size vector into r weakly increasing summand
+    vectors."""
     if r < 1:
         raise ValueError("the number of colours must be positive")
-    spec = FlagSpec(spec)
-    if not spec:
-        return 1
-    vectors = _increasing_vectors_below(spec)
+    box = FlagSpec(box)
+    vectors = _increasing_vectors_below(box)
     single = {v: count_nested_flags(v) for v in vectors}
-    table = {(0,) * len(spec): 1}
+    table = {(0,) * len(box): 1}
     for _ in range(r):
         merged = {}
         for partial, cp in table.items():
             for v, cv in single.items():
                 if not cv:
                     continue
-                w = tuple(a + b for a, b in zip(partial, v))
-                if all(a <= b for a, b in zip(w, spec)):
+                w = tuple(map(add, partial, v))
+                if all(map(le, w, box)):
                     merged[w] = merged.get(w, 0) + cp * cv
         table = merged
-    return table.get(tuple(spec), 0)
+    return table
 
 
 @lru_cache(maxsize=None)

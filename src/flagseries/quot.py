@@ -27,7 +27,7 @@ from .engine import (
     fz_D,
     fz_ratio_D,
 )
-from .partitions import count_coloured_flags, enum_partitions
+from .partitions import coloured_flag_counts, enum_partitions
 from .series import QSeries, RationalForm, ps_inv, ps_mul
 from . import kernels
 
@@ -246,10 +246,9 @@ def verify_fq2_example(nq: int, ns: int) -> bool:
 
     oracle = {}
     for r in range(1, ns + 1):
+        counts = coloured_flag_counts(r, (2, max(nq, 2)))
         for n in range(2, nq + 1):
-            c = count_coloured_flags(r, (2, n))
-            if c:
-                oracle[(n, r)] = c
+            oracle[(n, r)] = counts[(2, n)]
     oracle_series = QSeries(variables, trunc, oracle)
 
     inv_1q = kernels.inv_trunc([1, -1], nq)

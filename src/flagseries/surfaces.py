@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import count_nested_flags
+from .partitions import nested_pair_counts
 from .quot import fq_rD
 from .series import QSeries, ps_mul, ps_pow
 
@@ -54,18 +54,15 @@ def punctual_nested_table(rank: int, max1: int, max2: int) -> QSeries:
     q1^a q2^b is the number of r-coloured nested pairs of sizes (a, b).
 
     An r-coloured nested pair is an r-tuple of nested pairs whose sizes add,
-    so the table is the rank-th power of the enumerated rank-one table.  It
+    so the table is the rank-th power of the rank-one table, which
+    ``nested_pair_counts`` builds in one walk over the outer partitions.  It
     is cross-checked against the series engine on every diagonal it covers.
     """
     if rank < 1:
         raise ValueError("the number of colours must be positive")
     if max1 > max2:
         raise ValueError("need max1 <= max2")
-    single = {
-        (a, b): count_nested_flags((a, b))
-        for a in range(max1 + 1)
-        for b in range(a, max2 + 1)
-    }
+    single = nested_pair_counts(max1, max2)
     table = ps_pow(QSeries(("q1", "q2"), (max1, max2), single), rank)
     # Largest gap first: its one-gap numerators serve every smaller gap.
     for gap in range(max2 - max1, -1, -1):

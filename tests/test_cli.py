@@ -7,9 +7,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from flagseries import engine, quot, surfaces
+from flagseries import cli, engine, partitions, quot, surfaces
 from flagseries.cli import main
-from flagseries.partitions import count_coloured_flags
+from flagseries.partitions import coloured_flag_counts
 from flagseries.series import RationalForm
 
 SCHEMA = json.loads(
@@ -48,9 +48,8 @@ def test_fq(capsys):
     code, payload = run_json(capsys, ["fq", "--r", "2", "--D", "2"])
     assert code == 0
     assert payload["denominator"] == [[1, 2], [2, 1]]
-    assert payload["series_prefix"] == [
-        str(count_coloured_flags(2, (n, n + 2))) for n in range(13)
-    ]
+    oracle = coloured_flag_counts(2, (12, 14))
+    assert payload["series_prefix"] == [str(oracle[(n, n + 2)]) for n in range(13)]
 
 
 def test_corrupted_rank_form_fails_verify_and_globalize(monkeypatch, capsys):
@@ -78,6 +77,27 @@ def test_corrupted_rank_form_fails_verify_and_globalize(monkeypatch, capsys):
     assert err.startswith("internal consistency check failed:")
 
 
+def test_corrupted_rank_one_table_fails_globalize(monkeypatch, capsys):
+    # the prefix walk builds globalize's rank-one table; the engine
+    # cross-check behind it must catch a single wrong entry.
+    original = partitions.nested_pair_counts
+
+    def corrupted(max1, max2):
+        table = original(max1, max2)
+        table[(1, 2)] += 1
+        return table
+
+    monkeypatch.setattr(surfaces, "nested_pair_counts", corrupted)
+    surfaces.punctual_nested_table.cache_clear()
+    try:
+        argv = ["globalize", "--rank", "2", "--n1", "2", "--n2", "4", "--chi", "1"]
+        assert main(argv) == 3
+    finally:
+        surfaces.punctual_nested_table.cache_clear()
+    err = capsys.readouterr().err
+    assert err.startswith("internal consistency check failed:")
+
+
 def test_oracle(capsys):
     code, payload = run_json(capsys, ["oracle", "--nesting", "2,4"])
     assert code == 0
@@ -92,6 +112,29 @@ def test_oracle_rank(capsys):
 
 def test_oracle_rejects_decreasing(capsys):
     assert main(["oracle", "--nesting", "4,2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--nesting", "12,40"],
+        ["--nesting", "47"],
+        ["--nesting", "1000000"],
+        ["--nesting", "12,30", "--rank", "2"],
+        ["--nesting", "1,2", "--rank", "1000000"],
+    ],
+)
+def test_oracle_rejects_work_beyond_the_cap(capsys, argv):
+    assert main(["oracle", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("oracle work estimate") and err.count("\n") == 1
+
+
+def test_oracle_cap_admits_the_measured_sizes():
+    # these take 0.5-2 s from the command line
+    for rank, spec in ((1, (12, 30)), (1, (4, 8, 16, 24)), (1, (45,)),
+                       (2, (10, 20)), (6, (10, 20))):
+        assert cli._oracle_work(rank, spec) <= cli.ORACLE_MAX_WORK, (rank, spec)
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,18 @@
+import itertools
+
 import pytest
 
 from flagseries.partitions import (
     FlagSpec,
     Partition,
+    coloured_flag_counts,
     contains,
     count_coloured_flags,
     count_nested_flags,
     count_partitions_with_k_parts,
     enum_partitions,
     insertion_count,
+    nested_pair_counts,
     partition_count,
 )
 from flagseries.shapes import SkewShape, enum_skew_classes
@@ -86,32 +90,59 @@ def test_count_coloured_flags_examples():
     assert count_coloured_flags(2, (0, 1)) == 2
 
 
+def direct_coloured(r, spec):
+    """Coloured count of a size pair as a direct sum over ordered
+    splittings into r size pairs."""
+    total = 0
+    pairs = [
+        (a, b)
+        for a in range(spec[0] + 1)
+        for b in range(a, spec[1] + 1)
+    ]
+    for combo in itertools.product(pairs, repeat=r):
+        if (
+            sum(p[0] for p in combo) == spec[0]
+            and sum(p[1] for p in combo) == spec[1]
+        ):
+            term = 1
+            for p in combo:
+                term *= count_nested_flags(p)
+            total += term
+    return total
+
+
 def test_count_coloured_flags_relabelling_symmetry():
     # the convolution is independent of how the splitting is ordered:
     # check against a direct sum over ordered splittings for small cases
-    import itertools
-
-    def direct(r, spec):
-        total = 0
-        pairs = [
-            (a, b)
-            for a in range(spec[0] + 1)
-            for b in range(a, spec[1] + 1)
-        ]
-        for combo in itertools.product(pairs, repeat=r):
-            if (
-                sum(p[0] for p in combo) == spec[0]
-                and sum(p[1] for p in combo) == spec[1]
-            ):
-                term = 1
-                for p in combo:
-                    term *= count_nested_flags(p)
-                total += term
-        return total
-
     for r in (2, 3):
         for spec in ((1, 2), (2, 3), (0, 2)):
-            assert count_coloured_flags(r, spec) == direct(r, spec)
+            assert count_coloured_flags(r, spec) == direct_coloured(r, spec)
+
+
+def test_coloured_flag_counts_hold_the_whole_box():
+    for r in (1, 2, 3):
+        for box in ((0, 0), (1, 3), (2, 2), (2, 4)):
+            table = coloured_flag_counts(r, box)
+            assert table == {
+                (a, b): direct_coloured(r, (a, b))
+                for a in range(box[0] + 1)
+                for b in range(a, box[1] + 1)
+            }, (r, box)
+            assert count_coloured_flags(r, box) == table[box]
+    assert coloured_flag_counts(2, ()) == {(): 1}
+    with pytest.raises(ValueError):
+        coloured_flag_counts(0, (1, 2))
+
+
+def test_nested_pair_counts_match_enumeration():
+    for max1, max2 in ((8, 16), (0, 0), (0, 5), (3, 3), (5, 2)):
+        assert nested_pair_counts(max1, max2) == {
+            (a, b): count_nested_flags((a, b))
+            for a in range(min(max1, max2) + 1)
+            for b in range(a, max2 + 1)
+        }, (max1, max2)
+    with pytest.raises(ValueError):
+        nested_pair_counts(-1, 3)
 
 
 def box(*starts_lens):

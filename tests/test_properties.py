@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagseries.engine import fz_ratio_k, fz_ratio_lambda
-from flagseries.partitions import Partition, contains, enum_partitions
+from flagseries.partitions import (
+    Partition,
+    contains,
+    count_nested_flags,
+    enum_partitions,
+    nested_pair_counts,
+)
 from flagseries.shapes import (
     SkewShape,
     enum_skew_classes,
@@ -57,6 +63,16 @@ def test_transpose_commutes_with_skew_difference(inner, outer):
         outer.conjugate().cells() - inner.conjugate().cells()
     )
     assert transpose(direct) == flipped
+
+
+@given(st.integers(0, 6), st.integers(0, 12))
+@settings(max_examples=40, deadline=None)
+def test_nested_pair_counts_match_enumeration(max1, max2):
+    assert nested_pair_counts(max1, max2) == {
+        (a, b): count_nested_flags((a, b))
+        for a in range(min(max1, max2) + 1)
+        for b in range(a, max2 + 1)
+    }
 
 
 shapes_by_size = st.integers(1, 5).flatmap(
