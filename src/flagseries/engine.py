@@ -23,16 +23,20 @@ satisfies
 and the ratio is U(b, 0) (the transfer-matrix method, Stanley EC1 4.7).
 A single shape spends one unit per component of each type.  The one-gap
 sum FZ_D / Z spends s boxes of the budget (D,) per component of size s,
-with groups from a row DP instead of enumerated shapes.  Multi-gap sums
-weight each shape class by its filling count: the number of chains of
-order ideals that grow it from empty by the gap sizes in turn.
+with groups from a row DP instead of enumerated shapes.  The multi-gap sum
+FZ_k / Z runs over connected components, not shape classes: a chain of
+order ideals of a disjoint union is one chain per component whose level
+sizes add (J(P + Q) = J(P) x J(Q), Stanley EC1 ch. 3).  So a component
+spends a vector c <= k of the gap budget, weighted by its number of
+fillings with content c.  A zero level adds no box, so gap budgets are
+kept with their zero entries dropped.
 
 Summing the geometric series in j turns the DP into one exact integer
 recurrence (:func:`_numerator_rows`) for the numerators over
 prod_{i<=K} (1 - q^i) of the one-gap, multi-gap and single-shape ratios:
 no truncation, no guard and no degree bound.  A connected shape also has
 a closed q-beta form.  Series callers expand a form to the order they
-need.  The truncated DP :func:`_relative_dense`, the per-class sum and the
+need.  The truncated DP :func:`_relative_dense`, the per-class sums and the
 insertion oracle in :mod:`flagseries.partitions` referee all of this in
 the tests.
 """
@@ -45,13 +49,7 @@ from math import comb
 
 from . import kernels
 from .series import QSeries, RationalForm, expand_dense
-from .shapes import (
-    ConnectedSkew,
-    SkewShape,
-    enum_skew_classes,
-    rp_count,
-    transpose,
-)
+from .shapes import ConnectedSkew, SkewShape, enum_connected_skew, rp_count
 
 __all__ = [
     "PlacementWeight",
@@ -251,6 +249,18 @@ def _q_binomial(n: int, k: int) -> tuple:
     return tuple(out)
 
 
+def _placement_terms(L: int, V: int, B: int) -> dict:
+    """q^B prod_{p<L} (1 - x q^p) as {V + u: coefficient of x^u}, exact:
+    sum_u (-1)^u q^(B + u(u+1)/2) [L-1 choose u]_q x^u by the q-binomial
+    theorem.  At x = q^j this is the weight sum_t A_t(q) q^(j*t) of a
+    component with path data (L, V, B) placed at offset j."""
+    return {
+        V + u: [0] * (B + u * (u + 1) // 2)
+        + [(-1) ** u * c for c in _q_binomial(L - 1, u)]
+        for u in range(L)
+    }
+
+
 def _one_gap_groups(D: int) -> dict:
     """Merged placement weights of every connected shape of size <= D.
 
@@ -261,8 +271,7 @@ def _one_gap_groups(D: int) -> dict:
     (s, L, V): a row of length l1 under a row of length l0 starts
     delta >= max(0, l1 - l0), delta < l1, columns further west, adding l1
     boxes, one row, delta to L and delta * (rows above) to B.  The factor
-    prod_{p<L} (1 - x q^p) then expands by the q-binomial theorem as
-    sum_u (-1)^u q^(u(u+1)/2) [L-1 choose u]_q x^u, with t = V + u.
+    prod_{p<L} (1 - x q^p) then expands by :func:`_placement_terms`.
     """
     layers = [{} for _ in range(D + 1)]  # s -> (last row length, L, V) -> poly
     for l in range(1, D + 1):
@@ -278,9 +287,8 @@ def _one_gap_groups(D: int) -> dict:
                     _grow_add(target, poly, delta * V)
         for (L, V), poly in by_path.items():
             terms = groups.setdefault((s, L), {})
-            for u in range(L):
-                binom = [0] * (u * (u + 1) // 2) + list(_q_binomial(L - 1, u))
-                _grow_add(terms.setdefault(V + u, []), _mul(poly, binom), 0, (-1) ** u)
+            for t, weight in _placement_terms(L, V, 0).items():
+                _grow_add(terms.setdefault(t, []), _mul(poly, weight), 0)
     return groups
 
 
@@ -297,20 +305,22 @@ def _horner(parts, stop: int) -> list:
     return acc
 
 
-def _numerator_rows(groups, budget) -> dict:
+def _numerator_rows(groups, budget, steps) -> dict:
     """N_{b,T} with U(b, 0) = sum_T N_{b,T} / prod_{i<=T} (1 - q^i), for
-    every budget b <= ``budget``.
+    ``budget`` and every budget b it steps down to.
 
     ``groups`` maps (cost, L) to {t: A}: the group placed at offset j has
-    weight sum_t A_t(q) * q^(j*t), with every t >= 1.  Writing
+    weight sum_t A_t(q) * q^(j*t), with every t >= 1.  The caller's budget
+    rule ``steps(b)`` maps (cost, b') to the number of ways that placing one
+    component of that cost leaves the budget b' of b.  Writing
     U(b, j) = sum_T q^(j*T) R_{b,T} in the placement DP and summing the
     geometric series in j gives
-    R_{b,T} = (1 - q^T)^(-1) sum A_{cost,L,t} * q^(L*T') * R_{b-cost,T'} over
-    group terms with t + T' = T, so T' < T.  With
+    R_{b,T} = (1 - q^T)^(-1) sum A_{cost,L,t} * q^(L*T') * R_{b',T'} over
+    steps and group terms with t + T' = T, so T' < T.  With
     N_{b,T} = R_{b,T} prod_{i<=T} (1 - q^i), N_{0,0} = 1 and
 
         N_{b,T} = sum_{T'<T} X_{b,T,T'} prod_{T'<i<T} (1 - q^i),
-        X_{b,T,T'} = sum_{cost,t} [sum_L q^(L*T') A_{cost,L,t}] N_{b-cost,T'}:
+        X_{b,T,T'} = sum_{(cost,b'),t} count [sum_L q^(L*T') A_{cost,L,t}] N_{b',T'}:
 
     integer polynomial arithmetic with no division, no truncation and no
     degree bound.  The ratio itself is then
@@ -329,33 +339,72 @@ def _numerator_rows(groups, budget) -> dict:
                 _grow_add(acc, poly, L * T0)
         return shifted[cost, T0, t]
 
-    zero = (0,) * len(budget)
-    rows = {zero: {0: [1]}}
-    for b in itertools.product(*(range(m + 1) for m in budget)):
-        if b == zero:
+    split = {}  # b -> {(cost, b'): count}, for every budget reached
+    todo = [budget]
+    while todo:
+        b = todo.pop()
+        if b not in split:
+            split[b] = steps(b)
+            todo.extend(sub for _, sub in split[b])
+    rows = {}
+    for b in sorted(split, key=sum):  # a step lowers the budget's total
+        if not any(b):
+            rows[b] = {0: [1]}
             continue
         X = {}  # T -> T' -> X_{b,T,T'}
-        for cost, by_t in by_cost.items():
-            sub = tuple(x - c for x, c in zip(b, cost))
-            if min(sub) < 0:
-                continue
+        for (cost, sub), count in split[b].items():
             for T0, src in rows[sub].items():
-                for t in by_t:
+                for t in by_cost[cost]:
                     part = X.setdefault(T0 + t, {}).setdefault(T0, [])
-                    _grow_add(part, _mul(src, weight(cost, T0, t)), 0)
+                    _grow_add(part, _mul(src, weight(cost, T0, t)), 0, count)
         rows[b] = {T: _horner(parts, T) for T, parts in X.items()}
     return rows
 
 
+def _type_steps(b) -> dict:
+    """Budget rule of a single shape: b counts the components of each type,
+    and placing one of type i spends one unit of b_i.  Types never merge."""
+    return {(i, b[:i] + (m - 1,) + b[i + 1 :]): 1 for i, m in enumerate(b) if m}
+
+
+def _compress(b) -> tuple:
+    """A gap budget with its zero entries dropped: a zero level adds no box."""
+    return tuple(x for x in b if x)
+
+
+def _gap_steps(b) -> dict:
+    """Budget rule of a compressed gap budget: a component spends any vector
+    0 != c <= b, and the c are counted by (compress(c), compress(b - c))."""
+    out = {}
+    for c in itertools.product(*(range(x + 1) for x in b)):
+        if any(c):
+            key = _compress(c), _compress([x - y for x, y in zip(b, c)])
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _path_terms(component: ConnectedSkew) -> tuple:
+    """West length L and the placement terms {t: A} of one component."""
+    path = component.nw_path()
+    L = path.west_total
+    return L, _placement_terms(L, path.south_total, path.offset_weight)
+
+
 def _class_numerator(shape: SkewShape) -> list:
     """Numerator of one shape's ratio over prod_{i<=size} (1 - q^i), exact:
-    a component of size s has t <= V + L - 1 <= s, so every T <= size."""
-    groups, budget = _shape_groups(shape)
-    polys = {}
-    for key, terms in groups.items():
-        for (t, base), coef in terms.items():
-            _grow_add(polys.setdefault(key, {}).setdefault(t, []), [coef], base)
-    return _horner(_numerator_rows(polys, budget)[budget], shape.size + 1)
+    a component of size s has t <= V + L - 1 <= s, so every T <= size.
+    The budget counts the components of each type."""
+    types = [
+        (comp, sum(1 for _ in group))
+        for comp, group in itertools.groupby(shape.components)
+    ]
+    groups = {}
+    for i, (comp, _) in enumerate(types):
+        L, terms = _path_terms(comp)
+        groups[i, L] = terms
+    budget = tuple(m for _, m in types)
+    rows = _numerator_rows(groups, budget, _type_steps)
+    return _horner(rows[budget], shape.size + 1)
 
 
 #: D -> exact numerators (P_0, ..., P_D); a smaller D is served from a
@@ -370,8 +419,8 @@ def _one_gap_numerators(D: int) -> tuple:
         if D2 >= D:
             return nums[: D + 1]
     groups = {((s,), L): terms for (s, L), terms in _one_gap_groups(D).items()}
-    rows = _numerator_rows(groups, (D,))
-    nums = tuple(tuple(_horner(rows[d,], d + 1)) for d in range(D + 1))
+    rows = _numerator_rows(groups, (D,), _gap_steps)
+    nums = ((1,),) + tuple(tuple(_horner(rows[d,], d + 1)) for d in range(1, D + 1))
     _numerators_cache[D] = nums
     return nums
 
@@ -435,10 +484,32 @@ def rational_form_D(D: int) -> RationalForm:
     return RationalForm(_one_gap_numerators(D)[D], {j: 1 for j in range(1, D + 1)})
 
 
+def _component_groups(costs) -> dict:
+    """Groups (cost, L) -> {t: A} of a gap budget: for each cost, every
+    connected shape of that size with its placement terms times its number
+    of fillings with content ``cost``; shapes with none are left out."""
+    groups = {}
+    for cost in costs:
+        for comp in enum_connected_skew(sum(cost)):
+            fillings = rp_count(SkewShape((comp,)), cost)
+            if fillings:
+                L, terms = _path_terms(comp)
+                merged = groups.setdefault((cost, L), {})
+                for t, poly in terms.items():
+                    _grow_add(merged.setdefault(t, []), poly, 0, fillings)
+    return groups
+
+
 def rational_form_k(block_sizes) -> RationalForm:
-    """Closed rational form of FZ_k / Z over prod_{j=1}^{K} (1 - q^j), exact:
-    the filling-weighted sum of class numerators.  Both are invariant under
-    transposition, so each orbit is evaluated once, through its smaller key.
+    """Closed rational form of FZ_k / Z over prod_{j=1}^{K} (1 - q^j), exact.
+
+    A chain of order ideals of a disjoint union is one chain per component,
+    and the level sizes add, so this is one run of the placement recurrence
+    over the compressed gap budget k: a connected component spends a vector
+    c <= k and weighs its number of fillings with content c.  Placements
+    are ordered by offset, so no symmetry factor enters.  Every sub-budget
+    is a sub-vector of k, so the steps from k name every cost.  With one
+    nonzero gap every component has one filling: the one-gap form.
     """
     block_sizes = tuple(int(x) for x in block_sizes)
     if any(x < 0 for x in block_sizes):
@@ -446,12 +517,9 @@ def rational_form_k(block_sizes) -> RationalForm:
     K = sum(block_sizes)
     if K < 1:
         raise ValueError("the gap sizes must sum to at least 1")
-    numerator = []
-    for shape in enum_skew_classes(K):
-        key, flipped = shape.key(), transpose(shape).key()
-        if flipped < key:
-            continue
-        weight = rp_count(shape, block_sizes) * (1 if flipped == key else 2)
-        if weight:
-            _grow_add(numerator, _class_numerator(shape), 0, weight)
-    return RationalForm(numerator, {j: 1 for j in range(1, K + 1)})
+    budget = _compress(block_sizes)
+    if len(budget) == 1:
+        return rational_form_D(K)
+    groups = _component_groups({cost for cost, _ in _gap_steps(budget)})
+    rows = _numerator_rows(groups, budget, _gap_steps)
+    return RationalForm(_horner(rows[budget], K + 1), {j: 1 for j in range(1, K + 1)})

@@ -1,11 +1,12 @@
 """Truncated constructions and checks that only the tests use.
 
 Production builds every rational form exactly and expands series from the
-forms.  The helpers here build the same answers a second way, from
-truncated series, so the tests can referee the exact forms against them:
-clearing a truncated series over a claimed denominator at a degree bound,
-the rank-r series as products of expanded one-gap rows, and the rank-r
-series as a coefficient of a power of the one-gap generating series.
+forms.  The helpers here build the same answers a second way, so the
+tests can referee the exact forms against them: clearing a truncated
+series over a claimed denominator at a degree bound, the multi-gap form as
+an exact sum over shape classes, the rank-r series as
+products of expanded one-gap rows, and the rank-r series as a coefficient
+of a power of the one-gap generating series.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 from math import comb, factorial, perm
 
 from flagseries import kernels
-from flagseries.engine import fz_D, fz_ratio_D
+from flagseries.engine import _class_numerator, _grow_add, fz_D, fz_ratio_D
 from flagseries.partitions import enum_partitions
 from flagseries.series import QSeries, RationalForm
+from flagseries.shapes import enum_skew_classes, rp_count, transpose
 
 
 class RationalityError(ValueError):
@@ -68,6 +70,28 @@ def rational_form_degree_bound(D: int) -> int:
 def rational_form_k_degree_bound(K: int) -> int:
     """Numerator degree bound for a multi-gap ratio: (5/4)K^2 - K/2 + 1."""
     return (5 * K * K - 2 * K + 4 + 3) // 4
+
+
+def class_sum_form_k(block_sizes) -> RationalForm:
+    """Closed rational form of FZ_k / Z over prod_{j=1}^{K} (1 - q^j), exact:
+    the filling-weighted sum of class numerators.  Both are invariant under
+    transposition, so each orbit is evaluated once, through its smaller key.
+    """
+    block_sizes = tuple(int(x) for x in block_sizes)
+    if any(x < 0 for x in block_sizes):
+        raise ValueError("gap sizes must be nonnegative")
+    K = sum(block_sizes)
+    if K < 1:
+        raise ValueError("the gap sizes must sum to at least 1")
+    numerator = []
+    for shape in enum_skew_classes(K):
+        key, flipped = shape.key(), transpose(shape).key()
+        if flipped < key:
+            continue
+        weight = rp_count(shape, block_sizes) * (1 if flipped == key else 2)
+        if weight:
+            _grow_add(numerator, _class_numerator(shape), 0, weight)
+    return RationalForm(numerator, {j: 1 for j in range(1, K + 1)})
 
 
 def ratio_rD_dense(r: int, D: int, n: int) -> list:

@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -31,7 +32,9 @@ from flagseries.shapes import (
     rp_count,
     transpose,
 )
+import referees
 from referees import (
+    class_sum_form_k,
     clear_denominator,
     rational_form_degree_bound,
     rational_form_k_degree_bound,
@@ -196,6 +199,44 @@ def test_rational_form_k_equals_cleared_class_sum():
             ratio = QSeries.from_dense("q", acc, n)
             den = {j: 1 for j in range(1, K + 1)}
             assert rational_form_k(k) == clear_denominator(ratio, den, bound, 10), k
+
+
+def test_rational_form_k_equals_class_sum_referee(monkeypatch):
+    # Referee for the component run: the filling-weighted sum of exact class
+    # numerators over every shape class of size K.  Each class numerator is
+    # computed once and shared by every gap vector of its size.
+    monkeypatch.setattr(
+        referees, "_class_numerator", lru_cache(maxsize=None)(engine._class_numerator)
+    )
+    gaps = [k for K in range(1, 7) for k in compositions(K)]
+    gaps += [(0, 2, 1), (2, 0, 2), (1, 0, 0, 2)]
+    gaps += [(1,) * 7, (1, 1, 1, 2, 2), (2, 1, 1, 1, 2)]
+    for k in gaps:
+        assert rational_form_k(k) == class_sum_form_k(k), k
+
+
+def test_rational_form_k_is_one_recurrence_run(monkeypatch):
+    runs = []
+    rows = engine._numerator_rows
+
+    def counted(*args):
+        runs.append(args[1])
+        return rows(*args)
+
+    monkeypatch.setattr(engine, "_numerator_rows", counted)
+    rational_form_k((1, 1, 2, 2))
+    assert runs == [(1, 1, 2, 2)]
+
+
+def test_one_entry_gap_vector_is_the_one_gap_form():
+    for D in range(1, 11):
+        rf = rational_form_D(D)
+        assert rational_form_k((0, D, 0)) == rational_form_k((D,)) == rf, D
+        # the shortcut's premise: on a one-entry budget the component run,
+        # every component with its single filling, gives the one-gap form
+        groups = engine._component_groups({(s,) for s in range(1, D + 1)})
+        rows = engine._numerator_rows(groups, (D,), engine._gap_steps)
+        assert engine._horner(rows[D,], D + 1) == list(rf.numerator), D
 
 
 def test_transposition_invariance_up_to_size_six():

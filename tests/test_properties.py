@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagseries.engine import fz_ratio_k, fz_ratio_lambda
+from flagseries.engine import fz_k, fz_ratio_k, fz_ratio_lambda
 from flagseries.partitions import (
     Partition,
     contains,
@@ -103,6 +103,18 @@ def test_zero_gaps_are_transparent(gaps):
     base = fz_ratio_k(gaps, 10)
     assert fz_ratio_k([0] + gaps, 10) == base
     assert fz_ratio_k(gaps + [0], 10) == base
+
+
+@given(st.integers(0, 5), st.lists(st.integers(0, 5), max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_fz_k_matches_flag_oracle(K, cuts):
+    # gap vectors of total K <= 5, zero gaps included
+    bounds = [0] + sorted(min(c, K) for c in cuts) + [K]
+    k = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    series = fz_k(k, 4)
+    for n in range(5):
+        sizes = tuple(itertools.accumulate(k, initial=n))
+        assert series[(n,)] == count_nested_flags(sizes), (k, n)
 
 
 def brute_force_fillings(shape, k):
