@@ -21,7 +21,7 @@ import itertools
 import json
 import sys
 
-from . import engine, motives, quot, surfaces
+from . import engine
 from .partitions import (
     FlagSpec,
     _increasing_vectors_below,
@@ -68,11 +68,11 @@ def _nonnegative_int(text):
     return value
 
 
-def _emit_form(args, payload, rf, rank, ratio_to):
+def _emit_form(args, payload, rf, z_rank, ratio_to):
     """Emit a rational form of (series / Z^rank) with the series prefix:
-    the form expanded to ``--prefix`` and multiplied by Z^rank."""
-    prefix = args.prefix
-    series = ps_mul(rf.expand(prefix), quot.q_rank_series(rank, prefix))
+    the form expanded to ``--prefix`` and multiplied by ``z_rank``, the
+    caller's Z^rank truncated there."""
+    series = ps_mul(rf.expand(args.prefix), z_rank)
     payload.update({
         "numerator": list(rf.numerator),
         "denominator": [[j, e] for j, e in sorted(rf.denominator.items())],
@@ -106,17 +106,21 @@ def _cmd_fz(args):
             return 2
         rf = engine.rational_form_D(args.D)
         payload = {"command": "fz", "D": args.D}
-    return _emit_form(args, payload, rf, 1, "partition series")
+    z = engine.partition_series(args.prefix)
+    return _emit_form(args, payload, rf, z, "partition series")
 
 
 def _cmd_fq(args):
+    from . import quot
+
     if args.r < 1 or args.D < 1:
         print("need --r >= 1 and --D >= 1", file=sys.stderr)
         return 2
     rf = quot.rational_form_rD(args.r, args.D)
     payload = {"command": "fq", "r": args.r, "D": args.D}
+    z_rank = quot.q_rank_series(args.r, args.prefix)
     return _emit_form(
-        args, payload, rf, args.r, f"rank-{args.r} partition series power"
+        args, payload, rf, z_rank, f"rank-{args.r} partition series power"
     )
 
 
@@ -178,6 +182,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_motive(args):
+    from . import motives
+
     chosen = [x is not None for x in (args.nesting, args.strata, args.series)]
     if sum(chosen) != 1:
         print("choose exactly one of --nesting / --strata / --series", file=sys.stderr)
@@ -258,6 +264,8 @@ def _cmd_motive(args):
 
 
 def _cmd_globalize(args):
+    from . import surfaces
+
     if not 0 <= args.n1 <= args.n2 or args.rank < 1 or args.chi < 0:
         print("need 0 <= n1 <= n2, rank >= 1, chi >= 0", file=sys.stderr)
         return 2
@@ -271,7 +279,7 @@ def _cmd_globalize(args):
             print("--coeff a,b needs 0 <= a <= n1 and 0 <= b <= n2", file=sys.stderr)
             return 2
     table = surfaces.punctual_nested_table(args.rank, args.n1, args.n2)
-    surface = _surface_from_args(args)
+    surface = surfaces.SurfaceProfile(f"chi={args.chi}", args.chi)
     powered = surfaces.globalize(table, surface)
     requested = powered[(a, b)]
     rows = [["n1", "n2", "count"]]
@@ -294,11 +302,9 @@ def _cmd_globalize(args):
     return 0
 
 
-def _surface_from_args(args):
-    return surfaces.SurfaceProfile(name=f"chi={args.chi}", euler_characteristic=args.chi)
-
-
 def _identity_suite(quick):
+    from . import motives, quot
+
     nq, ns, nv = (8, 3, 3) if quick else (12, 4, 4)
     checks = [
         ("geometric-series identity for the unnested rank table",

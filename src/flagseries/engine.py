@@ -49,7 +49,7 @@ from math import comb
 
 from . import kernels
 from .series import QSeries, RationalForm, expand_dense
-from .shapes import ConnectedSkew, SkewShape, enum_connected_skew, rp_count
+from .shapes import ConnectedSkew, SkewShape, enum_connected_skew, filling_counts
 
 __all__ = [
     "PlacementWeight",
@@ -487,13 +487,20 @@ def rational_form_D(D: int) -> RationalForm:
 def _component_groups(costs) -> dict:
     """Groups (cost, L) -> {t: A} of a gap budget: for each cost, every
     connected shape of that size with its placement terms times its number
-    of fillings with content ``cost``; shapes with none are left out."""
-    groups = {}
+    of fillings with content ``cost``; shapes with none are left out.
+    Each shape counts its fillings for all costs of its size at once."""
+    by_size = {}
     for cost in costs:
-        for comp in enum_connected_skew(sum(cost)):
-            fillings = rp_count(SkewShape((comp,)), cost)
-            if fillings:
-                L, terms = _path_terms(comp)
+        by_size.setdefault(sum(cost), []).append(cost)
+    groups = {}
+    for size, sized in by_size.items():
+        for comp in enum_connected_skew(size):
+            counts = filling_counts(SkewShape((comp,)), sized)
+            found = [(cost, n) for cost, n in counts.items() if n]
+            if not found:
+                continue
+            L, terms = _path_terms(comp)
+            for cost, fillings in found:
                 merged = groups.setdefault((cost, L), {})
                 for t, poly in terms.items():
                     _grow_add(merged.setdefault(t, []), poly, 0, fillings)

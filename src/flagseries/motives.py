@@ -8,7 +8,7 @@ construction of the series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -49,16 +49,15 @@ def gottsche_punctual(order: int):
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class StrataMotives:
+class StrataMotives(
+    namedtuple("StrataMotives", "curvilinear h1 h2 h2_split h3")
+):
     """Motives of the curvilinear locus and of the strata of non-curvilinear
-    ideals split by the second Hilbert-Samuel value."""
+    ideals split by the second Hilbert-Samuel value.  Every field is an
+    LPoly but ``h2_split``, the pair (one repeated root, two distinct
+    roots) that adds up to ``h2``."""
 
-    curvilinear: LPoly
-    h1: LPoly
-    h2: LPoly
-    h2_split: tuple  # (one repeated root, two distinct roots)
-    h3: LPoly
+    __slots__ = ()
 
     def total(self) -> LPoly:
         return self.curvilinear + self.h1 + self.h2 + self.h3
@@ -231,27 +230,27 @@ def component_count(kind: str, n: int) -> int:
     raise ValueError("kind must be '2n' or '3n'")
 
 
-@dataclass(frozen=True)
-class HSVector:
+class HSVector(namedtuple("HSVector", "values")):
     """A Hilbert-Samuel dimension vector (1, h_1, ..., h_t).
 
     Admissible vectors start with the staircase (1, 2, ..., d) for a unique
     d >= 1, drop below at index d, and are weakly decreasing from there on.
     """
 
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
-        object.__setattr__(self, "values", values)
+    def __new__(cls, values):
+        values = tuple(int(v) for v in values)
         if not values or values[0] != 1:
             raise ValueError("a Hilbert-Samuel vector starts with 1")
         if any(v <= 0 for v in values):
             raise ValueError("stored entries are positive")
+        self = super().__new__(cls, values)
         d = self.staircase_length
         for i in range(d, len(values) - 1):
             if values[i] < values[i + 1]:
                 raise ValueError("entries must weakly decrease past the staircase")
+        return self
 
     @property
     def staircase_length(self) -> int:

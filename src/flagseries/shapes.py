@@ -11,20 +11,39 @@ equality is structural.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
 
-@dataclass(frozen=True)
-class ConnectedSkew:
-    """A connected skew Ferrers diagram, canonical up to translation."""
+class _SortKeyOrder:
+    """Orders records by their ``sort_key()``, not by their fields."""
 
-    rows: tuple  # ((start, length), ...) top row first
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple((int(s), int(l)) for s, l in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __lt__(self, other):
+        return self.sort_key() < other.sort_key()
+
+    def __le__(self, other):
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other):
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other):
+        return self.sort_key() >= other.sort_key()
+
+
+class ConnectedSkew(_SortKeyOrder, namedtuple("ConnectedSkew", "rows")):
+    """A connected skew Ferrers diagram, canonical up to translation.
+
+    ``rows`` is ((start, length), ...), top row first.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows):
+        rows = tuple((int(s), int(l)) for s, l in rows)
         if not rows:
             raise ValueError("a connected diagram has at least one row")
         if any(l < 1 or s < 0 for s, l in rows):
@@ -38,6 +57,7 @@ class ConnectedSkew:
                 raise ValueError("right ends must weakly decrease down the rows")
             if s1 + l1 <= s0:
                 raise ValueError("consecutive rows must share a column")
+        return super().__new__(cls, rows)
 
     @property
     def size(self) -> int:
@@ -76,22 +96,20 @@ class ConnectedSkew:
     def sort_key(self):
         return (self.size, self.rows)
 
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
 
+class NWPath(namedtuple("NWPath", "ells vees")):
+    """North-west boundary path data of a connected skew diagram: the west
+    run lengths ``ells``, NE corner first, and the south run lengths
+    ``vees``."""
 
-@dataclass(frozen=True)
-class NWPath:
-    """North-west boundary path data of a connected skew diagram."""
+    __slots__ = ()
 
-    ells: tuple  # west run lengths, NE corner first
-    vees: tuple  # south run lengths
-
-    def __post_init__(self):
-        if len(self.ells) != len(self.vees) or not self.ells:
+    def __new__(cls, ells, vees):
+        if len(ells) != len(vees) or not ells:
             raise ValueError("need matching nonempty west and south runs")
-        if any(x < 1 for x in self.ells + self.vees):
+        if any(x < 1 for x in ells + vees):
             raise ValueError("all run lengths are >= 1")
+        return super().__new__(cls, ells, vees)
 
     @property
     def M(self) -> int:
@@ -141,17 +159,16 @@ def connected_from_cells(cells) -> ConnectedSkew:
     return ConnectedSkew(tuple((s - shift, l) for s, l in sig))
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(_SortKeyOrder, namedtuple("SkewShape", "components")):
     """A possibly disconnected skew diagram: a sorted multiset of components."""
 
-    components: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        comps = tuple(sorted(self.components, key=ConnectedSkew.sort_key))
-        object.__setattr__(self, "components", comps)
+    def __new__(cls, components):
+        comps = tuple(sorted(components, key=ConnectedSkew.sort_key))
         if not comps:
             raise ValueError("a shape has at least one box")
+        return super().__new__(cls, comps)
 
     @classmethod
     def connected(cls, rows) -> "SkewShape":
@@ -178,10 +195,8 @@ class SkewShape:
     def key(self):
         return tuple(c.rows for c in self.components)
 
-    def __lt__(self, other):
-        return tuple(c.sort_key() for c in self.components) < tuple(
-            c.sort_key() for c in other.components
-        )
+    def sort_key(self):
+        return tuple(c.sort_key() for c in self.components)
 
     def to_json_dict(self):
         return {"components": [[list(r) for r in c.rows] for c in self.components]}
@@ -301,33 +316,12 @@ def enum_skew_classes(size: int):
     return tuple(sorted(out))
 
 
-def _grow(ideal, k, start, needs):
-    """Ideals made from ``ideal`` by adding ``k`` cells of index >= ``start``
-    in increasing index order, each only once its neighbours ``needs`` are in."""
-    if k == 0:
-        yield ideal
-        return
-    for i in range(start, len(needs) - k + 1):
-        if not ideal >> i & 1 and (ideal & needs[i]) == needs[i]:
-            yield from _grow(ideal | 1 << i, k - 1, i + 1, needs)
-
-
-def rp_count(shape: SkewShape, block_sizes) -> int:
-    """Number of monotone fillings of ``shape`` with content ``block_sizes``.
-
-    A filling labels the boxes 1..s, weakly increasing east along rows and
-    south down columns, with ``k_i`` boxes labelled ``i``.  Its sublevel
-    sets are a chain of order ideals ``I_1 < ... < I_s = shape`` with
-    ``|I_i - I_(i-1)| = k_i``; an ideal holds the west and north neighbours
-    of each of its boxes (Stanley, EC1 ch. 3).  Sorted by (component, row,
-    column), every box follows its neighbours, so each level adds its boxes
-    in increasing order and each chain is counted once.
-    """
-    block_sizes = tuple(int(k) for k in block_sizes)
-    if any(k < 0 for k in block_sizes):
-        raise ValueError("block sizes must be nonnegative")
-    if sum(block_sizes) != shape.size:
-        raise ValueError("block sizes must sum to the shape size")
+def _order_ideals(shape: SkewShape) -> list:
+    """The order ideals of ``shape`` by size, as bit masks over its boxes
+    sorted by (component, row, column).  An ideal holds the west and north
+    neighbours of each of its boxes (Stanley, EC1 ch. 3), so the ideals of
+    size m + 1 are those of size m with one box added whose neighbours are
+    in."""
     cells = sorted(
         (c, y, x)
         for c, comp in enumerate(shape.components)
@@ -338,14 +332,54 @@ def rp_count(shape: SkewShape, block_sizes) -> int:
         sum(1 << index[nb] for nb in ((c, y, x - 1), (c, y - 1, x)) if nb in index)
         for c, y, x in cells
     ]
+    levels = [[0]]
+    for _ in cells:
+        grown = {}
+        for ideal in levels[-1]:
+            for i, need in enumerate(needs):
+                if not ideal >> i & 1 and ideal & need == need:
+                    grown[ideal | 1 << i] = None
+        levels.append(list(grown))
+    return levels
 
-    @lru_cache(maxsize=None)
-    def chains(level, ideal):
-        if level == len(block_sizes):
-            return 1
-        return sum(
-            chains(level + 1, grown)
-            for grown in _grow(ideal, block_sizes[level], 0, needs)
-        )
 
-    return chains(0, 0)
+def filling_counts(shape: SkewShape, costs) -> dict:
+    """{cost: number of monotone fillings of ``shape`` with content cost}.
+
+    A filling labels the boxes 1..s, weakly increasing east along rows and
+    south down columns, with ``k_i`` boxes labelled ``i``.  Its sublevel
+    sets are a chain of order ideals ``I_1 <= ... <= I_s = shape`` with
+    ``|I_i - I_(i-1)| = k_i``.  The ideals are built once; the chains are
+    counted level by level, keeping for each prefix of a cost the number
+    of chains that reach each ideal, so costs that share a prefix share
+    its levels.
+    """
+    costs = [tuple(int(k) for k in cost) for cost in costs]
+    for cost in costs:
+        if any(k < 0 for k in cost):
+            raise ValueError("block sizes must be nonnegative")
+        if sum(cost) != shape.size:
+            raise ValueError("block sizes must sum to the shape size")
+    levels = _order_ideals(shape)
+    reached = {(): {0: 1}}  # cost prefix -> ideal -> chains reaching it
+
+    def chains(prefix):
+        if prefix not in reached:
+            below = sum(prefix[:-1])
+            out = {}
+            for ideal, ways in chains(prefix[:-1]).items():
+                for grown in levels[below + prefix[-1]]:
+                    if grown & ideal == ideal:
+                        out[grown] = out.get(grown, 0) + ways
+            reached[prefix] = out
+        return reached[prefix]
+
+    full = (1 << shape.size) - 1
+    return {cost: chains(cost).get(full, 0) for cost in costs}
+
+
+def rp_count(shape: SkewShape, block_sizes) -> int:
+    """Number of monotone fillings of ``shape`` with content
+    ``block_sizes``: :func:`filling_counts` for one cost."""
+    block_sizes = tuple(int(k) for k in block_sizes)
+    return filling_counts(shape, [block_sizes])[block_sizes]

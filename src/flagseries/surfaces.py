@@ -7,7 +7,7 @@ surface Euler characteristic gives the global nested counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .partitions import nested_pair_counts
@@ -33,19 +33,18 @@ class SurfaceResolutionError(RuntimeError):
     """No (or no unique) exponent reproduces the published value."""
 
 
-@dataclass(frozen=True)
-class SurfaceProfile:
+class SurfaceProfile(namedtuple("SurfaceProfile", "name euler_characteristic")):
     """A surface, reduced to the only datum the Euler level needs."""
 
-    name: str
-    euler_characteristic: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.euler_characteristic < 0:
+    def __new__(cls, name, euler_characteristic):
+        if euler_characteristic < 0:
             raise ValueError(
                 "only nonnegative Euler characteristics are supported by the "
                 "exponentiation path"
             )
+        return super().__new__(cls, name, euler_characteristic)
 
 
 @lru_cache(maxsize=None)

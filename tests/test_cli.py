@@ -270,19 +270,85 @@ def test_tables_max_gap_must_be_positive(tmp_path):
     assert not (tmp_path / "t").exists()
 
 
-def test_entry_point_subprocess():
-    # The child finds the package the tests import, also when only
-    # pytest's pythonpath setting put it on sys.path.
+def run_fresh(argv):
+    """Run ``argv`` in a fresh interpreter.  The child finds the package
+    the tests import, also when only pytest's pythonpath setting put it on
+    sys.path."""
     src = str(Path(engine.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "flagseries.cli", "oracle", "--nesting", "2,3,4"],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_entry_point_subprocess():
+    proc = run_fresh(["-m", "flagseries.cli", "oracle", "--nesting", "2,3,4"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == "10"
+
+
+LOADED_AFTER = """
+import contextlib, io, json, sys
+from flagseries import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:] + ["--format", "json"])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def loaded_after(argv):
+    """Exit code and the modules a fresh interpreter holds after one CLI
+    request."""
+    proc = run_fresh(["-c", LOADED_AFTER, *argv])
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+def test_fz_loads_only_the_modules_it_runs():
+    code, modules = loaded_after(["fz", "--D", "3"])
+    assert code == 0
+    unused = {"flagseries.motives", "flagseries.quot", "flagseries.surfaces", "dataclasses"}
+    assert not unused & modules
+    assert "flagseries.engine" in modules
+
+
+def test_fq_loads_quot():
+    code, modules = loaded_after(["fq", "--r", "2", "--D", "2"])
+    assert code == 0
+    assert "flagseries.quot" in modules
+    assert "dataclasses" not in modules
+
+
+def test_package_exports_lazily():
+    import importlib
+
+    import flagseries
+
+    assert flagseries.__all__
+    assert set(flagseries.__all__) <= set(dir(flagseries))
+    for name in flagseries.__all__:
+        module, attribute = flagseries._EXPORTS[name]
+        home = importlib.import_module(f"flagseries.{module}")
+        assert getattr(flagseries, name) is getattr(home, attribute), name
+        assert name not in vars(flagseries), name
+    assert flagseries.KERNEL_BACKEND is importlib.import_module("flagseries.kernels").BACKEND
+    with pytest.raises(AttributeError, match="no_such_name"):
+        flagseries.no_such_name
+    assert not hasattr(flagseries, "_placement_terms")
+
+
+def test_from_import_still_loads_submodules():
+    proc = run_fresh([
+        "-c",
+        "import sys; from flagseries import cli, quot; "
+        "print(cli.__name__, quot.__name__, 'flagseries.quot' in sys.modules)",
+    ])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["flagseries.cli", "flagseries.quot", "True"]
 
 
 GUARD_ENV_ARGVS = (
