@@ -22,15 +22,7 @@ import json
 import sys
 
 from . import engine
-from .partitions import (
-    FlagSpec,
-    _increasing_vectors_below,
-    coloured_flag_counts,
-    count_coloured_flags,
-    count_nested_flags,
-    partition_count,
-)
-from .series import lpoly_eval_at_one, ps_mul
+from .series import lpoly_eval_at_one
 
 
 def _emit(args, payload, text_lines, csv_rows=None):
@@ -68,11 +60,10 @@ def _nonnegative_int(text):
     return value
 
 
-def _emit_form(args, payload, rf, z_rank, ratio_to):
+def _emit_form(args, payload, rf, rank, ratio_to):
     """Emit a rational form of (series / Z^rank) with the series prefix:
-    the form expanded to ``--prefix`` and multiplied by ``z_rank``, the
-    caller's Z^rank truncated there."""
-    series = ps_mul(rf.expand(args.prefix), z_rank)
+    the form expanded to ``--prefix`` with Z^rank in its denominator."""
+    series = rf.expand(args.prefix, z_power=rank)
     payload.update({
         "numerator": list(rf.numerator),
         "denominator": [[j, e] for j, e in sorted(rf.denominator.items())],
@@ -106,8 +97,7 @@ def _cmd_fz(args):
             return 2
         rf = engine.rational_form_D(args.D)
         payload = {"command": "fz", "D": args.D}
-    z = engine.partition_series(args.prefix)
-    return _emit_form(args, payload, rf, z, "partition series")
+    return _emit_form(args, payload, rf, 1, "partition series")
 
 
 def _cmd_fq(args):
@@ -118,9 +108,8 @@ def _cmd_fq(args):
         return 2
     rf = quot.rational_form_rD(args.r, args.D)
     payload = {"command": "fq", "r": args.r, "D": args.D}
-    z_rank = quot.q_rank_series(args.r, args.prefix)
     return _emit_form(
-        args, payload, rf, z_rank, f"rank-{args.r} partition series power"
+        args, payload, rf, args.r, f"rank-{args.r} partition series power"
     )
 
 
@@ -135,6 +124,8 @@ def _oracle_work(rank, spec):
     weakly increasing vector below ``spec`` that way and convolves the
     counts rank times, about 3 microseconds a product.  Sizes past 100 are
     far beyond the cap, so p(100) stands in for their p(n)."""
+    from .partitions import _increasing_vectors_below, partition_count
+
     def p(n):
         return partition_count(min(n, 100))
 
@@ -154,6 +145,8 @@ def _oracle_work(rank, spec):
 
 
 def _cmd_oracle(args):
+    from .partitions import FlagSpec, count_coloured_flags, count_nested_flags
+
     spec = args.nesting
     if any(a > b for a, b in zip(spec, spec[1:])):
         print("nesting sizes must be weakly increasing", file=sys.stderr)
@@ -304,6 +297,7 @@ def _cmd_globalize(args):
 
 def _identity_suite(quick):
     from . import motives, quot
+    from .partitions import coloured_flag_counts, count_nested_flags
 
     nq, ns, nv = (8, 3, 3) if quick else (12, 4, 4)
     checks = [

@@ -48,8 +48,7 @@ from functools import lru_cache
 from math import comb
 
 from . import kernels
-from .series import QSeries, RationalForm, expand_dense
-from .shapes import ConnectedSkew, SkewShape, enum_connected_skew, filling_counts
+from .series import QSeries, RationalForm
 
 __all__ = [
     "PlacementWeight",
@@ -66,19 +65,9 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _z_dense(n: int) -> tuple:
-    """Partition generating function, dense up to degree n."""
-    out = [1] + [0] * n
-    for j in range(1, n + 1):
-        for m in range(j, n + 1):
-            out[m] += out[m - j]
-    return tuple(out)
-
-
 def partition_series(truncation: int) -> QSeries:
-    """The partition generating function as a q-series."""
-    return QSeries.from_dense("q", list(_z_dense(truncation)), truncation)
+    """The partition generating function Z as a q-series."""
+    return RationalForm((1,), {}).expand(truncation, z_power=1)
 
 
 class PlacementWeight:
@@ -206,16 +195,11 @@ def fz_ratio_lambda(shape: SkewShape, truncation: int) -> QSeries:
     )
 
 
-def _times_z(ratio: list, truncation: int) -> QSeries:
-    """A dense ratio times the partition series, truncated."""
-    out = kernels.mul_trunc(ratio, list(_z_dense(truncation)), truncation)
-    return QSeries.from_dense("q", out, truncation)
-
-
 def fz_lambda(shape: SkewShape, truncation: int) -> QSeries:
     """Series whose q^m coefficient counts insertions of ``shape`` into all
-    partitions of size m (pairs nu c mu with difference class ``shape``)."""
-    return _times_z(_compute_relative_dense(shape, truncation), truncation)
+    partitions of size m (pairs nu c mu with difference class ``shape``):
+    the exact form of the ratio, expanded with Z."""
+    return rational_form_lambda(shape).expand(truncation, z_power=1)
 
 
 def _grow_add(dst: list, src, shift: int, coef: int = 1) -> None:
@@ -425,34 +409,42 @@ def _one_gap_numerators(D: int) -> tuple:
     return nums
 
 
-def fz_ratio_D(D: int, truncation: int) -> QSeries:
-    """FZ_D / Z (the sum of shape ratios over all classes of size D),
-    expanded from its exact numerator."""
+def _form_D(D: int) -> RationalForm:
+    """The exact form of FZ_D / Z for every D >= 0; D = 0 gives 1."""
     if D < 0:
         raise ValueError("D must be nonnegative")
-    denominator = dict.fromkeys(range(1, D + 1), 1)
-    out = expand_dense(_one_gap_numerators(D)[D], denominator, truncation)
-    return QSeries.from_dense("q", out, truncation)
+    return RationalForm(_one_gap_numerators(D)[D], dict.fromkeys(range(1, D + 1), 1))
+
+
+def fz_ratio_D(D: int, truncation: int) -> QSeries:
+    """FZ_D / Z (the sum of shape ratios over all classes of size D),
+    expanded from its exact form."""
+    return _form_D(D).expand(truncation)
 
 
 def fz_D(D: int, truncation: int) -> QSeries:
     """Series whose q^n coefficient is the number of nested partition pairs
     of sizes (n, n+D); equivalently the Euler characteristic of the punctual
     nested Hilbert scheme with that size vector."""
-    return _times_z(fz_ratio_D(D, truncation).dense(), truncation)
+    return _form_D(D).expand(truncation, z_power=1)
+
+
+def _form_k(block_sizes) -> RationalForm:
+    """The exact form of FZ_k / Z; a gap vector of zeros gives 1."""
+    if not any(block_sizes):
+        return RationalForm((1,), {})
+    return rational_form_k(block_sizes)
 
 
 def fz_ratio_k(block_sizes, truncation: int) -> QSeries:
     """FZ_k / Z, expanded from its exact rational form."""
-    if not any(block_sizes):
-        return QSeries.one(("q",), (truncation,))
-    return rational_form_k(block_sizes).expand(truncation)
+    return _form_k(block_sizes).expand(truncation)
 
 
 def fz_k(block_sizes, truncation: int) -> QSeries:
     """Series whose q^n coefficient counts nested chains of partitions with
     sizes (n, n+k_1, n+k_1+k_2, ...)."""
-    return _times_z(fz_ratio_k(block_sizes, truncation).dense(), truncation)
+    return _form_k(block_sizes).expand(truncation, z_power=1)
 
 
 def rational_form_lambda(shape: SkewShape) -> RationalForm:
@@ -481,7 +473,7 @@ def rational_form_D(D: int) -> RationalForm:
     """Closed rational form of FZ_D / Z over prod_{j=1}^{D} (1 - q^j), exact."""
     if D < 1:
         raise ValueError("D must be positive")
-    return RationalForm(_one_gap_numerators(D)[D], {j: 1 for j in range(1, D + 1)})
+    return _form_D(D)
 
 
 def _component_groups(costs) -> dict:
@@ -489,6 +481,8 @@ def _component_groups(costs) -> dict:
     connected shape of that size with its placement terms times its number
     of fillings with content ``cost``; shapes with none are left out.
     Each shape counts its fillings for all costs of its size at once."""
+    from .shapes import SkewShape, enum_connected_skew, filling_counts
+
     by_size = {}
     for cost in costs:
         by_size.setdefault(sum(cost), []).append(cost)

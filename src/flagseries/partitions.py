@@ -1,10 +1,14 @@
 """Partition, flag and coloured-flag counts.
 
 The oracles here are the ground truth the series engines are tested
-against: each count is obtained by direct enumeration of partitions and
-nestings, not from any closed formula.  ``nested_pair_counts`` is the one
-production count: it builds the rank-one table behind ``globalize`` by a
-walk over outer partitions, and ``count_nested_flags`` is its referee.
+against: each flag count is obtained by direct enumeration of partitions
+and nestings, not from any closed formula.  Some counts also run in
+production.  ``nested_pair_counts`` builds the rank-one table behind
+``globalize`` by a walk over outer partitions, and ``count_nested_flags``
+is its referee.  ``partition_count`` sizes the ``oracle`` command's work
+estimate against its cap.  The ``oracle`` command prints
+``count_nested_flags`` and ``count_coloured_flags``, and ``verify`` checks
+the series against ``count_nested_flags`` and ``coloured_flag_counts``.
 """
 
 from __future__ import annotations

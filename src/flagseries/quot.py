@@ -15,7 +15,6 @@ that ``fq`` prints.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial, perm
 
 from .engine import (
@@ -23,13 +22,11 @@ from .engine import (
     _mul,
     _one_gap_numerators,
     _times_one_minus,
-    _z_dense,
     fz_D,
     fz_ratio_D,
 )
 from .partitions import coloured_flag_counts, enum_partitions
-from .series import QSeries, RationalForm, ps_inv, ps_mul
-from . import kernels
+from .series import QSeries, RationalForm, expand_dense, ps_inv, ps_mul
 
 __all__ = [
     "q_rank_series",
@@ -46,16 +43,7 @@ def q_rank_series(r: int, truncation: int) -> QSeries:
     """Rank-r unnested series: the r-th power of the partition series."""
     if r < 0:
         raise ValueError("rank must be nonnegative")
-    return QSeries.from_dense("q", _z_pow_dense(r, truncation), truncation)
-
-
-@lru_cache(maxsize=None)
-def _z_pow_dense(r: int, n: int) -> list:
-    out = [1] + [0] * n
-    z = list(_z_dense(n))
-    for _ in range(r):
-        out = kernels.mul_trunc(out, z, n)
-    return out
+    return RationalForm((1,), {}).expand(truncation, z_power=r)
 
 
 def _injections(r: int, parts) -> int:
@@ -74,16 +62,15 @@ def _injections(r: int, parts) -> int:
 
 def fq_rD(r: int, D: int, truncation: int) -> QSeries:
     """Series whose q^n coefficient counts r-coloured nested pairs of sizes
-    (n, n+D): the exact form of FQ_{r,D} / Z^r expanded and multiplied by
-    Z^r.  D = 0 gives Z^r."""
+    (n, n+D): the exact form of FQ_{r,D} / Z^r expanded with Z^r.  D = 0
+    gives Z^r."""
     if r < 1:
         raise ValueError("rank must be positive")
     if D < 0:
         raise ValueError("D must be nonnegative")
-    z_r = q_rank_series(r, truncation)
     if D == 0:
-        return z_r
-    return ps_mul(rational_form_rD(r, D).expand(truncation), z_r)
+        return q_rank_series(r, truncation)
+    return rational_form_rD(r, D).expand(truncation, z_power=r)
 
 
 def rational_form_rD(r: int, D: int) -> RationalForm:
@@ -133,7 +120,7 @@ def q_surface(nq: int, ns: int) -> QSeries:
     trunc = (nq, ns)
     total = QSeries.zero(variables, trunc)
     for r in range(ns + 1):
-        total = total + _q_into(variables, _z_pow_dense(r, nq), (r,), trunc)
+        total = total + _q_into(variables, expand_dense([1], {}, nq, r), (r,), trunc)
     return total
 
 
@@ -143,7 +130,7 @@ def verify_q_identity(nq: int, ns: int) -> bool:
     trunc = (nq, ns)
     lhs = q_surface(nq, ns)
     one = QSeries.one(variables, trunc)
-    s_z = _q_into(variables, list(_z_dense(nq)), (1,), trunc)
+    s_z = _q_into(variables, expand_dense([1], {}, nq, 1), (1,), trunc)
     rhs = ps_inv(one - s_z)
     return lhs == rhs
 
@@ -251,13 +238,16 @@ def verify_fq2_example(nq: int, ns: int) -> bool:
             oracle[(n, r)] = counts[(2, n)]
     oracle_series = QSeries(variables, trunc, oracle)
 
-    inv_1q = kernels.inv_trunc([1, -1], nq)
+    def z_pow(r, over_one_minus_q=0):
+        """Z^r / (1 - q)^over_one_minus_q, dense; zero for r < 0."""
+        if r < 0:
+            return [0] * (nq + 1)
+        return expand_dense([1], {1: over_one_minus_q}, nq, r)
+
     closed = {}
     for r in range(ns + 1):
-        qr = _z_pow_dense(r, nq)
-        qr1 = _z_pow_dense(r - 1, nq) if r >= 1 else [0] * (nq + 1)
-        qr2 = _z_pow_dense(r - 2, nq) if r >= 2 else [0] * (nq + 1)
-        qr1_over = kernels.mul_trunc(qr1, inv_1q, nq)
+        qr, qr1, qr2 = z_pow(r), z_pow(r - 1), z_pow(r - 2)
+        qr1_over = z_pow(r - 1, 1)
         for a in range(nq + 1):
             val = 2 * r * (qr[a] - qr1_over[a]) + comb(r, 2) * (
                 qr[a] - 2 * qr1[a] + qr2[a]
@@ -270,34 +260,22 @@ def verify_fq2_example(nq: int, ns: int) -> bool:
     #      + (s^2 (1-s)^2 / 2) d^2/ds^2) . Q(q, s)
     operator = {}
     for r in range(ns + 1):
-        qr = _z_pow_dense(r, nq)
-        shifts = (
-            (2, 1),                   # s^2
-            (0, 2 * r),               # 2 s d/ds
-            (1, -2 * r),              # -2 s^2 d/ds
-            (2, 2 * r),               # 2 s^3 d/ds
-            (0, comb(r, 2)),          # s^2/2 d^2/ds^2
-            (1, -r * (r - 1)),        # -s^3 d^2/ds^2
-            (2, comb(r, 2)),          # s^4/2 d^2/ds^2
+        qr, qr_over = z_pow(r), z_pow(r, 1)
+        terms = (
+            (qr, 2, 1),                   # s^2
+            (qr, 0, 2 * r),               # 2 s d/ds
+            (qr, 1, -2 * r),              # -2 s^2 d/ds
+            (qr, 2, 2 * r),               # 2 s^3 d/ds
+            (qr, 0, comb(r, 2)),          # s^2/2 d^2/ds^2
+            (qr, 1, -r * (r - 1)),        # -s^3 d^2/ds^2
+            (qr, 2, comb(r, 2)),          # s^4/2 d^2/ds^2
+            (qr_over, 1, -2 - 2 * r),     # -2s/(1-q) and -2s^2/(1-q) d/ds
         )
-        for a in range(nq + 1):
-            c = qr[a]
-            if not c:
-                continue
-            for ds, w in shifts:
-                rr = r + ds
-                if rr <= ns and w:
-                    key = (a, rr)
-                    operator[key] = operator.get(key, 0) + w * c
-            # terms carrying the 1/(1-q) factor: -2s/(1-q) and -2s^2/(1-q) d/ds
-            w1 = -2 - 2 * r
-            rr = r + 1
-            if rr <= ns:
-                for b in range(nq + 1 - a):
-                    cc = c * inv_1q[b]
-                    if cc:
-                        key = (a + b, rr)
-                        operator[key] = operator.get(key, 0) + w1 * cc
+        for dense, ds, w in terms:
+            rr = r + ds
+            if rr <= ns and w:
+                for a, c in enumerate(dense):
+                    operator[a, rr] = operator.get((a, rr), 0) + w * c
     operator_series = QSeries(
         variables, trunc, {e: c for e, c in operator.items() if c}
     )

@@ -219,14 +219,12 @@ def _from_rows(variables, trunc, rows):
 def ps_mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product, truncated to the minimum truncation.
 
-    A multivariate product convolves dense rows of the last variable for
-    every pair of leading keys whose sum stays inside the truncation.
+    Dense rows of the last variable are convolved for every pair of
+    leading keys whose sum stays inside the truncation; a one-variable
+    series is the single row keyed ``()``.
     """
     trunc = a._check_compatible(b)
     n = trunc[-1]
-    if len(a.variables) == 1:
-        out = kernels.mul_trunc(a.dense(), b.dense(), n)
-        return QSeries.from_dense(a.variables[0], out, n)
     lead = trunc[:-1]
     rows_b = _rows(b, n).items()
     out = {}
@@ -247,17 +245,16 @@ def ps_mul(a: QSeries, b: QSeries) -> QSeries:
 def ps_inv(a: QSeries) -> QSeries:
     """Multiplicative inverse up to truncation; constant term must be +-1.
 
-    A multivariate inverse is a graded back-substitution on dense rows of
-    the last variable: ``B_0 = A_0^-1`` and, for each leading key k > 0,
+    The inverse is a graded back-substitution on dense rows of the last
+    variable: ``B_0 = A_0^-1`` and, for each leading key k > 0,
     ``B_k = -B_0 * sum_{f != 0} A_f B_{k-f}``, where every ``k - f`` is
-    solved before k.
+    solved before k.  A one-variable series is the single row keyed ``()``,
+    so its inverse is ``B_0``.
     """
     c0 = a.constant_term()
     if c0 not in (1, -1):
         raise ValueError("constant term must be a unit (+1 or -1)")
     n = a.truncation[-1]
-    if len(a.variables) == 1:
-        return QSeries.from_dense(a.variables[0], kernels.inv_trunc(a.dense(), n), n)
     rows = _rows(a, n)
     zero = (0,) * (len(a.variables) - 1)
     b0 = kernels.inv_trunc(rows.pop(zero), n)
@@ -300,15 +297,20 @@ def ps_pow(a: QSeries, exponent: int) -> QSeries:
         base = ps_mul(base, base)
 
 
-def expand_dense(numerator, denominator, n):
-    """numerator / prod_j (1 - q^j)^{e_j}, dense up to degree n.
+def expand_dense(numerator, denominator, n, z_power=0):
+    """numerator / prod_j (1 - q^j)^{e_j} * Z^z_power, dense up to degree n.
 
-    Dividing by (1 - q^j) is one prefix-sum pass of stride j, so the
-    expansion takes e_j passes per factor and no series inverse.
+    Z = prod_{j>=1} 1 / (1 - q^j) is the partition series, so its power
+    adds ``z_power`` to every exponent e_j.  Dividing by (1 - q^j) is one
+    prefix-sum pass of stride j, so the expansion takes e_j + z_power passes
+    per factor with j <= n (a larger j leaves every kept degree as it is)
+    and no series product or inverse.
     """
+    if z_power < 0:
+        raise ValueError("the power of the partition series must be nonnegative")
     out = list(numerator[: n + 1]) + [0] * max(0, n + 1 - len(numerator))
-    for j, e in denominator.items():
-        for _ in range(e):
+    for j in range(1, n + 1):
+        for _ in range(denominator.get(j, 0) + z_power):
             for m in range(j, n + 1):
                 out[m] += out[m - j]
     return out
@@ -343,10 +345,11 @@ class RationalForm:
             acc = acc * x + c
         return acc
 
-    def expand(self, truncation, variable="q"):
-        """Re-expand numerator/denominator as a series up to ``truncation``."""
-        out = expand_dense(self.numerator, self.denominator, truncation)
-        return QSeries.from_dense(variable, out, truncation)
+    def expand(self, truncation, z_power=0):
+        """The q-series of this form times Z^z_power, up to ``truncation``:
+        one :func:`expand_dense` run, with Z's power in the denominator."""
+        out = expand_dense(self.numerator, self.denominator, truncation, z_power)
+        return QSeries.from_dense("q", out, truncation)
 
     def __eq__(self, other):
         return (

@@ -311,9 +311,20 @@ def loaded_after(argv):
 def test_fz_loads_only_the_modules_it_runs():
     code, modules = loaded_after(["fz", "--D", "3"])
     assert code == 0
-    unused = {"flagseries.motives", "flagseries.quot", "flagseries.surfaces", "dataclasses"}
+    unused = {
+        "flagseries.motives",
+        "flagseries.quot",
+        "flagseries.surfaces",
+        "flagseries.shapes",
+        "flagseries.partitions",
+        "dataclasses",
+    }
     assert not unused & modules
     assert "flagseries.engine" in modules
+    # A multi-gap form counts the fillings of connected shapes.
+    code, modules = loaded_after(["fz", "--k", "1,1"])
+    assert code == 0
+    assert "flagseries.shapes" in modules
 
 
 def test_fq_loads_quot():

@@ -3,9 +3,8 @@ from math import comb
 import pytest
 
 from flagseries.engine import fz_D, partition_series
-from flagseries.partitions import coloured_flag_counts
+from flagseries.partitions import coloured_flag_counts, partition_count
 from flagseries.quot import (
-    _z_pow_dense,
     fq_rD,
     q_rank_series,
     q_surface,
@@ -15,7 +14,7 @@ from flagseries.quot import (
     verify_fq_functional,
     verify_q_identity,
 )
-from flagseries.series import RationalForm, ps_mul, ps_pow
+from flagseries.series import QSeries, RationalForm, ps_mul, ps_pow
 from referees import fq_rD_via_generating, ratio_rD_dense
 
 
@@ -23,6 +22,16 @@ def test_q_rank_series():
     assert q_rank_series(0, 8).dense() == [1] + [0] * 8
     assert q_rank_series(1, 8) == partition_series(8)
     assert q_rank_series(2, 8)[(2,)] == 5
+
+
+def test_q_rank_series_is_a_power_of_the_partition_counts():
+    # The prefix-sum expansion of Z^r against repeated products of the
+    # series of p(m), counted by the partition oracle.
+    for n in range(31):
+        z = QSeries.from_dense("q", [partition_count(m) for m in range(n + 1)])
+        assert partition_series(n) == z
+        for r in range(7):
+            assert q_rank_series(r, n) == ps_pow(z, r), (r, n)
 
 
 def test_fq_r1_is_rank_one():
@@ -100,7 +109,7 @@ def test_rational_form_rD_constant_term():
     # q^0 of FQ_{r,D}: r-tuples of partitions of total size D.
     for r in range(1, 6):
         for D in range(11, 15):
-            assert rational_form_rD(r, D).numerator[0] == _z_pow_dense(r, D)[D]
+            assert rational_form_rD(r, D).numerator[0] == q_rank_series(r, D)[(D,)]
 
 
 def test_q_identity():

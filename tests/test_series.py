@@ -140,24 +140,25 @@ def test_inv_involution_and_product(a):
     assert ps_mul(a, inv) == QSeries.one(("q",), (8,))
 
 
-MULTI_VARIABLES = {2: ("q", "s"), 3: ("q", "s", "v")}
+VARIABLES = {1: ("q",), 2: ("q", "s"), 3: ("q", "s", "v")}
 
 
 @st.composite
-def multivariate_series(draw, nvars, constant=None):
-    """A 2- or 3-variable series; exponents up to 6 also reach past its own
-    truncation, and ``constant`` fixes the constant term."""
+def sampled_series(draw, nvars, constant=None):
+    """A series in one to three variables (one variable is a single dense
+    row); exponents up to 6 also reach past its own truncation, and
+    ``constant`` fixes the constant term."""
     trunc = draw(st.tuples(*[st.integers(0, 4)] * nvars))
     terms = draw(st.dictionaries(
         st.tuples(*[st.integers(0, 6)] * nvars), st.integers(-9, 9), max_size=8
     ))
     if constant is not None:
         terms[(0,) * nvars] = draw(constant)
-    return QSeries(MULTI_VARIABLES[nvars], trunc, terms)
+    return QSeries(VARIABLES[nvars], trunc, terms)
 
 
-@given(st.sampled_from([2, 3]).flatmap(
-    lambda k: st.tuples(multivariate_series(k), multivariate_series(k))
+@given(st.sampled_from([1, 2, 3]).flatmap(
+    lambda k: st.tuples(sampled_series(k), sampled_series(k))
 ))
 @settings(max_examples=150, deadline=None)
 def test_multivariate_mul_matches_term_convolution(pair):
@@ -168,8 +169,8 @@ def test_multivariate_mul_matches_term_convolution(pair):
     assert ps_mul(b, a) == product
 
 
-@given(st.sampled_from([2, 3]).flatmap(
-    lambda k: multivariate_series(k, constant=st.sampled_from([1, -1]))
+@given(st.sampled_from([1, 2, 3]).flatmap(
+    lambda k: sampled_series(k, constant=st.sampled_from([1, -1]))
 ))
 @settings(max_examples=100, deadline=None)
 def test_multivariate_inverse_matches_term_convolution(a):
@@ -179,8 +180,8 @@ def test_multivariate_inverse_matches_term_convolution(a):
     assert ps_inv(inv) == a
 
 
-@given(st.sampled_from([2, 3]).flatmap(
-    lambda k: multivariate_series(
+@given(st.sampled_from([1, 2, 3]).flatmap(
+    lambda k: sampled_series(
         k, constant=st.integers(-9, 9).filter(lambda c: c not in (1, -1))
     )
 ))
@@ -241,6 +242,18 @@ def test_clear_denominator_round_trip(num, den):
     max_deg = max(5, len(num) - 1)
     back = clear_denominator(series, den, max_deg, guard=10)
     assert back.expand(n) == series
+
+
+def test_expand_with_a_power_of_z():
+    # Z^r as extra denominator passes against the product with the r-th
+    # power of the partition series.
+    rf = RationalForm([3, -1, -1], {1: 1, 2: 1, 3: 1})
+    n = 20
+    z = partition_series(n)
+    for r in range(4):
+        assert rf.expand(n, z_power=r) == ps_mul(rf.expand(n), ps_pow(z, r)), r
+    with pytest.raises(ValueError, match="nonnegative"):
+        rf.expand(n, z_power=-1)
 
 
 def test_rational_form_json_round_trip():
