@@ -46,9 +46,7 @@ _HOMES = {
         "contains",
         "count_coloured_flags",
         "count_nested_flags",
-        "count_partitions_with_k_parts",
         "enum_partitions",
-        "insertion_count",
         "nested_pair_counts",
         "partition_count",
     ),
@@ -78,12 +76,7 @@ _HOMES = {
         "NWPath",
         "SkewShape",
         "enum_connected_skew",
-        "enum_skew_classes",
         "filling_counts",
-        "nw_path",
-        "rp_count",
-        "sym_factor",
-        "transpose",
     ),
     "surfaces": (
         "SurfaceProfile",

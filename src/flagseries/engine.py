@@ -36,9 +36,13 @@ recurrence (:func:`_numerator_rows`) for the numerators over
 prod_{i<=K} (1 - q^i) of the one-gap, multi-gap and single-shape ratios:
 no truncation, no guard and no degree bound.  A connected shape also has
 a closed q-beta form.  Series callers expand a form to the order they
-need.  The truncated DP :func:`_relative_dense`, the per-class sums and the
-insertion oracle in :mod:`flagseries.partitions` referee all of this in
-the tests.
+need.
+
+The truncated DP :func:`_relative_dense` (with :class:`PlacementWeight`,
+:func:`_shape_groups` and :func:`_compute_relative_dense`) runs on no
+production path.  The tests referee the exact forms with it (one shape
+through ``truncated_ratio`` in ``tests/referees.py``), beside the
+per-class sums and the insertion census there.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from . import kernels
 from .series import QSeries, RationalForm
 
 __all__ = [
-    "PlacementWeight",
     "fz_lambda",
     "fz_D",
     "fz_k",
@@ -189,10 +192,9 @@ def _compute_relative_dense(shape: SkewShape, n: int) -> list:
 
 
 def fz_ratio_lambda(shape: SkewShape, truncation: int) -> QSeries:
-    """The ratio (insertion series of ``shape``) / (partition series)."""
-    return QSeries.from_dense(
-        "q", _compute_relative_dense(shape, truncation), truncation
-    )
+    """The ratio (insertion series of ``shape``) / (partition series),
+    expanded from its exact form."""
+    return rational_form_lambda(shape).expand(truncation)
 
 
 def fz_lambda(shape: SkewShape, truncation: int) -> QSeries:

@@ -9,14 +9,15 @@ is its referee.  ``partition_count`` sizes the ``oracle`` command's work
 estimate against its cap.  The ``oracle`` command prints
 ``count_nested_flags`` and ``count_coloured_flags``, and ``verify`` checks
 the series against ``count_nested_flags`` and ``coloured_flag_counts``.
+The census of nested pairs by the shape class of their difference, which
+only the tests use, lives in ``tests/referees.py``, so this module imports
+no shapes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, le
-
-from .shapes import SkewShape, skew_class_of_cells
 
 
 class Partition(tuple):
@@ -95,23 +96,6 @@ def partition_count(n: int) -> int:
         for m in range(j, n + 1):
             table[m] += table[m - j]
     return table[n]
-
-
-def count_partitions_with_k_parts(n: int, k: int) -> int:
-    """Number of partitions of n into exactly k parts (0 when infeasible)."""
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    return _parts_table(n, k)
-
-
-@lru_cache(maxsize=None)
-def _parts_table(n: int, k: int) -> int:
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    # either a part equal to 1 is present, or subtract 1 from every part
-    return _parts_table(n - 1, k - 1) + _parts_table(n - k, k)
 
 
 def contains(inner, outer) -> bool:
@@ -219,25 +203,3 @@ def _increasing_vectors_below(spec):
     build(0, [])
     return tuple(out)
 
-
-def insertion_count(shape: SkewShape, m: int) -> int:
-    """Number of pairs nu c mu with |nu| = m whose set difference realizes
-    ``shape`` up to translation, by exhaustive flag enumeration."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return _insertion_census(shape.size, m).get(shape, 0)
-
-
-@lru_cache(maxsize=None)
-def _insertion_census(size: int, m: int) -> dict:
-    """Shape class -> number of pairs nu c mu with |nu| = m and
-    |mu| = m + size whose set difference realizes it: every pair is
-    enumerated and classified once."""
-    census = {}
-    for mu in enum_partitions(m + size):
-        mu_cells = mu.cells()
-        for nu in enum_partitions(m):
-            if contains(nu, mu):
-                shape = skew_class_of_cells(mu_cells - nu.cells())
-                census[shape] = census.get(shape, 0) + 1
-    return census

@@ -439,12 +439,6 @@ class LPoly:
             result = result * self
         return result
 
-    def shift(self, k):
-        """Multiply by L^k."""
-        if self.is_zero():
-            return self
-        return LPoly((0,) * k + self.coefficients)
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coefficients):

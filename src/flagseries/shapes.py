@@ -6,14 +6,17 @@ Diagrams are drawn in English orientation (x grows east, y grows south), so
 starts and right ends weakly decrease going down the rows.  A general shape
 is a multiset of connected components, kept in a fixed sorted order so that
 equality is structural.
+
+This module holds what the production paths use: the diagrams, their
+boundary paths, the connected diagrams of each size and monotone-filling
+counts.  Enumerating whole shape classes is brute force that only the tests
+run, as a referee, so it lives in ``tests/referees.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from functools import lru_cache
-from math import factorial
 
 
 class _SortKeyOrder:
@@ -70,9 +73,6 @@ class ConnectedSkew(_SortKeyOrder, namedtuple("ConnectedSkew", "rows")):
             for y, (s, l) in enumerate(self.rows)
             for x in range(s, s + l)
         }
-
-    def transpose(self) -> "ConnectedSkew":
-        return connected_from_cells({(y, x) for x, y in self.cells()})
 
     def is_straight(self) -> bool:
         """True when the diagram is the Ferrers diagram of a partition."""
@@ -141,24 +141,6 @@ class NWPath(namedtuple("NWPath", "ells vees")):
         return total
 
 
-def connected_from_cells(cells) -> ConnectedSkew:
-    """Canonicalize a connected set of boxes into a ConnectedSkew."""
-    rows = {}
-    for x, y in cells:
-        rows.setdefault(y, []).append(x)
-    ys = sorted(rows)
-    if ys != list(range(ys[0], ys[0] + len(ys))):
-        raise ValueError("rows of a connected diagram are consecutive")
-    sig = []
-    for y in ys:
-        xs = sorted(rows[y])
-        if xs != list(range(xs[0], xs[0] + len(xs))):
-            raise ValueError("cells in a row must be contiguous")
-        sig.append((xs[0], len(xs)))
-    shift = min(s for s, _ in sig)
-    return ConnectedSkew(tuple((s - shift, l) for s, l in sig))
-
-
 class SkewShape(_SortKeyOrder, namedtuple("SkewShape", "components")):
     """A possibly disconnected skew diagram: a sorted multiset of components."""
 
@@ -198,69 +180,6 @@ class SkewShape(_SortKeyOrder, namedtuple("SkewShape", "components")):
     def sort_key(self):
         return tuple(c.sort_key() for c in self.components)
 
-    def to_json_dict(self):
-        return {"components": [[list(r) for r in c.rows] for c in self.components]}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(
-            tuple(
-                ConnectedSkew(tuple(tuple(r) for r in rows))
-                for rows in data["components"]
-            )
-        )
-
-    def ascii_art(self) -> str:
-        """Text rendering, components separated by blank lines."""
-        blocks = []
-        for comp in self.components:
-            width = max(s + l for s, l in comp.rows)
-            lines = [
-                " " * s + "■" * l + " " * (width - s - l)
-                for s, l in comp.rows
-            ]
-            blocks.append("\n".join(line.rstrip() for line in lines))
-        return "\n\n".join(blocks)
-
-
-def skew_class_of_cells(cells) -> SkewShape:
-    """Translation class of an explicit set of lattice boxes."""
-    remaining = set(cells)
-    if not remaining:
-        raise ValueError("empty cell sets have no shape class")
-    comps = []
-    while remaining:
-        seed = next(iter(remaining))
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            x, y = stack.pop()
-            for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if nb in remaining and nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        remaining -= comp
-        comps.append(connected_from_cells(comp))
-    return SkewShape(tuple(comps))
-
-
-def transpose(shape: SkewShape) -> SkewShape:
-    """Reflect every component across the main diagonal."""
-    return SkewShape(tuple(c.transpose() for c in shape.components))
-
-
-def nw_path(component: ConnectedSkew) -> NWPath:
-    return component.nw_path()
-
-
-def sym_factor(shape: SkewShape) -> int:
-    """Product of factorials of multiplicities of identical components."""
-    out = 1
-    for _, group in itertools.groupby(shape.components):
-        out *= factorial(sum(1 for _ in group))
-    return out
-
-
 @lru_cache(maxsize=None)
 def enum_connected_skew(size: int):
     """All connected translation classes with ``size`` boxes, sorted by row
@@ -292,28 +211,6 @@ def enum_connected_skew(size: int):
 
     row_lengths(size, [])
     return tuple(sorted(found, key=ConnectedSkew.sort_key))
-
-
-@lru_cache(maxsize=None)
-def enum_skew_classes(size: int):
-    """All translation classes of ``size`` boxes: multisets of connected
-    components with sizes summing to ``size``, in a fixed sorted order."""
-    if size < 1:
-        raise ValueError("size must be positive")
-    out = []
-
-    def extend(remaining, min_size, min_index, acc):
-        if remaining == 0:
-            out.append(SkewShape(tuple(acc)))
-            return
-        for d in range(min_size, remaining + 1):
-            comps = enum_connected_skew(d)
-            start = min_index if d == min_size else 0
-            for idx in range(start, len(comps)):
-                extend(remaining - d, d, idx, acc + [comps[idx]])
-
-    extend(size, 1, 0, [])
-    return tuple(sorted(out))
 
 
 def _order_ideals(shape: SkewShape) -> list:
@@ -377,9 +274,3 @@ def filling_counts(shape: SkewShape, costs) -> dict:
     full = (1 << shape.size) - 1
     return {cost: chains(cost).get(full, 0) for cost in costs}
 
-
-def rp_count(shape: SkewShape, block_sizes) -> int:
-    """Number of monotone fillings of ``shape`` with content
-    ``block_sizes``: :func:`filling_counts` for one cost."""
-    block_sizes = tuple(int(k) for k in block_sizes)
-    return filling_counts(shape, [block_sizes])[block_sizes]

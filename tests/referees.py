@@ -1,23 +1,171 @@
-"""Truncated constructions and checks that only the tests use.
+"""Truncated constructions, brute-force censuses and checks that only the
+tests use.
 
 Production builds every rational form exactly and expands series from the
 forms.  The helpers here build the same answers a second way, so the
-tests can referee the exact forms against them: clearing a truncated
-series over a claimed denominator at a degree bound, the multi-gap form as
-an exact sum over shape classes, the rank-r series as
-products of expanded one-gap rows, and the rank-r series as a coefficient
-of a power of the one-gap generating series.
+tests can referee the exact forms against them: the truncated placement DP
+of one shape, clearing a truncated series over a claimed denominator at a
+degree bound, the multi-gap form as an exact sum over shape classes, the
+rank-r series as products of expanded one-gap rows, and the rank-r series
+as a coefficient of a power of the one-gap generating series.  The shape
+classes of a size, their transposes and filling counts, and the census of
+nested pairs by the class of their difference come by enumeration.
 """
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
 from math import comb, factorial, perm
 
 from flagseries import kernels
-from flagseries.engine import _class_numerator, _grow_add, fz_D, fz_ratio_D
-from flagseries.partitions import enum_partitions
+from flagseries.engine import (
+    _class_numerator,
+    _compute_relative_dense,
+    _grow_add,
+    fz_D,
+    fz_ratio_D,
+)
+from flagseries.partitions import contains, enum_partitions
 from flagseries.series import QSeries, RationalForm
-from flagseries.shapes import enum_skew_classes, rp_count, transpose
+from flagseries.shapes import (
+    ConnectedSkew,
+    SkewShape,
+    enum_connected_skew,
+    filling_counts,
+)
+
+
+def truncated_ratio(shape: SkewShape, n: int) -> QSeries:
+    """The single-shape ratio (insertion series / partition series) to q^n,
+    from the truncated placement DP rather than the exact form."""
+    return QSeries.from_dense("q", _compute_relative_dense(shape, n), n)
+
+
+@lru_cache(maxsize=None)
+def enum_skew_classes(size: int):
+    """All translation classes of ``size`` boxes: multisets of connected
+    components with sizes summing to ``size``, in a fixed sorted order."""
+    if size < 1:
+        raise ValueError("size must be positive")
+    out = []
+
+    def extend(remaining, min_size, min_index, acc):
+        if remaining == 0:
+            out.append(SkewShape(tuple(acc)))
+            return
+        for d in range(min_size, remaining + 1):
+            comps = enum_connected_skew(d)
+            start = min_index if d == min_size else 0
+            for idx in range(start, len(comps)):
+                extend(remaining - d, d, idx, acc + [comps[idx]])
+
+    extend(size, 1, 0, [])
+    return tuple(sorted(out))
+
+
+def connected_from_cells(cells) -> ConnectedSkew:
+    """Canonicalize a connected set of boxes into a ConnectedSkew."""
+    rows = {}
+    for x, y in cells:
+        rows.setdefault(y, []).append(x)
+    ys = sorted(rows)
+    if ys != list(range(ys[0], ys[0] + len(ys))):
+        raise ValueError("rows of a connected diagram are consecutive")
+    sig = []
+    for y in ys:
+        xs = sorted(rows[y])
+        if xs != list(range(xs[0], xs[0] + len(xs))):
+            raise ValueError("cells in a row must be contiguous")
+        sig.append((xs[0], len(xs)))
+    shift = min(s for s, _ in sig)
+    return ConnectedSkew(tuple((s - shift, l) for s, l in sig))
+
+
+def skew_class_of_cells(cells) -> SkewShape:
+    """Translation class of an explicit set of lattice boxes."""
+    remaining = set(cells)
+    if not remaining:
+        raise ValueError("empty cell sets have no shape class")
+    comps = []
+    while remaining:
+        seed = next(iter(remaining))
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            x, y = stack.pop()
+            for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                if nb in remaining and nb not in comp:
+                    comp.add(nb)
+                    stack.append(nb)
+        remaining -= comp
+        comps.append(connected_from_cells(comp))
+    return SkewShape(tuple(comps))
+
+
+def transpose(shape: SkewShape) -> SkewShape:
+    """Reflect every component across the main diagonal."""
+    return SkewShape(
+        tuple(
+            connected_from_cells({(y, x) for x, y in comp.cells()})
+            for comp in shape.components
+        )
+    )
+
+
+def sym_factor(shape: SkewShape) -> int:
+    """Product of factorials of multiplicities of identical components."""
+    out = 1
+    for _, group in itertools.groupby(shape.components):
+        out *= factorial(sum(1 for _ in group))
+    return out
+
+
+def rp_count(shape: SkewShape, block_sizes) -> int:
+    """Number of monotone fillings of ``shape`` with content
+    ``block_sizes``: ``filling_counts`` for one cost."""
+    block_sizes = tuple(int(k) for k in block_sizes)
+    return filling_counts(shape, [block_sizes])[block_sizes]
+
+
+def insertion_count(shape: SkewShape, m: int) -> int:
+    """Number of pairs nu c mu with |nu| = m whose set difference realizes
+    ``shape`` up to translation, by exhaustive flag enumeration."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return _insertion_census(shape.size, m).get(shape, 0)
+
+
+@lru_cache(maxsize=None)
+def _insertion_census(size: int, m: int) -> dict:
+    """Shape class -> number of pairs nu c mu with |nu| = m and
+    |mu| = m + size whose set difference realizes it: every pair is
+    enumerated and classified once."""
+    census = {}
+    for mu in enum_partitions(m + size):
+        mu_cells = mu.cells()
+        for nu in enum_partitions(m):
+            if contains(nu, mu):
+                shape = skew_class_of_cells(mu_cells - nu.cells())
+                census[shape] = census.get(shape, 0) + 1
+    return census
+
+
+def count_partitions_with_k_parts(n: int, k: int) -> int:
+    """Number of partitions of n into exactly k parts (0 when infeasible)."""
+    if n < 0 or k < 0:
+        raise ValueError("n and k must be nonnegative")
+    return _parts_table(n, k)
+
+
+@lru_cache(maxsize=None)
+def _parts_table(n: int, k: int) -> int:
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k == 0 or k > n:
+        return 0
+    # either a part equal to 1 is present, or subtract 1 from every part
+    return _parts_table(n - 1, k - 1) + _parts_table(n - k, k)
 
 
 class RationalityError(ValueError):

@@ -9,10 +9,8 @@ import itertools
 import time
 
 from flagseries.engine import (
-    _compute_relative_dense,
     fz_D,
     fz_k,
-    fz_ratio_lambda,
     partition_series,
     rational_form_D,
     rational_form_k,
@@ -29,7 +27,6 @@ from flagseries.motives import (
 from flagseries.partitions import (
     coloured_flag_counts,
     count_nested_flags,
-    count_partitions_with_k_parts,
     partition_count,
 )
 from flagseries.quot import (
@@ -40,7 +37,6 @@ from flagseries.quot import (
     verify_q_identity,
 )
 from flagseries.series import LPoly, RationalForm, ps_mul
-from flagseries.shapes import enum_skew_classes, transpose
 from flagseries.surfaces import (
     DEL_PEZZO_TARGET,
     SurfaceProfile,
@@ -50,8 +46,12 @@ from flagseries.surfaces import (
 )
 from referees import (
     clear_denominator,
+    count_partitions_with_k_parts,
+    enum_skew_classes,
     rational_form_degree_bound,
     rational_form_k_degree_bound,
+    transpose,
+    truncated_ratio,
 )
 
 
@@ -271,8 +271,8 @@ def test_criterion_9a_transposition_invariance():
     def body():
         for D in range(1, 7):
             for shape in enum_skew_classes(D):
-                assert _compute_relative_dense(shape, 18) == (
-                    _compute_relative_dense(transpose(shape), 18)
+                assert truncated_ratio(shape, 18) == (
+                    truncated_ratio(transpose(shape), 18)
                 ), shape
 
     report("9a", "transposition invariance over all shapes of size <= 6", body)
@@ -296,7 +296,7 @@ def test_criterion_9c_shape_value_laws():
             bound = rational_form_degree_bound(D)
             n = bound + D * (D + 1) // 2 + 10
             for shape in enum_skew_classes(D):
-                ratio = fz_ratio_lambda(shape, n)
+                ratio = truncated_ratio(shape, n)
                 rf = clear_denominator(
                     ratio, {j: 1 for j in range(1, D + 1)}, bound
                 )

@@ -334,6 +334,23 @@ def test_fq_loads_quot():
     assert "dataclasses" not in modules
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fq", "--r", "2", "--D", "3"],
+        ["oracle", "--nesting", "2,4"],
+        ["verify", "--quick"],
+        ["globalize", "--rank", "1", "--n1", "2", "--n2", "4", "--chi", "1"],
+    ],
+)
+def test_flag_counts_load_no_shapes(argv):
+    # partitions counts flags from tuples of parts, not shape classes
+    code, modules = loaded_after(argv)
+    assert code == 0
+    assert "flagseries.partitions" in modules
+    assert "flagseries.shapes" not in modules
+
+
 def test_package_exports_lazily():
     import importlib
 
@@ -350,6 +367,17 @@ def test_package_exports_lazily():
     with pytest.raises(AttributeError, match="no_such_name"):
         flagseries.no_such_name
     assert not hasattr(flagseries, "_placement_terms")
+    # the shape-class census lives in tests/referees.py, not the package
+    for name in (
+        "count_partitions_with_k_parts",
+        "enum_skew_classes",
+        "insertion_count",
+        "nw_path",
+        "rp_count",
+        "sym_factor",
+        "transpose",
+    ):
+        assert not hasattr(flagseries, name), name
 
 
 def test_from_import_still_loads_submodules():

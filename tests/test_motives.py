@@ -18,12 +18,10 @@ from flagseries.motives import (
     series_3bullet,
     strata_assembly_3n,
 )
-from flagseries.partitions import (
-    count_nested_flags,
-    count_partitions_with_k_parts,
-)
+from flagseries.partitions import count_nested_flags
 from flagseries.series import LEFSCHETZ as L
 from flagseries.series import LPoly, lpoly_eval_at_one, projective_space
+from referees import count_partitions_with_k_parts
 
 P1 = projective_space(1)
 P2 = projective_space(2)

@@ -9,13 +9,12 @@ from flagseries.partitions import (
     contains,
     count_coloured_flags,
     count_nested_flags,
-    count_partitions_with_k_parts,
     enum_partitions,
-    insertion_count,
     nested_pair_counts,
     partition_count,
 )
-from flagseries.shapes import SkewShape, enum_skew_classes
+from flagseries.shapes import SkewShape
+from referees import count_partitions_with_k_parts, enum_skew_classes, insertion_count
 
 
 def test_partition_validation():

@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagseries.engine import fz_k, fz_ratio_k, fz_ratio_lambda
+from flagseries.engine import fz_k, fz_lambda, fz_ratio_k, fz_ratio_lambda
 from flagseries.partitions import (
     Partition,
     contains,
@@ -13,13 +13,14 @@ from flagseries.partitions import (
     enum_partitions,
     nested_pair_counts,
 )
-from flagseries.shapes import (
-    SkewShape,
+from referees import (
     enum_skew_classes,
+    insertion_count,
     rp_count,
     skew_class_of_cells,
     sym_factor,
     transpose,
+    truncated_ratio,
 )
 
 partitions = st.integers(0, 9).flatmap(
@@ -91,6 +92,29 @@ def test_sym_factor_transpose_invariant(shape):
 def test_ratio_constant_term_detects_straight_shapes(shape):
     ratio = fz_ratio_lambda(shape, 6)
     assert ratio[(0,)] == (1 if shape.is_straight() else 0)
+
+
+# Shape classes of 7 to 9 boxes, past the exhaustive size <= 6 checks:
+# outer minus inner with |outer| <= 9 and |outer| - |inner| >= 7.
+large_skew_differences = partitions.filter(lambda outer: outer.size >= 7).flatmap(
+    lambda outer: st.sampled_from(
+        [
+            inner
+            for m in range(outer.size - 6)
+            for inner in enum_partitions(m)
+            if contains(inner, outer)
+        ]
+    ).map(lambda inner: skew_class_of_cells(outer.cells() - inner.cells()))
+)
+
+
+@given(large_skew_differences)
+@settings(max_examples=60, deadline=None)
+def test_single_shape_forms_match_referees_past_size_six(shape):
+    assert fz_ratio_lambda(shape, 14) == truncated_ratio(shape, 14)
+    series = fz_lambda(shape, 4)
+    for m in range(5):
+        assert series[(m,)] == insertion_count(shape, m), (shape, m)
 
 
 @given(
