@@ -220,14 +220,11 @@ def a_coefficients(n: int):
 
 def component_count(kind: str, n: int) -> int:
     """Number of top-dimensional irreducible components of the (2, n) or
-    (3, n) punctual nested Hilbert scheme."""
-    if n < 4:
-        raise ValueError("needs n >= 4")
-    if kind == "2n":
-        return n // 2
-    if kind == "3n":
-        return n * (n - 6) // 12 + (n - 1) // 2 + 1
-    raise ValueError("kind must be '2n' or '3n'")
+    (3, n) punctual nested Hilbert scheme: the matching entry of
+    :func:`a_coefficients`."""
+    if kind not in ("2n", "3n"):
+        raise ValueError("kind must be '2n' or '3n'")
+    return a_coefficients(n)[kind == "3n"]
 
 
 class HSVector(namedtuple("HSVector", "values")):

@@ -105,74 +105,49 @@ def rational_form_rD(r: int, D: int) -> RationalForm:
 # -- functional identities -------------------------------------------------
 
 
-def _q_into(variables, qdense, exps_rest, truncation):
-    """Embed a dense q-list as a multivariate series times a monomial."""
-    coeffs = {}
-    for a, c in enumerate(qdense):
-        if c and a <= truncation[0]:
-            coeffs[(a,) + exps_rest] = c
-    return QSeries(variables, truncation, coeffs)
-
-
 def q_surface(nq: int, ns: int) -> QSeries:
-    """Q(q, s) = sum_r Z(q)^r s^r, built termwise."""
-    variables = ("q", "s")
-    trunc = (nq, ns)
-    total = QSeries.zero(variables, trunc)
-    for r in range(ns + 1):
-        total = total + _q_into(variables, expand_dense([1], {}, nq, r), (r,), trunc)
-    return total
+    """Q(q, s) = sum_r Z(q)^r s^r in variables (s, q): one row per r."""
+    rows = {(r,): expand_dense([1], {}, nq, r) for r in range(ns + 1)}
+    return QSeries.from_rows(("s", "q"), (ns, nq), rows)
 
 
 def verify_q_identity(nq: int, ns: int) -> bool:
     """Check Q(q,s) * (1 - s Z(q)) = 1 by building both sides separately."""
-    variables = ("q", "s")
-    trunc = (nq, ns)
+    variables = ("s", "q")
+    trunc = (ns, nq)
     lhs = q_surface(nq, ns)
     one = QSeries.one(variables, trunc)
-    s_z = _q_into(variables, expand_dense([1], {}, nq, 1), (1,), trunc)
+    s_z = QSeries.from_rows(variables, trunc, {(1,): expand_dense([1], {}, nq, 1)})
     rhs = ps_inv(one - s_z)
     return lhs == rhs
 
 
 def fq_surface(nq: int, ns: int, nv: int) -> QSeries:
-    """FQ(q, s, v) = sum_{r, D} FQ_{r,D}(q) s^r v^D, built termwise."""
-    variables = ("q", "s", "v")
-    trunc = (nq, ns, nv)
-    coeffs = {}
+    """FQ(q, s, v) = sum_{r, D} FQ_{r,D}(q) s^r v^D in variables (s, v, q):
+    one row per (r, D)."""
+    rows = {(0, 0): [1]}
     for D in range(nv + 1):
-        coeffs[(0, 0, D)] = 1 if D == 0 else 0
         for r in range(1, ns + 1):
-            for a, c in enumerate(fq_rD(r, D, nq).dense()):
-                if c:
-                    coeffs[(a, r, D)] = c
-    coeffs = {e: c for e, c in coeffs.items() if c}
-    return QSeries(variables, trunc, coeffs)
+            rows[r, D] = fq_rD(r, D, nq).dense()
+    return QSeries.from_rows(("s", "v", "q"), (ns, nv, nq), rows)
 
 
-def _fz_qv(nq: int, nv: int, variables, trunc, normalized=False) -> QSeries:
-    """FZ(q, v) = sum_D FZ_D(q) v^D embedded into a larger variable list;
-    with ``normalized`` the D-th coefficient is divided by Z."""
-    out = QSeries.zero(variables, trunc)
-    pos_v = variables.index("v")
-    for D in range(nv + 1):
-        dense = (
-            fz_ratio_D(D, nq).dense() if normalized else fz_D(D, nq).dense()
-        )
-        exps_rest = [0] * (len(variables) - 1)
-        exps_rest[pos_v - 1] = D
-        out = out + _q_into(variables, dense, tuple(exps_rest), trunc)
-    return out
+def _fz_qv(nq: int, ns: int, nv: int, normalized=False) -> QSeries:
+    """FZ(q, v) = sum_D FZ_D(q) v^D in variables (s, v, q); with
+    ``normalized`` the D-th coefficient is divided by Z."""
+    fz = fz_ratio_D if normalized else fz_D
+    rows = {(0, D): fz(D, nq).dense() for D in range(nv + 1)}
+    return QSeries.from_rows(("s", "v", "q"), (ns, nv, nq), rows)
 
 
 def verify_fq_functional(nq: int, ns: int, nv: int) -> bool:
     """Check FQ(q,s,v) * (1 - FZ(q,v) s) = 1 with both sides independent."""
-    variables = ("q", "s", "v")
-    trunc = (nq, ns, nv)
+    variables = ("s", "v", "q")
+    trunc = (ns, nv, nq)
     lhs = fq_surface(nq, ns, nv)
     one = QSeries.one(variables, trunc)
-    fz = _fz_qv(nq, nv, variables, trunc)
-    s = QSeries.monomial(variables, trunc, (0, 1, 0))
+    fz = _fz_qv(nq, ns, nv)
+    s = QSeries.monomial(variables, trunc, (1, 0, 0))
     rhs = ps_inv(one - ps_mul(fz, s))
     return lhs == rhs
 
@@ -180,16 +155,16 @@ def verify_fq_functional(nq: int, ns: int, nv: int) -> bool:
 def binomial_weighted_derivative(series: QSeries, order: int) -> QSeries:
     """Apply (s^l / l!) d^l/ds^l termwise: s^r picks up a factor C(r, l).
 
+    ``s`` is a leading variable, so each row is weighted as a whole.
     Exact integer weights, no intermediate rationals and no coefficient
     loss at the top s-order.
     """
     pos = series.variables.index("s")
-    out = {}
-    for exps, c in series.coefficients.items():
-        w = comb(exps[pos], order)
-        if w:
-            out[exps] = c * w
-    return QSeries(series.variables, series.truncation, out)
+    rows = {
+        key: [comb(key[pos], order) * c for c in row]
+        for key, row in series.rows.items()
+    }
+    return QSeries.from_rows(series.variables, series.truncation, rows)
 
 
 def verify_exponential_identity(nq: int, ns: int, nv: int) -> bool:
@@ -202,16 +177,12 @@ def verify_exponential_identity(nq: int, ns: int, nv: int) -> bool:
     two-factor terms; divided factorials pair with falling factorials into
     binomials, keeping everything integral.
     """
-    variables = ("q", "s", "v")
-    trunc = (nq, ns, nv)
+    variables = ("s", "v", "q")
+    trunc = (ns, nv, nq)
     lhs = fq_surface(nq, ns, nv)
-    gaps = _fz_qv(nq, nv, variables, trunc, normalized=True) - QSeries.one(
-        variables, trunc
-    )
-    q_big = QSeries(
-        variables,
-        trunc,
-        {(a, r, 0): c for (a, r), c in q_surface(nq, ns).coefficients.items()},
+    gaps = _fz_qv(nq, ns, nv, normalized=True) - QSeries.one(variables, trunc)
+    q_big = QSeries.from_rows(
+        variables, trunc, {(r, 0): row for (r,), row in q_surface(nq, ns).rows.items()}
     )
     rhs = QSeries.zero(variables, trunc)
     power = QSeries.one(variables, trunc)
@@ -228,15 +199,14 @@ def verify_fq2_example(nq: int, ns: int) -> bool:
     """Check the closed expression for the series of rank-r counts of
     2-in-n coloured nestings against the coloured oracle and against the
     displayed second-order differential operator applied to Q(q,s)."""
-    variables = ("q", "s")
-    trunc = (nq, ns)
+    variables = ("s", "q")
+    trunc = (ns, nq)
 
     oracle = {}
     for r in range(1, ns + 1):
         counts = coloured_flag_counts(r, (2, max(nq, 2)))
-        for n in range(2, nq + 1):
-            oracle[(n, r)] = counts[(2, n)]
-    oracle_series = QSeries(variables, trunc, oracle)
+        oracle[(r,)] = [0, 0] + [counts[2, n] for n in range(2, nq + 1)]
+    oracle_series = QSeries.from_rows(variables, trunc, oracle)
 
     def z_pow(r, over_one_minus_q=0):
         """Z^r / (1 - q)^over_one_minus_q, dense; zero for r < 0."""
@@ -248,13 +218,12 @@ def verify_fq2_example(nq: int, ns: int) -> bool:
     for r in range(ns + 1):
         qr, qr1, qr2 = z_pow(r), z_pow(r - 1), z_pow(r - 2)
         qr1_over = z_pow(r - 1, 1)
-        for a in range(nq + 1):
-            val = 2 * r * (qr[a] - qr1_over[a]) + comb(r, 2) * (
-                qr[a] - 2 * qr1[a] + qr2[a]
-            )
-            if val:
-                closed[(a, r)] = val
-    closed_series = QSeries(variables, trunc, closed)
+        closed[(r,)] = [
+            2 * r * (qr[a] - qr1_over[a])
+            + comb(r, 2) * (qr[a] - 2 * qr1[a] + qr2[a])
+            for a in range(nq + 1)
+        ]
+    closed_series = QSeries.from_rows(variables, trunc, closed)
 
     # (s^2 - 2s/(1-q) + (2s(1-s+s^2) - 2s^2/(1-q)) d/ds
     #      + (s^2 (1-s)^2 / 2) d^2/ds^2) . Q(q, s)
@@ -272,12 +241,9 @@ def verify_fq2_example(nq: int, ns: int) -> bool:
             (qr_over, 1, -2 - 2 * r),     # -2s/(1-q) and -2s^2/(1-q) d/ds
         )
         for dense, ds, w in terms:
-            rr = r + ds
-            if rr <= ns and w:
-                for a, c in enumerate(dense):
-                    operator[a, rr] = operator.get((a, rr), 0) + w * c
-    operator_series = QSeries(
-        variables, trunc, {e: c for e, c in operator.items() if c}
-    )
+            row = operator.setdefault((r + ds,), [0] * (nq + 1))
+            for a, c in enumerate(dense):
+                row[a] += w * c
+    operator_series = QSeries.from_rows(variables, trunc, operator)
 
     return oracle_series == closed_series == operator_series

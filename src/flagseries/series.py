@@ -24,11 +24,14 @@ def _as_int(value):
 class QSeries:
     """Truncated formal power series in 1-3 named variables over the integers.
 
-    ``coefficients`` maps exponent tuples to nonzero integers; exponents are
-    componentwise bounded by ``truncation`` (inclusive).
+    ``rows`` maps the exponents of the leading variables to the dense list
+    of the last variable's coefficients, of length ``truncation[-1] + 1``;
+    all-zero rows are left out, and a one-variable series is the single row
+    keyed ``()``.  Exponents are componentwise bounded by ``truncation``
+    (inclusive).
     """
 
-    __slots__ = ("variables", "truncation", "coefficients")
+    __slots__ = ("variables", "truncation", "rows")
 
     def __init__(self, variables, truncation, coefficients):
         variables = tuple(variables)
@@ -44,7 +47,7 @@ class QSeries:
             raise ValueError("one truncation order per variable")
         if any(t < 0 for t in truncation):
             raise ValueError("truncation orders must be nonnegative")
-        coeffs = {}
+        rows = {}
         for exps, c in coefficients.items():
             c = _as_int(c)
             if not c:
@@ -55,15 +58,34 @@ class QSeries:
             if any(e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative")
             if all(e <= t for e, t in zip(exps, truncation)):
-                coeffs[exps] = c
+                row = rows.setdefault(exps[:-1], [0] * (truncation[-1] + 1))
+                row[exps[-1]] = c
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def from_rows(cls, variables, truncation, rows):
+        """Series from dense rows of the last variable keyed by the leading
+        exponents, with no per-term check.  Each row is copied, cut or padded
+        to the truncation; keys past the leading truncation and all-zero rows
+        are dropped."""
+        out = cls(variables, truncation, {})
+        width = out.truncation[-1] + 1
+        lead = out.truncation[:-1]
+        kept = {}
+        for key, row in rows.items():
+            row = list(row[:width])
+            row += [0] * (width - len(row))
+            if any(row) and all(k <= t for k, t in zip(key, lead)):
+                kept[key] = row
+        object.__setattr__(out, "rows", kept)
+        return out
 
     @classmethod
     def zero(cls, variables, truncation):
@@ -83,30 +105,34 @@ class QSeries:
         """Build a single-variable series from a dense coefficient list."""
         if truncation is None:
             truncation = len(coeffs) - 1
-        data = {(i,): c for i, c in enumerate(coeffs) if c}
-        return cls((variable,), (truncation,), data)
+        row = [_as_int(c) for c in coeffs]
+        return cls.from_rows((variable,), (truncation,), {(): row})
 
     # -- accessors ----------------------------------------------------
+
+    @property
+    def coefficients(self):
+        """The nonzero terms, as a dict from exponent tuples to integers."""
+        rows = self.rows.items()
+        return {k + (i,): c for k, row in rows for i, c in enumerate(row) if c}
 
     def __getitem__(self, exponents):
         if not isinstance(exponents, tuple):
             exponents = (exponents,)
-        return self.coefficients.get(exponents, 0)
+        row, e = self.rows.get(exponents[:-1], ()), exponents[-1]
+        return row[e] if 0 <= e < len(row) else 0
 
     def dense(self):
         """Dense coefficient list; only valid for single-variable series."""
         if len(self.variables) != 1:
             raise ValueError("dense form requires a single variable")
-        out = [0] * (self.truncation[0] + 1)
-        for (e,), c in self.coefficients.items():
-            out[e] = c
-        return out
+        return list(self.rows.get((), [0] * (self.truncation[0] + 1)))
 
     def is_zero(self):
-        return not self.coefficients
+        return not self.rows
 
     def constant_term(self):
-        return self.coefficients.get((0,) * len(self.variables), 0)
+        return self[(0,) * len(self.variables)]
 
     # -- arithmetic ---------------------------------------------------
 
@@ -127,11 +153,8 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QSeries(
-                self.variables,
-                self.truncation,
-                {e: other * c for e, c in self.coefficients.items()},
-            )
+            rows = {k: [other * c for c in row] for k, row in self.rows.items()}
+            return QSeries.from_rows(self.variables, self.truncation, rows)
         return ps_mul(self, other)
 
     __rmul__ = __mul__
@@ -144,13 +167,14 @@ class QSeries:
             isinstance(other, QSeries)
             and self.variables == other.variables
             and self.truncation == other.truncation
-            and self.coefficients == other.coefficients
+            and self.rows == other.rows
         )
 
     def __repr__(self):
-        head = sorted(self.coefficients.items())[:6]
+        coeffs = self.coefficients
+        head = sorted(coeffs.items())[:6]
         body = ", ".join(f"{e}: {c}" for e, c in head)
-        more = ", ..." if len(self.coefficients) > 6 else ""
+        more = ", ..." if len(coeffs) > 6 else ""
         return (
             f"QSeries({'/'.join(self.variables)} <= {self.truncation}; "
             f"{{{body}{more}}})"
@@ -180,40 +204,11 @@ class QSeries:
 def ps_add(a: QSeries, b: QSeries) -> QSeries:
     """Coefficientwise sum, truncated to the minimum truncation."""
     trunc = a._check_compatible(b)
-    coeffs = dict(a.coefficients)
-    for e, c in b.coefficients.items():
-        coeffs[e] = coeffs.get(e, 0) + c
-    return QSeries(a.variables, trunc, coeffs)
-
-
-def _rows(a: QSeries, n):
-    """Terms of a multivariate series as dense rows of its last variable,
-    keyed by the leading exponents; terms past degree ``n`` in the last
-    variable are dropped."""
-    rows = {}
-    for e, c in a.coefficients.items():
-        if e[-1] > n:
-            continue
-        key = e[:-1]
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = [0] * (n + 1)
-        row[e[-1]] = c
-    return rows
-
-
-def _from_rows(variables, trunc, rows):
-    """Series from dense rows whose keys and lengths already respect
-    ``trunc``; skips the per-term checks of the public constructor."""
-    out = object.__new__(QSeries)
-    object.__setattr__(out, "variables", variables)
-    object.__setattr__(out, "truncation", trunc)
-    object.__setattr__(
-        out,
-        "coefficients",
-        {key + (i,): c for key, row in rows.items() for i, c in enumerate(row) if c},
-    )
-    return out
+    zeros = [0] * (trunc[-1] + 1)
+    rows = dict(a.rows)
+    for k, row in b.rows.items():
+        rows[k] = [x + y for x, y in zip(rows.get(k, zeros), row)]
+    return QSeries.from_rows(a.variables, trunc, rows)
 
 
 def ps_mul(a: QSeries, b: QSeries) -> QSeries:
@@ -226,9 +221,9 @@ def ps_mul(a: QSeries, b: QSeries) -> QSeries:
     trunc = a._check_compatible(b)
     n = trunc[-1]
     lead = trunc[:-1]
-    rows_b = _rows(b, n).items()
+    rows_b = b.rows.items()
     out = {}
-    for ka, ra in _rows(a, n).items():
+    for ka, ra in a.rows.items():
         for kb, rb in rows_b:
             key = tuple(x + y for x, y in zip(ka, kb))
             if any(x > t for x, t in zip(key, lead)):
@@ -239,7 +234,7 @@ def ps_mul(a: QSeries, b: QSeries) -> QSeries:
                 out[key] = prod
             else:
                 kernels.addmul_shifted(acc, prod, 0, 1, n)
-    return _from_rows(a.variables, trunc, out)
+    return QSeries.from_rows(a.variables, trunc, out)
 
 
 def ps_inv(a: QSeries) -> QSeries:
@@ -255,7 +250,7 @@ def ps_inv(a: QSeries) -> QSeries:
     if c0 not in (1, -1):
         raise ValueError("constant term must be a unit (+1 or -1)")
     n = a.truncation[-1]
-    rows = _rows(a, n)
+    rows = dict(a.rows)
     zero = (0,) * (len(a.variables) - 1)
     b0 = kernels.inv_trunc(rows.pop(zero), n)
     minus_b0 = [-c for c in b0]
@@ -276,7 +271,7 @@ def ps_inv(a: QSeries) -> QSeries:
                 kernels.addmul_shifted(acc, prod, 0, 1, n)
         if acc is not None and any(acc):
             out[k] = kernels.mul_trunc(minus_b0, acc, n)
-    return _from_rows(a.variables, a.truncation, out)
+    return QSeries.from_rows(a.variables, a.truncation, out)
 
 
 def ps_pow(a: QSeries, exponent: int) -> QSeries:

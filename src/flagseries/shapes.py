@@ -153,10 +153,6 @@ class SkewShape(_SortKeyOrder, namedtuple("SkewShape", "components")):
         return super().__new__(cls, comps)
 
     @classmethod
-    def connected(cls, rows) -> "SkewShape":
-        return cls((ConnectedSkew(tuple(rows)),))
-
-    @classmethod
     def of(cls, *row_lists) -> "SkewShape":
         return cls(tuple(ConnectedSkew(tuple(rows)) for rows in row_lists))
 

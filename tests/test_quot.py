@@ -118,7 +118,7 @@ def test_q_identity():
     surface = q_surface(8, 4)
     z = partition_series(8)
     for n in range(9):
-        assert surface[(n, 1)] == z[(n,)]
+        assert surface[(1, n)] == z[(n,)]
     assert surface[(2, 2)] == 5
 
 

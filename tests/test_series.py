@@ -191,6 +191,54 @@ def test_multivariate_inverse_requires_unit(a):
         ps_inv(a)
 
 
+def assert_row_invariant(a):
+    """Every stored row is dense to the last truncation and nonzero, and
+    the zero difference, the dict constructor and ``from_rows`` agree."""
+    for row in a.rows.values():
+        assert len(row) == a.truncation[-1] + 1
+        assert any(row)
+    zero = a - a
+    assert zero == QSeries.zero(a.variables, a.truncation)
+    assert zero.rows == {}
+    assert QSeries(a.variables, a.truncation, a.coefficients) == a
+    assert QSeries.from_rows(a.variables, a.truncation, a.rows) == a
+
+
+def untidy_rows(a):
+    """The rows of ``a`` without their trailing zeros, or with a tail past
+    the truncation when they have none, plus a short zero row and, with
+    leading variables, a key past their truncation: ``from_rows`` pads,
+    cuts or drops each of them."""
+    lead = a.truncation[:-1]
+    rows = {}
+    for key, row in a.rows.items():
+        while not row[-1]:
+            row = row[:-1]
+        rows[key] = row + [7] if len(row) == a.truncation[-1] + 1 else row
+    rows.setdefault(lead, [0])
+    if lead:
+        rows[tuple(t + 1 for t in lead)] = [1]
+    return rows
+
+
+@given(st.sampled_from([1, 2, 3]).flatmap(lambda k: st.tuples(
+    sampled_series(k),
+    sampled_series(k),
+    sampled_series(k, constant=st.sampled_from([1, -1])),
+    st.integers(-3, 3),
+    st.integers(0, 3),
+)))
+@settings(max_examples=100, deadline=None)
+def test_row_invariant_after_every_constructor(case):
+    a, b, unit, c, e = case
+    rebuilt = QSeries.from_rows(a.variables, a.truncation, untidy_rows(a))
+    assert rebuilt == a
+    for series in (
+        a, rebuilt, ps_add(a, b), a * c, ps_mul(a, b), ps_inv(unit), ps_pow(a, e)
+    ):
+        assert_row_invariant(series)
+
+
 def test_multivariate_inverse():
     one = QSeries.one(("q", "s"), (6, 3))
     sz = QSeries(
