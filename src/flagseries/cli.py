@@ -81,20 +81,13 @@ def _emit_form(args, payload, rf, rank, ratio_to):
 
 
 def _cmd_fz(args):
-    if args.k is not None and args.D is not None:
+    if (args.k is None) == (args.D is None):
         print("choose one of --D / --k", file=sys.stderr)
         return 2
     if args.k is not None:
-        k = args.k
-        if any(x < 0 for x in k):
-            print("gap entries must be nonnegative", file=sys.stderr)
-            return 2
-        rf = engine.rational_form_k(k)
-        payload = {"command": "fz", "k": list(k)}
+        rf = engine.rational_form_k(args.k)
+        payload = {"command": "fz", "k": args.k}
     else:
-        if args.D is None or args.D < 1:
-            print("need --D >= 1 or --k", file=sys.stderr)
-            return 2
         rf = engine.rational_form_D(args.D)
         payload = {"command": "fz", "D": args.D}
     return _emit_form(args, payload, rf, 1, "partition series")
@@ -103,9 +96,6 @@ def _cmd_fz(args):
 def _cmd_fq(args):
     from . import quot
 
-    if args.r < 1 or args.D < 1:
-        print("need --r >= 1 and --D >= 1", file=sys.stderr)
-        return 2
     rf = quot.rational_form_rD(args.r, args.D)
     payload = {"command": "fq", "r": args.r, "D": args.D}
     return _emit_form(
@@ -147,11 +137,7 @@ def _oracle_work(rank, spec):
 def _cmd_oracle(args):
     from .partitions import FlagSpec, count_coloured_flags, count_nested_flags
 
-    spec = args.nesting
-    if any(a > b for a, b in zip(spec, spec[1:])):
-        print("nesting sizes must be weakly increasing", file=sys.stderr)
-        return 2
-    spec = FlagSpec(spec)
+    spec = FlagSpec(args.nesting)
     work = _oracle_work(args.rank, spec)
     if work > ORACLE_MAX_WORK:
         print(
@@ -187,9 +173,6 @@ def _cmd_motive(args):
             print("--nesting takes 2,n or 3,n", file=sys.stderr)
             return 2
         i, n = spec
-        if n < i:
-            print("need n >= smallest size", file=sys.stderr)
-            return 2
         poly = motives.motive_2n(n) if i == 2 else motives.motive_3n(n)
         payload = {
             "command": "motive",
@@ -205,9 +188,6 @@ def _cmd_motive(args):
         return 0
     if args.strata is not None:
         n = args.strata
-        if n < 2:
-            print("--strata needs n >= 2", file=sys.stderr)
-            return 2
         strata = motives.motive_strata(n)
         payload = {
             "command": "motive",
@@ -237,9 +217,6 @@ def _cmd_motive(args):
         ]
         _emit(args, payload, text, rows)
         return 0
-    if args.series not in (2, 3):
-        print("--series takes 2 or 3", file=sys.stderr)
-        return 2
     builder = motives.series_2bullet if args.series == 2 else motives.series_3bullet
     coeffs = builder(args.order)
     payload = {
@@ -414,8 +391,8 @@ def build_parser():
     p.set_defaults(func=_cmd_fz)
 
     p = sub.add_parser("fq", help="higher-rank one-gap series and exact rational form")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
+    p.add_argument("--r", type=_positive_int, required=True)
+    p.add_argument("--D", type=_positive_int, required=True)
     p.add_argument("--prefix", type=_nonnegative_int, default=12,
                    help="highest degree of the emitted series prefix (>= 0)")
     common(p)
@@ -430,7 +407,7 @@ def build_parser():
     p = sub.add_parser("motive", help="motivic classes for small nestings")
     p.add_argument("--nesting", type=_parse_int_list, default=None)
     p.add_argument("--strata", type=int, default=None)
-    p.add_argument("--series", type=int, default=None)
+    p.add_argument("--series", type=int, choices=(2, 3), default=None)
     p.add_argument("--order", type=int, default=12)
     common(p)
     p.set_defaults(func=_cmd_motive)

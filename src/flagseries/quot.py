@@ -226,24 +226,17 @@ def verify_fq2_example(nq: int, ns: int) -> bool:
     closed_series = QSeries.from_rows(variables, trunc, closed)
 
     # (s^2 - 2s/(1-q) + (2s(1-s+s^2) - 2s^2/(1-q)) d/ds
-    #      + (s^2 (1-s)^2 / 2) d^2/ds^2) . Q(q, s)
-    operator = {}
-    for r in range(ns + 1):
-        qr, qr_over = z_pow(r), z_pow(r, 1)
-        terms = (
-            (qr, 2, 1),                   # s^2
-            (qr, 0, 2 * r),               # 2 s d/ds
-            (qr, 1, -2 * r),              # -2 s^2 d/ds
-            (qr, 2, 2 * r),               # 2 s^3 d/ds
-            (qr, 0, comb(r, 2)),          # s^2/2 d^2/ds^2
-            (qr, 1, -r * (r - 1)),        # -s^3 d^2/ds^2
-            (qr, 2, comb(r, 2)),          # s^4/2 d^2/ds^2
-            (qr_over, 1, -2 - 2 * r),     # -2s/(1-q) and -2s^2/(1-q) d/ds
-        )
-        for dense, ds, w in terms:
-            row = operator.setdefault((r + ds,), [0] * (nq + 1))
-            for a, c in enumerate(dense):
-                row[a] += w * c
-    operator_series = QSeries.from_rows(variables, trunc, operator)
+    #      + (s^2 (1-s)^2 / 2) d^2/ds^2) . Q(q, s), where s^l/l! d^l/ds^l
+    # is binomial_weighted_derivative of order l
+    q_big = q_surface(nq, ns)
+    d1 = binomial_weighted_derivative(q_big, 1)
+    d2 = binomial_weighted_derivative(q_big, 2)
+    s = QSeries.monomial(variables, trunc, (1, 0))
+    over = QSeries.from_rows(variables, trunc, {(0,): [1] * (nq + 1)})  # 1/(1-q)
+    operator_series = (
+        s * s * q_big + 2 * d1 - 2 * s * d1 + 2 * s * s * d1
+        + d2 - 2 * s * d2 + s * s * d2
+        - 2 * s * over * (q_big + d1)
+    )
 
     return oracle_series == closed_series == operator_series

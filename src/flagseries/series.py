@@ -413,16 +413,8 @@ class LPoly:
         return _coerce_lpoly(other) - self
 
     def __mul__(self, other):
-        other = _coerce_lpoly(other)
-        if self.is_zero() or other.is_zero():
-            return LPoly()
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if not a:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return LPoly(out)
+        a, b = self.coefficients, _coerce_lpoly(other).coefficients
+        return LPoly(kernels.mul_trunc(a, b, len(a) + len(b) - 2))
 
     __rmul__ = __mul__
 

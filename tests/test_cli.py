@@ -7,10 +7,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from flagseries import cli, engine, partitions, quot, surfaces
+from flagseries import cli, engine, motives, partitions, quot, surfaces
 from flagseries.cli import main
 from flagseries.partitions import coloured_flag_counts
-from flagseries.series import RationalForm
+from flagseries.series import LEFSCHETZ, RationalForm
 
 SCHEMA = json.loads(
     (
@@ -75,6 +75,46 @@ def test_corrupted_rank_form_fails_verify_and_globalize(monkeypatch, capsys):
         surfaces.punctual_nested_table.cache_clear()
     err = capsys.readouterr().err
     assert err.startswith("internal consistency check failed:")
+
+
+def _offset_h3_by_L(monkeypatch):
+    original = motives._h3_closed
+    monkeypatch.setattr(motives, "_h3_closed", lambda n: original(n) + LEFSCHETZ)
+
+
+def _double_second_derivative(monkeypatch):
+    original = quot.binomial_weighted_derivative
+
+    def doubled(series, order):
+        out = original(series, order)
+        return 2 * out if order == 2 else out
+
+    monkeypatch.setattr(quot, "binomial_weighted_derivative", doubled)
+
+
+@pytest.mark.parametrize(
+    "corrupt, check, only",
+    [
+        (_offset_h3_by_L, "stratification closes on the punctual motive", True),
+        # the exponential identity applies the same operator and fails too
+        (_double_second_derivative,
+         "second-order operator identity for fixed small size 2", False),
+    ],
+    ids=["strata", "fq2"],
+)
+def test_corrupted_construction_fails_its_verify_check(
+    monkeypatch, capsys, corrupt, check, only
+):
+    # each check compares two constructions, so breaking one of them is a
+    # FAIL line and exit 1, not an internal error
+    corrupt(monkeypatch)
+    assert main(["verify", "--quick"]) == 1
+    out, err = capsys.readouterr()
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert "FAIL " + check in failed
+    if only:
+        assert failed == ["FAIL " + check]
+    assert err == ""
 
 
 def test_corrupted_rank_one_table_fails_globalize(monkeypatch, capsys):
@@ -152,6 +192,29 @@ def test_internal_check_exit_code(capsys, monkeypatch, exc, code, prefix):
     assert main(["fz", "--D", "3"]) == code
     err = capsys.readouterr().err
     assert err == prefix + "closed form disagrees with termwise build\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fz"], ["fz", "--D", "0"], ["fz", "--k=-1,2"], ["fz", "--k", "0,0"],
+        ["fq", "--r", "0", "--D", "2"], ["fq", "--r", "2", "--D", "0"],
+        ["oracle", "--nesting", "4,2"], ["oracle", "--nesting=-1,2"],
+        ["motive", "--nesting", "3,2"], ["motive", "--nesting", "2,1"],
+        ["motive", "--strata", "1"], ["motive", "--series", "4"],
+    ],
+)
+def test_rejected_input_exits_2(capsys, argv):
+    # argparse rejects an option out of range, the library call a domain
+    # rule; either way it is exit 2 with a message and no output
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err and "Traceback" not in err
 
 
 def test_motive_nesting(capsys):
