@@ -12,7 +12,7 @@ rebound in its home module is seen here too.
 
 import importlib
 
-#: home module -> names it exports here
+#: home module -> names it exports here: the one list of public names
 _HOMES = {
     "engine": (
         "fz_D",
@@ -27,7 +27,10 @@ _HOMES = {
         "rational_form_lambda",
     ),
     "motives": (
+        "BASE_NESTED_MOTIVES",
+        "GLOBAL_PLANE_MOTIVES",
         "HSVector",
+        "StrataMotives",
         "a_coefficients",
         "component_count",
         "gottsche_punctual",
@@ -35,6 +38,7 @@ _HOMES = {
         "hs_motive_exponent",
         "motive_2n",
         "motive_3n",
+        "motive_Y1112",
         "motive_strata",
         "series_2bullet",
         "series_3bullet",
@@ -79,7 +83,9 @@ _HOMES = {
         "filling_counts",
     ),
     "surfaces": (
+        "DEL_PEZZO_TARGET",
         "SurfaceProfile",
+        "SurfaceResolutionError",
         "globalize",
         "punctual_nested_table",
         "resolve_dp6_exponent",

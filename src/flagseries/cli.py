@@ -25,14 +25,13 @@ from . import engine
 from .series import lpoly_eval_at_one
 
 
-def _emit(args, payload, text_lines, csv_rows=None):
+def _emit(args, payload, text_lines, csv_rows):
     if args.format == "json":
         out = json.dumps(payload, sort_keys=True, indent=2)
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        for row in csv_rows if csv_rows is not None else []:
-            writer.writerow(row)
+        writer.writerows(csv_rows)
         out = buf.getvalue().rstrip("\n")
     else:
         out = "\n".join(text_lines)
@@ -41,7 +40,7 @@ def _emit(args, payload, text_lines, csv_rows=None):
 
 def _parse_int_list(text):
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
 
@@ -272,11 +271,11 @@ def _cmd_globalize(args):
     return 0
 
 
-def _identity_suite(quick):
+def _identity_suite():
     from . import motives, quot
     from .partitions import coloured_flag_counts, count_nested_flags
 
-    nq, ns, nv = (8, 3, 3) if quick else (12, 4, 4)
+    nq, ns, nv = 12, 4, 4
     checks = [
         ("geometric-series identity for the unnested rank table",
          lambda: quot.verify_q_identity(nq, ns)),
@@ -287,7 +286,7 @@ def _identity_suite(quick):
         ("second-order operator identity for fixed small size 2",
          lambda: quot.verify_fq2_example(nq, ns)),
     ]
-    dmax, nmax = (3, 8) if quick else (4, 10)
+    dmax, nmax = 4, 10
     def oracle_one_gap():
         for D in range(dmax + 1):
             series = engine.fz_D(D, nmax)
@@ -307,10 +306,9 @@ def _identity_suite(quick):
         return True
     checks.append(("rank series equals the colouring oracle", oracle_coloured))
     def strata_close():
-        top = 12 if quick else 16
         return all(
             motives.motive_strata(n).total() == motives.gottsche_punctual(n)[n]
-            for n in range(4, top + 1)
+            for n in range(4, 17)
         )
     checks.append(("stratification closes on the punctual motive", strata_close))
     return checks
@@ -319,7 +317,7 @@ def _identity_suite(quick):
 def _cmd_verify(args):
     results = []
     all_ok = True
-    for name, check in _identity_suite(args.quick):
+    for name, check in _identity_suite():
         ok = bool(check())
         results.append({"name": name, "ok": ok})
         all_ok = all_ok and ok
@@ -422,7 +420,6 @@ def build_parser():
     p.set_defaults(func=_cmd_globalize)
 
     p = sub.add_parser("verify", help="run the full identity suite")
-    p.add_argument("--quick", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_verify)
 

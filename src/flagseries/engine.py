@@ -54,19 +54,6 @@ from math import comb
 from . import kernels
 from .series import QSeries, RationalForm
 
-__all__ = [
-    "fz_lambda",
-    "fz_D",
-    "fz_k",
-    "fz_ratio_lambda",
-    "fz_ratio_D",
-    "fz_ratio_k",
-    "partition_series",
-    "rational_form_lambda",
-    "rational_form_D",
-    "rational_form_k",
-]
-
 
 def partition_series(truncation: int) -> QSeries:
     """The partition generating function Z as a q-series."""
@@ -393,22 +380,25 @@ def _class_numerator(shape: SkewShape) -> list:
     return _horner(rows[budget], shape.size + 1)
 
 
-#: D -> exact numerators (P_0, ..., P_D); a smaller D is served from a
-#: larger entry.  Entries are only ever added, so callers need no lock.
-_numerators_cache: dict = {}
+#: The exact numerators (P_0, ..., P_D) of the last run; a run for D fills
+#: every d <= D.  A caller that spans gaps asks for its largest gap first,
+#: so one run serves the rest.  The table is replaced whole, in one
+#: assignment, so callers need no lock.
+_numerators: tuple = ()
 
 
 def _one_gap_numerators(D: int) -> tuple:
     """P_d with FZ_d / Z = P_d / prod_{i<=d} (1 - q^i), for every d <= D.
     A component of size s costs (s,) and has t <= s, so T <= d."""
-    for D2, nums in list(_numerators_cache.items()):
-        if D2 >= D:
-            return nums[: D + 1]
-    groups = {((s,), L): terms for (s, L), terms in _one_gap_groups(D).items()}
-    rows = _numerator_rows(groups, (D,), _gap_steps)
-    nums = ((1,),) + tuple(tuple(_horner(rows[d,], d + 1)) for d in range(1, D + 1))
-    _numerators_cache[D] = nums
-    return nums
+    global _numerators
+    nums = _numerators
+    if D >= len(nums):
+        groups = {((s,), L): terms for (s, L), terms in _one_gap_groups(D).items()}
+        rows = _numerator_rows(groups, (D,), _gap_steps)
+        nums = _numerators = ((1,),) + tuple(
+            tuple(_horner(rows[d,], d + 1)) for d in range(1, D + 1)
+        )
+    return nums[: D + 1]
 
 
 def _form_D(D: int) -> RationalForm:

@@ -20,24 +20,6 @@ from .series import LPoly, projective_space
 P1 = projective_space(1)
 P2 = projective_space(2)
 
-__all__ = [
-    "HSVector",
-    "StrataMotives",
-    "BASE_NESTED_MOTIVES",
-    "GLOBAL_PLANE_MOTIVES",
-    "a_coefficients",
-    "component_count",
-    "gottsche_punctual",
-    "hs_dimension",
-    "hs_motive_exponent",
-    "motive_2n",
-    "motive_3n",
-    "motive_Y1112",
-    "motive_strata",
-    "series_2bullet",
-    "series_3bullet",
-]
-
 
 @lru_cache(maxsize=None)
 def gottsche_punctual(order: int):

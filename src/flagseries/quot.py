@@ -28,16 +28,6 @@ from .engine import (
 from .partitions import coloured_flag_counts, enum_partitions
 from .series import QSeries, RationalForm, expand_dense, ps_inv, ps_mul
 
-__all__ = [
-    "q_rank_series",
-    "fq_rD",
-    "rational_form_rD",
-    "verify_q_identity",
-    "verify_fq_functional",
-    "verify_exponential_identity",
-    "verify_fq2_example",
-]
-
 
 def q_rank_series(r: int, truncation: int) -> QSeries:
     """Rank-r unnested series: the r-th power of the partition series."""
@@ -126,7 +116,7 @@ def fq_surface(nq: int, ns: int, nv: int) -> QSeries:
     """FQ(q, s, v) = sum_{r, D} FQ_{r,D}(q) s^r v^D in variables (s, v, q):
     one row per (r, D)."""
     rows = {(0, 0): [1]}
-    for D in range(nv + 1):
+    for D in range(nv, -1, -1):
         for r in range(1, ns + 1):
             rows[r, D] = fq_rD(r, D, nq).dense()
     return QSeries.from_rows(("s", "v", "q"), (ns, nv, nq), rows)
@@ -136,7 +126,7 @@ def _fz_qv(nq: int, ns: int, nv: int, normalized=False) -> QSeries:
     """FZ(q, v) = sum_D FZ_D(q) v^D in variables (s, v, q); with
     ``normalized`` the D-th coefficient is divided by Z."""
     fz = fz_ratio_D if normalized else fz_D
-    rows = {(0, D): fz(D, nq).dense() for D in range(nv + 1)}
+    rows = {(0, D): fz(D, nq).dense() for D in range(nv, -1, -1)}
     return QSeries.from_rows(("s", "v", "q"), (ns, nv, nq), rows)
 
 

@@ -97,8 +97,8 @@ class QSeries:
         return cls(variables, truncation, {zero_exp: 1})
 
     @classmethod
-    def monomial(cls, variables, truncation, exponents, coefficient=1):
-        return cls(variables, truncation, {tuple(exponents): coefficient})
+    def monomial(cls, variables, truncation, exponents):
+        return cls(variables, truncation, {tuple(exponents): 1})
 
     @classmethod
     def from_dense(cls, variable, coeffs, truncation=None):

@@ -14,15 +14,6 @@ from .partitions import nested_pair_counts
 from .quot import fq_rD
 from .series import QSeries, ps_mul, ps_pow
 
-__all__ = [
-    "DEL_PEZZO_TARGET",
-    "SurfaceProfile",
-    "SurfaceResolutionError",
-    "globalize",
-    "punctual_nested_table",
-    "resolve_dp6_exponent",
-]
-
 #: Published rank-6 global count on the sixth del Pezzo surface for the
 #: size vector (6, 12); used to pin down that surface's Euler characteristic
 #: empirically rather than trusting a naming convention.

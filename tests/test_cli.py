@@ -68,7 +68,7 @@ def test_corrupted_rank_form_fails_verify_and_globalize(monkeypatch, capsys):
     monkeypatch.setattr(quot, "rational_form_rD", corrupted)
     surfaces.punctual_nested_table.cache_clear()
     try:
-        assert main(["verify", "--quick"]) == 1
+        assert main(["verify"]) == 1
         argv = ["globalize", "--rank", "2", "--n1", "2", "--n2", "4", "--chi", "1"]
         assert main(argv) == 3
     finally:
@@ -108,7 +108,7 @@ def test_corrupted_construction_fails_its_verify_check(
     # each check compares two constructions, so breaking one of them is a
     # FAIL line and exit 1, not an internal error
     corrupt(monkeypatch)
-    assert main(["verify", "--quick"]) == 1
+    assert main(["verify"]) == 1
     out, err = capsys.readouterr()
     failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
     assert "FAIL " + check in failed
@@ -202,6 +202,8 @@ def test_internal_check_exit_code(capsys, monkeypatch, exc, code, prefix):
         ["oracle", "--nesting", "4,2"], ["oracle", "--nesting=-1,2"],
         ["motive", "--nesting", "3,2"], ["motive", "--nesting", "2,1"],
         ["motive", "--strata", "1"], ["motive", "--series", "4"],
+        ["fz", "--k", "1,,2"], ["oracle", "--nesting", "2,4,"],
+        ["verify", "--quick"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):
@@ -273,10 +275,26 @@ def test_globalize_rejects_negative_n1(capsys):
     assert "need 0 <= n1 <= n2, rank >= 1, chi >= 0" in capsys.readouterr().err
 
 
-def test_verify_quick(capsys):
-    code, payload = run_json(capsys, ["verify", "--quick"])
+def test_verify(capsys):
+    code, payload = run_json(capsys, ["verify"])
     assert code == 0
     assert payload["all_ok"] is True
+
+
+def test_verify_runs_the_numerator_recurrence_once(monkeypatch, capsys):
+    # the identities span the gaps 0..4 and ask for the largest first, so
+    # one run on (4,) fills the numerator table for every smaller gap
+    monkeypatch.setattr(engine, "_numerators", ((1,),))
+    budgets = []
+    original = engine._numerator_rows
+
+    def recording(groups, budget, steps):
+        budgets.append(budget)
+        return original(groups, budget, steps)
+
+    monkeypatch.setattr(engine, "_numerator_rows", recording)
+    assert main(["verify"]) == 0
+    assert budgets == [(4,)]
 
 
 def test_text_and_csv_formats(capsys):
@@ -402,7 +420,7 @@ def test_fq_loads_quot():
     [
         ["fq", "--r", "2", "--D", "3"],
         ["oracle", "--nesting", "2,4"],
-        ["verify", "--quick"],
+        ["verify"],
         ["globalize", "--rank", "1", "--n1", "2", "--n2", "4", "--chi", "1"],
     ],
 )
@@ -427,6 +445,15 @@ def test_package_exports_lazily():
         assert getattr(flagseries, name) is getattr(home, attribute), name
         assert name not in vars(flagseries), name
     assert flagseries.KERNEL_BACKEND is importlib.import_module("flagseries.kernels").BACKEND
+    # names that only a submodule's own list once declared
+    assert flagseries.SurfaceResolutionError is surfaces.SurfaceResolutionError
+    assert flagseries.DEL_PEZZO_TARGET == surfaces.DEL_PEZZO_TARGET
+    assert flagseries.StrataMotives is motives.StrataMotives
+    assert flagseries.motive_Y1112 is motives.motive_Y1112
+    assert flagseries.BASE_NESTED_MOTIVES is motives.BASE_NESTED_MOTIVES
+    assert flagseries.GLOBAL_PLANE_MOTIVES is motives.GLOBAL_PLANE_MOTIVES
+    for module in ("engine", "motives", "quot", "surfaces"):
+        assert not hasattr(importlib.import_module(f"flagseries.{module}"), "__all__")
     with pytest.raises(AttributeError, match="no_such_name"):
         flagseries.no_such_name
     assert not hasattr(flagseries, "_placement_terms")
