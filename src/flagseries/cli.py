@@ -22,7 +22,6 @@ import json
 import sys
 
 from . import engine
-from .series import lpoly_eval_at_one
 
 
 def _emit(args, payload, text_lines, csv_rows):
@@ -63,11 +62,8 @@ def _emit_form(args, payload, rf, rank, ratio_to):
     """Emit a rational form of (series / Z^rank) with the series prefix:
     the form expanded to ``--prefix`` with Z^rank in its denominator."""
     series = rf.expand(args.prefix, z_power=rank)
-    payload.update({
-        "numerator": list(rf.numerator),
-        "denominator": [[j, e] for j, e in sorted(rf.denominator.items())],
-        "series_prefix": [str(c) for c in series.dense()],
-    })
+    payload.update(rf.to_json_dict())
+    payload["series_prefix"] = [str(c) for c in series.dense()]
     text = [
         f"ratio to the {ratio_to}: {rf!r}",
         "series prefix: " + ", ".join(payload["series_prefix"]),
@@ -80,9 +76,6 @@ def _emit_form(args, payload, rf, rank, ratio_to):
 
 
 def _cmd_fz(args):
-    if (args.k is None) == (args.D is None):
-        print("choose one of --D / --k", file=sys.stderr)
-        return 2
     if args.k is not None:
         rf = engine.rational_form_k(args.k)
         payload = {"command": "fz", "k": args.k}
@@ -162,10 +155,6 @@ def _cmd_oracle(args):
 def _cmd_motive(args):
     from . import motives
 
-    chosen = [x is not None for x in (args.nesting, args.strata, args.series)]
-    if sum(chosen) != 1:
-        print("choose exactly one of --nesting / --strata / --series", file=sys.stderr)
-        return 2
     if args.nesting is not None:
         spec = tuple(args.nesting)
         if len(spec) != 2 or spec[0] not in (2, 3):
@@ -177,7 +166,7 @@ def _cmd_motive(args):
             "command": "motive",
             "nesting": [i, n],
             "motive": poly.to_json_list(),
-            "euler": str(lpoly_eval_at_one(poly)),
+            "euler": str(poly(1)),
         }
         text = [repr(poly), f"euler characteristic: {payload['euler']}"]
         rows = [["power", "coefficient"]] + [
@@ -186,33 +175,20 @@ def _cmd_motive(args):
         _emit(args, payload, text, rows)
         return 0
     if args.strata is not None:
-        n = args.strata
-        strata = motives.motive_strata(n)
+        strata = motives.motive_strata(args.strata)
+        total = strata.total()
+        named = [(name, getattr(strata, name))
+                 for name in ("curvilinear", "h1", "h2", "h3")]
         payload = {
             "command": "motive",
-            "strata": n,
-            "curvilinear": strata.curvilinear.to_json_list(),
-            "h1": strata.h1.to_json_list(),
-            "h2": strata.h2.to_json_list(),
+            "strata": args.strata,
             "h2_split": [p.to_json_list() for p in strata.h2_split],
-            "h3": strata.h3.to_json_list(),
-            "total": strata.total().to_json_list(),
+            "total": total.to_json_list(),
         }
-        text = [
-            f"curvilinear: {strata.curvilinear!r}",
-            f"h1: {strata.h1!r}",
-            f"h2: {strata.h2!r}",
-            f"h3: {strata.h3!r}",
-            f"total: {strata.total()!r}",
-        ]
+        payload.update((name, p.to_json_list()) for name, p in named)
+        text = [f"{name}: {p!r}" for name, p in named] + [f"total: {total!r}"]
         rows = [["stratum", "coefficients"]] + [
-            [name, " ".join(map(str, p.coefficients))]
-            for name, p in (
-                ("curvilinear", strata.curvilinear),
-                ("h1", strata.h1),
-                ("h2", strata.h2),
-                ("h3", strata.h3),
-            )
+            [name, " ".join(map(str, p.coefficients))] for name, p in named
         ]
         _emit(args, payload, text, rows)
         return 0
@@ -235,9 +211,6 @@ def _cmd_motive(args):
 def _cmd_globalize(args):
     from . import surfaces
 
-    if not 0 <= args.n1 <= args.n2 or args.rank < 1 or args.chi < 0:
-        print("need 0 <= n1 <= n2, rank >= 1, chi >= 0", file=sys.stderr)
-        return 2
     a, b = args.n1, args.n2
     if args.coeff is not None:
         if len(args.coeff) != 2:
@@ -380,9 +353,10 @@ def build_parser():
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("fz", help="one-gap or multi-gap flag series and rational form")
-    p.add_argument("--D", type=int, default=None, help="single gap size")
-    p.add_argument("--k", type=_parse_int_list, default=None,
-                   help="comma-separated gap vector, e.g. 1,2")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--D", type=int, help="single gap size")
+    mode.add_argument("--k", type=_parse_int_list,
+                      help="comma-separated gap vector, e.g. 1,2")
     p.add_argument("--prefix", type=_nonnegative_int, default=12,
                    help="highest degree of the emitted series prefix (>= 0)")
     common(p)
@@ -403,18 +377,19 @@ def build_parser():
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("motive", help="motivic classes for small nestings")
-    p.add_argument("--nesting", type=_parse_int_list, default=None)
-    p.add_argument("--strata", type=int, default=None)
-    p.add_argument("--series", type=int, choices=(2, 3), default=None)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--nesting", type=_parse_int_list)
+    mode.add_argument("--strata", type=int)
+    mode.add_argument("--series", type=int, choices=(2, 3))
     p.add_argument("--order", type=int, default=12)
     common(p)
     p.set_defaults(func=_cmd_motive)
 
     p = sub.add_parser("globalize", help="global nested counts for a surface")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--chi", type=int, required=True)
+    p.add_argument("--rank", type=_positive_int, required=True)
+    p.add_argument("--n1", type=_nonnegative_int, required=True)
+    p.add_argument("--n2", type=_nonnegative_int, required=True)
+    p.add_argument("--chi", type=_nonnegative_int, required=True)
     p.add_argument("--coeff", type=_parse_int_list, default=None)
     common(p)
     p.set_defaults(func=_cmd_globalize)

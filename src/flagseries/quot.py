@@ -37,15 +37,13 @@ def q_rank_series(r: int, truncation: int) -> QSeries:
 
 
 def _injections(r: int, parts) -> int:
-    """Ways to assign the multiset of gaps ``parts`` to r distinct colours."""
+    """Ways to assign the gaps of the partition ``parts`` to r distinct
+    colours."""
     l = len(parts)
     if l > r:
         return 0
     denom = 1
-    mult = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    for m in mult.values():
+    for m in parts.multiplicities().values():
         denom *= factorial(m)
     return perm(r, l) // denom
 

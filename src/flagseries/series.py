@@ -122,6 +122,10 @@ class QSeries:
         row, e = self.rows.get(exponents[:-1], ()), exponents[-1]
         return row[e] if 0 <= e < len(row) else 0
 
+    # Indexing returns 0 past the truncation, so the fallback iteration
+    # over __getitem__ would never end.
+    __iter__ = None
+
     def dense(self):
         """Dense coefficient list; only valid for single-variable series."""
         if len(self.variables) != 1:
@@ -179,26 +183,6 @@ class QSeries:
             f"QSeries({'/'.join(self.variables)} <= {self.truncation}; "
             f"{{{body}{more}}})"
         )
-
-    # -- serialization ------------------------------------------------
-
-    def to_json_dict(self):
-        terms = [
-            list(e) + [str(c)] for e, c in sorted(self.coefficients.items())
-        ]
-        return {
-            "variables": list(self.variables),
-            "truncation": list(self.truncation),
-            "terms": terms,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        coeffs = {}
-        for term in data["terms"]:
-            *exps, c = term
-            coeffs[tuple(exps)] = int(c)
-        return cls(data["variables"], data["truncation"], coeffs)
 
 
 def ps_add(a: QSeries, b: QSeries) -> QSeries:
@@ -363,10 +347,6 @@ class RationalForm:
             "denominator": [[j, e] for j, e in sorted(self.denominator.items())],
         }
 
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(data["numerator"], dict(map(tuple, data["denominator"])))
-
 
 class LPoly:
     """Polynomial in the Lefschetz class with exact integer coefficients."""
@@ -395,6 +375,9 @@ class LPoly:
 
     def __getitem__(self, i):
         return self.coefficients[i] if 0 <= i < len(self.coefficients) else 0
+
+    def __iter__(self):
+        return iter(self.coefficients)
 
     def __add__(self, other):
         other = _coerce_lpoly(other)
@@ -438,7 +421,8 @@ class LPoly:
         return isinstance(other, LPoly) and self.coefficients == other.coefficients
 
     def __hash__(self):
-        return hash(self.coefficients)
+        # A constant equals its int, so it hashes as that int.
+        return hash(self[0]) if self.degree < 1 else hash(self.coefficients)
 
     def __repr__(self):
         if self.is_zero():
@@ -457,10 +441,6 @@ class LPoly:
 
     def to_json_list(self):
         return [str(c) for c in self.coefficients]
-
-    @classmethod
-    def from_json_list(cls, data):
-        return cls([int(c) for c in data])
 
 
 def _coerce_lpoly(value):

@@ -203,7 +203,10 @@ def test_internal_check_exit_code(capsys, monkeypatch, exc, code, prefix):
         ["motive", "--nesting", "3,2"], ["motive", "--nesting", "2,1"],
         ["motive", "--strata", "1"], ["motive", "--series", "4"],
         ["fz", "--k", "1,,2"], ["oracle", "--nesting", "2,4,"],
-        ["verify", "--quick"],
+        ["verify", "--quick"], ["motive"],
+        ["globalize", "--rank", "0", "--n1", "1", "--n2", "2", "--chi", "1"],
+        ["globalize", "--rank", "1", "--n1", "1", "--n2", "2", "--chi", "-1"],
+        ["globalize", "--rank", "1", "--n1", "3", "--n2", "2", "--chi", "1"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):
@@ -248,7 +251,10 @@ def test_motive_series_order_bounds(capsys, series):
 
 
 def test_motive_requires_one_mode(capsys):
-    assert main(["motive", "--nesting", "2,4", "--strata", "5"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["motive", "--nesting", "2,4", "--strata", "5"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --nesting" in capsys.readouterr().err
 
 
 def test_globalize(capsys):
@@ -271,8 +277,10 @@ def test_globalize_rejects_coeff_outside_table(capsys, coeff):
 
 def test_globalize_rejects_negative_n1(capsys):
     argv = ["globalize", "--rank", "1", "--n1", "-1", "--n2", "3", "--chi", "1"]
-    assert main(argv) == 2
-    assert "need 0 <= n1 <= n2, rank >= 1, chi >= 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --n1: expected an integer >= 0" in capsys.readouterr().err
 
 
 def test_verify(capsys):
@@ -544,8 +552,10 @@ def test_guard_applies_to_k_only():
 
 
 def test_fz_rejects_D_with_k(capsys):
-    assert main(["fz", "--D", "2", "--k", "1"]) == 2
-    assert capsys.readouterr().err == "choose one of --D / --k\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["fz", "--D", "2", "--k", "1"])
+    assert exc.value.code == 2
+    assert "argument --k: not allowed with argument --D" in capsys.readouterr().err
 
 
 def test_prefix_must_be_nonnegative(monkeypatch):

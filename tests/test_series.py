@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -305,13 +307,11 @@ def test_expand_with_a_power_of_z():
 
 
 def test_rational_form_json_round_trip():
-    rf = RationalForm([3, -1, -1], {1: 1, 2: 1, 3: 1})
-    assert RationalForm.from_json_dict(rf.to_json_dict()) == rf
-
-
-def test_qseries_json_round_trip():
-    z = ps_pow(partition_series(8), 2)
-    assert QSeries.from_json_dict(z.to_json_dict()) == z
+    rf = RationalForm([3, -1, -1], {3: 1, 1: 1, 2: 1})
+    assert rf.to_json_dict() == {
+        "numerator": [3, -1, -1],
+        "denominator": [[1, 1], [2, 1], [3, 1]],
+    }
 
 
 def test_lpoly_eval_examples():
@@ -326,7 +326,28 @@ def test_lpoly_arithmetic():
     assert (p - p).is_zero()
     assert p.degree == 2
     assert p.leading_coefficient == 1
-    assert LPoly.from_json_list(p.to_json_list()) == p
+    assert p.to_json_list() == ["1", "2", "1"]
+    assert LPoly().to_json_list() == []
+
+
+def test_lpoly_iterates_over_its_coefficients():
+    p = LPoly((1, 2))
+    assert list(itertools.islice(iter(p), 5)) == [1, 2]
+    assert LPoly(p) == p
+    assert 2 in p and 0 not in p
+
+
+def test_qseries_is_not_iterable():
+    # indexing returns 0 past the truncation, so iteration would not end
+    with pytest.raises(TypeError):
+        iter(partition_series(2))
+
+
+def test_constant_lpoly_hashes_as_its_int():
+    assert hash(LPoly((3,))) == hash(3)
+    assert hash(LPoly()) == hash(0)
+    assert {3: "x"}[LPoly((3,))] == "x"
+    assert len({LPoly((3,)), 3}) == 1
 
 
 def test_lpoly_rejects_floats():
