@@ -3,11 +3,12 @@ Hilbert and Quot schemes of points on surfaces, their closed rational
 forms, motivic refinements for small nestings, and globalization to
 arbitrary surfaces at the Euler level.
 
-The names below are exported lazily (PEP 562): ``flagseries.fz_D`` imports
-:mod:`flagseries.engine` on first use, so a caller, the command line
-included, loads only the modules it runs.  The value is looked up in its
-home module on every access, never copied into this namespace, so a name
-rebound in its home module is seen here too.
+The names below are exported lazily (PEP 562):
+``flagseries.rational_form`` imports :mod:`flagseries.engine` on first
+use, so a caller, the command line included, loads only the modules it
+runs.  The value is looked up in its home module on every access, never
+copied into this namespace, so a name rebound in its home module is seen
+here too.
 """
 
 import importlib
@@ -15,15 +16,8 @@ import importlib
 #: home module -> names it exports here: the one list of public names
 _HOMES = {
     "engine": (
-        "fz_D",
-        "fz_k",
-        "fz_lambda",
-        "fz_ratio_D",
-        "fz_ratio_k",
-        "fz_ratio_lambda",
         "partition_series",
-        "rational_form_D",
-        "rational_form_k",
+        "rational_form",
         "rational_form_lambda",
     ),
     "motives": (
@@ -55,9 +49,6 @@ _HOMES = {
         "partition_count",
     ),
     "quot": (
-        "fq_rD",
-        "q_rank_series",
-        "rational_form_rD",
         "verify_exponential_identity",
         "verify_fq2_example",
         "verify_fq_functional",
@@ -68,7 +59,6 @@ _HOMES = {
         "LPoly",
         "QSeries",
         "RationalForm",
-        "lpoly_eval_at_one",
         "projective_space",
         "ps_add",
         "ps_inv",

@@ -44,6 +44,13 @@ def _parse_int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
 
 
+def _gap_vector(text):
+    gaps = _parse_int_list(text)
+    if sum(gaps) < 1:
+        raise argparse.ArgumentTypeError(f"expected a gap sum >= 1: {text!r}")
+    return gaps
+
+
 def _positive_int(text):
     value = int(text)
     if value < 1:
@@ -77,18 +84,16 @@ def _emit_form(args, payload, rf, rank, ratio_to):
 
 def _cmd_fz(args):
     if args.k is not None:
-        rf = engine.rational_form_k(args.k)
+        rf = engine.rational_form(args.k)
         payload = {"command": "fz", "k": args.k}
     else:
-        rf = engine.rational_form_D(args.D)
+        rf = engine.rational_form((args.D,))
         payload = {"command": "fz", "D": args.D}
     return _emit_form(args, payload, rf, 1, "partition series")
 
 
 def _cmd_fq(args):
-    from . import quot
-
-    rf = quot.rational_form_rD(args.r, args.D)
+    rf = engine.rational_form((args.D,), args.r)
     payload = {"command": "fq", "r": args.r, "D": args.D}
     return _emit_form(
         args, payload, rf, args.r, f"rank-{args.r} partition series power"
@@ -262,7 +267,7 @@ def _identity_suite():
     dmax, nmax = 4, 10
     def oracle_one_gap():
         for D in range(dmax + 1):
-            series = engine.fz_D(D, nmax)
+            series = engine.rational_form((D,)).expand(nmax, z_power=1)
             for n in range(nmax + 1):
                 if series[(n,)] != count_nested_flags((n, n + D)):
                     return False
@@ -272,7 +277,7 @@ def _identity_suite():
         for r in (2, 3):
             oracle = coloured_flag_counts(r, (6, 8))
             for D in range(3):
-                series = quot.fq_rD(r, D, 6)
+                series = engine.rational_form((D,), r).expand(6, z_power=r)
                 for n in range(7):
                     if series[(n,)] != oracle[(n, n + D)]:
                         return False
@@ -309,14 +314,14 @@ def _cmd_tables(args):
     one_gap = {}
     # Largest gap first: one numerator run then serves every smaller gap.
     for D in range(args.max_gap, 0, -1):
-        rf = engine.rational_form_D(D)
+        rf = engine.rational_form((D,))
         one_gap[str(D)] = rf.to_json_dict()
     multi = {}
     for k in (
         (1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1),
         (1, 2), (2, 1), (2, 2),
     ):
-        rf = engine.rational_form_k(k)
+        rf = engine.rational_form(k)
         multi[",".join(map(str, k))] = rf.to_json_dict()
 
     outdir = pathlib.Path(args.out)
@@ -354,8 +359,8 @@ def build_parser():
 
     p = sub.add_parser("fz", help="one-gap or multi-gap flag series and rational form")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--D", type=int, help="single gap size")
-    mode.add_argument("--k", type=_parse_int_list,
+    mode.add_argument("--D", type=_positive_int, help="single gap size")
+    mode.add_argument("--k", type=_gap_vector,
                       help="comma-separated gap vector, e.g. 1,2")
     p.add_argument("--prefix", type=_nonnegative_int, default=12,
                    help="highest degree of the emitted series prefix (>= 0)")

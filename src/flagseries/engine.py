@@ -35,8 +35,10 @@ Summing the geometric series in j turns the DP into one exact integer
 recurrence (:func:`_numerator_rows`) for the numerators over
 prod_{i<=K} (1 - q^i) of the one-gap, multi-gap and single-shape ratios:
 no truncation, no guard and no degree bound.  A connected shape also has
-a closed q-beta form.  Series callers expand a form to the order they
-need.
+a closed q-beta form.  :func:`rational_form` is the one constructor of a
+gap-vector form, any rank, and :func:`rational_form_lambda` that of a
+single shape; a series is its form expanded with Z^r to the order asked
+for.
 
 The truncated DP :func:`_relative_dense` (with :class:`PlacementWeight`,
 :func:`_shape_groups` and :func:`_compute_relative_dense`) runs on no
@@ -176,19 +178,6 @@ def _compute_relative_dense(shape: SkewShape, n: int) -> list:
     """(flag series / partition series) for one shape class, dense to n."""
     groups, budget = _shape_groups(shape)
     return _relative_dense(groups, budget, n)[budget]
-
-
-def fz_ratio_lambda(shape: SkewShape, truncation: int) -> QSeries:
-    """The ratio (insertion series of ``shape``) / (partition series),
-    expanded from its exact form."""
-    return rational_form_lambda(shape).expand(truncation)
-
-
-def fz_lambda(shape: SkewShape, truncation: int) -> QSeries:
-    """Series whose q^m coefficient counts insertions of ``shape`` into all
-    partitions of size m (pairs nu c mu with difference class ``shape``):
-    the exact form of the ratio, expanded with Z."""
-    return rational_form_lambda(shape).expand(truncation, z_power=1)
 
 
 def _grow_add(dst: list, src, shift: int, coef: int = 1) -> None:
@@ -401,44 +390,6 @@ def _one_gap_numerators(D: int) -> tuple:
     return nums[: D + 1]
 
 
-def _form_D(D: int) -> RationalForm:
-    """The exact form of FZ_D / Z for every D >= 0; D = 0 gives 1."""
-    if D < 0:
-        raise ValueError("D must be nonnegative")
-    return RationalForm(_one_gap_numerators(D)[D], dict.fromkeys(range(1, D + 1), 1))
-
-
-def fz_ratio_D(D: int, truncation: int) -> QSeries:
-    """FZ_D / Z (the sum of shape ratios over all classes of size D),
-    expanded from its exact form."""
-    return _form_D(D).expand(truncation)
-
-
-def fz_D(D: int, truncation: int) -> QSeries:
-    """Series whose q^n coefficient is the number of nested partition pairs
-    of sizes (n, n+D); equivalently the Euler characteristic of the punctual
-    nested Hilbert scheme with that size vector."""
-    return _form_D(D).expand(truncation, z_power=1)
-
-
-def _form_k(block_sizes) -> RationalForm:
-    """The exact form of FZ_k / Z; a gap vector of zeros gives 1."""
-    if not any(block_sizes):
-        return RationalForm((1,), {})
-    return rational_form_k(block_sizes)
-
-
-def fz_ratio_k(block_sizes, truncation: int) -> QSeries:
-    """FZ_k / Z, expanded from its exact rational form."""
-    return _form_k(block_sizes).expand(truncation)
-
-
-def fz_k(block_sizes, truncation: int) -> QSeries:
-    """Series whose q^n coefficient counts nested chains of partitions with
-    sizes (n, n+k_1, n+k_1+k_2, ...)."""
-    return _form_k(block_sizes).expand(truncation, z_power=1)
-
-
 def rational_form_lambda(shape: SkewShape) -> RationalForm:
     """Closed rational form of the single-shape ratio, exact.
 
@@ -459,13 +410,6 @@ def rational_form_lambda(shape: SkewShape) -> RationalForm:
     for i in range(1, min(L, V)):
         numerator = _times_one_minus(numerator, i)
     return RationalForm(numerator, dict.fromkeys(range(max(L, V), L + V), 1))
-
-
-def rational_form_D(D: int) -> RationalForm:
-    """Closed rational form of FZ_D / Z over prod_{j=1}^{D} (1 - q^j), exact."""
-    if D < 1:
-        raise ValueError("D must be positive")
-    return _form_D(D)
 
 
 def _component_groups(costs) -> dict:
@@ -493,26 +437,40 @@ def _component_groups(costs) -> dict:
     return groups
 
 
-def rational_form_k(block_sizes) -> RationalForm:
-    """Closed rational form of FZ_k / Z over prod_{j=1}^{K} (1 - q^j), exact.
+def rational_form(k, r: int = 1) -> RationalForm:
+    """The exact form of FQ_{r,k} / Z^r: the rank-r series of nested chains
+    with nonnegative gap vector ``k``, over the r-th power of Z.
 
-    A chain of order ideals of a disjoint union is one chain per component,
-    and the level sizes add, so this is one run of the placement recurrence
-    over the compressed gap budget k: a connected component spends a vector
-    c <= k and weighs its number of fillings with content c.  Placements
-    are ordered by offset, so no symmetry factor enters.  Every sub-budget
-    is a sub-vector of k, so the steps from k name every cost.  With one
-    nonzero gap every component has one filling: the one-gap form.
+    Zero gaps add no box, so they are dropped, and a zero vector gives the
+    form 1.  At r = 1 the denominator is prod_{j=1}^{K} (1 - q^j), K = sum(k):
+    one nonzero gap takes the one-gap numerators, and several run the
+    placement recurrence once over the compressed gap budget, where a
+    connected component spends a vector c <= k and weighs its number of
+    fillings with content c (a chain of order ideals of a disjoint union is
+    one chain per component, and the level sizes add; placements are
+    ordered by offset, so no symmetry factor enters).  At r > 1 one nonzero
+    gap D is the rank-r sum ``quot.rational_form_rD(r, D)``, and several
+    raise ``ValueError``.  ``rational_form(k, r).expand(n, z_power=r)`` is
+    the series, and ``z_power=0`` the ratio.
     """
-    block_sizes = tuple(int(x) for x in block_sizes)
-    if any(x < 0 for x in block_sizes):
+    k = tuple(int(x) for x in k)
+    if any(x < 0 for x in k):
         raise ValueError("gap sizes must be nonnegative")
-    K = sum(block_sizes)
-    if K < 1:
-        raise ValueError("the gap sizes must sum to at least 1")
-    budget = _compress(block_sizes)
+    if r < 1:
+        raise ValueError("rank must be positive")
+    budget = _compress(k)
+    if not budget:
+        return RationalForm((1,), {})
+    K = sum(budget)
+    if r > 1:
+        if len(budget) > 1:
+            raise ValueError("a rank above 1 takes a single nonzero gap")
+        from .quot import rational_form_rD  # fz loads no quot
+
+        return rational_form_rD(r, K)
+    denominator = dict.fromkeys(range(1, K + 1), 1)
     if len(budget) == 1:
-        return rational_form_D(K)
+        return RationalForm(_one_gap_numerators(K)[K], denominator)
     groups = _component_groups({cost for cost, _ in _gap_steps(budget)})
     rows = _numerator_rows(groups, budget, _gap_steps)
-    return RationalForm(_horner(rows[budget], K + 1), {j: 1 for j in range(1, K + 1)})
+    return RationalForm(_horner(rows[budget], K + 1), denominator)

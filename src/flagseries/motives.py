@@ -293,9 +293,10 @@ BASE_NESTED_MOTIVES = {
 
 #: Global nested classes of the affine plane, recorded for reference only;
 #: their Euler specialization (L -> 1) must match the punctual flag counts
-#: because the plane has Euler characteristic 1.
+#: because the plane has Euler characteristic 1, and their values at L = q
+#: the F_q point counts summed over the support types of the subscheme.
 GLOBAL_PLANE_MOTIVES = {
     (0, 2): P1 * L**3,
-    (1, 3): LPoly((-1, -1, 0, 2, 3)) * L**2,
+    (1, 3): LPoly((0, 0, 0, -1, 1, 2, 1)),
 }
 

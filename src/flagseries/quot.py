@@ -4,13 +4,14 @@ to the rank-one theory.
 The rank-r count with one gap D splits over r-tuples of gaps summing to D,
 so every rank-r series is a polynomial expression in the rank-one series.
 :func:`rational_form_rD` builds that expression exactly, from products of
-the one-gap numerators over one canonical denominator, and every rank-r
-series is expanded from it, as the one-gap series are from theirs.  The
-verify_* routines check the closed functional equations; each builds both
-sides independently and compares coefficients exactly.  In the functional
-equation and the exponential identity one side is built from these exact
-forms and the other from the rank-one series, so both referee the forms
-that ``fq`` prints.
+the one-gap numerators over one canonical denominator.  It is the rank-r
+case of ``engine.rational_form((D,), r)``, the one constructor, and every
+series here is such a form expanded with Z^r.  The verify_* routines check
+the closed functional equations; each builds both sides independently and
+compares coefficients exactly.  In the functional equation and the
+exponential identity one side is built from these exact forms and the
+other from the rank-one series, so both referee the forms that ``fq``
+prints.
 """
 
 from __future__ import annotations
@@ -22,18 +23,10 @@ from .engine import (
     _mul,
     _one_gap_numerators,
     _times_one_minus,
-    fz_D,
-    fz_ratio_D,
+    rational_form,
 )
 from .partitions import coloured_flag_counts, enum_partitions
 from .series import QSeries, RationalForm, expand_dense, ps_inv, ps_mul
-
-
-def q_rank_series(r: int, truncation: int) -> QSeries:
-    """Rank-r unnested series: the r-th power of the partition series."""
-    if r < 0:
-        raise ValueError("rank must be nonnegative")
-    return RationalForm((1,), {}).expand(truncation, z_power=r)
 
 
 def _injections(r: int, parts) -> int:
@@ -48,17 +41,10 @@ def _injections(r: int, parts) -> int:
     return perm(r, l) // denom
 
 
+# fq_rD and rational_form_rD stay public only because perfbench/child.py calls them.
 def fq_rD(r: int, D: int, truncation: int) -> QSeries:
-    """Series whose q^n coefficient counts r-coloured nested pairs of sizes
-    (n, n+D): the exact form of FQ_{r,D} / Z^r expanded with Z^r.  D = 0
-    gives Z^r."""
-    if r < 1:
-        raise ValueError("rank must be positive")
-    if D < 0:
-        raise ValueError("D must be nonnegative")
-    if D == 0:
-        return q_rank_series(r, truncation)
-    return rational_form_rD(r, D).expand(truncation, z_power=r)
+    """FQ_{r,D} to q^truncation: ``rational_form((D,), r)`` times Z^r."""
+    return rational_form((D,), r).expand(truncation, z_power=r)
 
 
 def rational_form_rD(r: int, D: int) -> RationalForm:
@@ -116,15 +102,17 @@ def fq_surface(nq: int, ns: int, nv: int) -> QSeries:
     rows = {(0, 0): [1]}
     for D in range(nv, -1, -1):
         for r in range(1, ns + 1):
-            rows[r, D] = fq_rD(r, D, nq).dense()
+            rows[r, D] = rational_form((D,), r).expand(nq, z_power=r).dense()
     return QSeries.from_rows(("s", "v", "q"), (ns, nv, nq), rows)
 
 
-def _fz_qv(nq: int, ns: int, nv: int, normalized=False) -> QSeries:
-    """FZ(q, v) = sum_D FZ_D(q) v^D in variables (s, v, q); with
-    ``normalized`` the D-th coefficient is divided by Z."""
-    fz = fz_ratio_D if normalized else fz_D
-    rows = {(0, D): fz(D, nq).dense() for D in range(nv, -1, -1)}
+def _fz_qv(nq: int, ns: int, nv: int, z_power: int) -> QSeries:
+    """sum_D (FZ_D / Z) Z^z_power v^D in variables (s, v, q): FZ(q, v) at
+    ``z_power`` 1, and its D-th coefficients divided by Z at 0."""
+    rows = {
+        (0, D): rational_form((D,)).expand(nq, z_power=z_power).dense()
+        for D in range(nv, -1, -1)
+    }
     return QSeries.from_rows(("s", "v", "q"), (ns, nv, nq), rows)
 
 
@@ -134,7 +122,7 @@ def verify_fq_functional(nq: int, ns: int, nv: int) -> bool:
     trunc = (ns, nv, nq)
     lhs = fq_surface(nq, ns, nv)
     one = QSeries.one(variables, trunc)
-    fz = _fz_qv(nq, ns, nv)
+    fz = _fz_qv(nq, ns, nv, z_power=1)
     s = QSeries.monomial(variables, trunc, (1, 0, 0))
     rhs = ps_inv(one - ps_mul(fz, s))
     return lhs == rhs
@@ -168,7 +156,7 @@ def verify_exponential_identity(nq: int, ns: int, nv: int) -> bool:
     variables = ("s", "v", "q")
     trunc = (ns, nv, nq)
     lhs = fq_surface(nq, ns, nv)
-    gaps = _fz_qv(nq, ns, nv, normalized=True) - QSeries.one(variables, trunc)
+    gaps = _fz_qv(nq, ns, nv, z_power=0) - QSeries.one(variables, trunc)
     q_big = QSeries.from_rows(
         variables, trunc, {(r, 0): row for (r,), row in q_surface(nq, ns).rows.items()}
     )

@@ -317,13 +317,6 @@ class RationalForm:
     def numerator_degree(self):
         return len(self.numerator) - 1 if self.numerator else -1
 
-    def numerator_value(self, x):
-        """Evaluate the numerator polynomial at an integer point."""
-        acc = 0
-        for c in reversed(self.numerator):
-            acc = acc * x + c
-        return acc
-
     def expand(self, truncation, z_power=0):
         """The q-series of this form times Z^z_power, up to ``truncation``:
         one :func:`expand_dense` run, with Z's power in the denominator."""
@@ -460,8 +453,3 @@ def projective_space(n: int) -> LPoly:
     if n < 0:
         raise ValueError("dimension must be nonnegative")
     return LPoly((1,) * (n + 1))
-
-
-def lpoly_eval_at_one(p: LPoly) -> int:
-    """Sum of coefficients: the Euler-characteristic specialization."""
-    return sum(p.coefficients)

@@ -10,8 +10,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
+from .engine import rational_form
 from .partitions import nested_pair_counts
-from .quot import fq_rD
 from .series import QSeries, ps_mul, ps_pow
 
 #: Published rank-6 global count on the sixth del Pezzo surface for the
@@ -56,7 +56,7 @@ def punctual_nested_table(rank: int, max1: int, max2: int) -> QSeries:
     table = ps_pow(QSeries(("q1", "q2"), (max1, max2), single), rank)
     # Largest gap first: its one-gap numerators serve every smaller gap.
     for gap in range(max2 - max1, -1, -1):
-        engine_side = fq_rD(rank, gap, max1)
+        engine_side = rational_form((gap,), rank).expand(max1, z_power=rank)
         for a in range(max1 + 1):
             if a + gap > max2:
                 break

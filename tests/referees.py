@@ -23,8 +23,7 @@ from flagseries.engine import (
     _class_numerator,
     _compute_relative_dense,
     _grow_add,
-    fz_D,
-    fz_ratio_D,
+    rational_form,
 )
 from flagseries.partitions import contains, enum_partitions
 from flagseries.series import QSeries, RationalForm
@@ -247,7 +246,7 @@ def ratio_rD_dense(r: int, D: int, n: int) -> list:
     one-gap rows FZ_d / Z: each gap multiset lam, with multiplicities m_i,
     can be given distinct colours in r! / ((r - len(lam))! prod_i m_i!) ways."""
     # Largest gap first: its numerators then serve every smaller row.
-    rows = {d: fz_ratio_D(d, n).dense() for d in range(D, -1, -1)}
+    rows = {d: rational_form((d,)).expand(n).dense() for d in range(D, -1, -1)}
     acc = [0] * (n + 1)
     for lam in enum_partitions(D):
         if len(lam) > r:
@@ -266,7 +265,7 @@ def fq_rD_via_generating(r: int, D: int, truncation: int) -> QSeries:
     """FQ_{r,D} extracted as the v^D coefficient of (sum_d FZ_d v^d)^r."""
     n = truncation
     # dense-in-v list of dense-in-q lists
-    fz = [fz_D(d, n).dense() for d in range(D + 1)]
+    fz = [rational_form((d,)).expand(n, z_power=1).dense() for d in range(D + 1)]
     power = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(D)]
     for _ in range(r):
         nxt = [[0] * (n + 1) for _ in range(D + 1)]

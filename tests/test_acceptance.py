@@ -8,13 +8,7 @@ read captured output) for the per-criterion report.
 import itertools
 import time
 
-from flagseries.engine import (
-    fz_D,
-    fz_k,
-    partition_series,
-    rational_form_D,
-    rational_form_k,
-)
+from flagseries.engine import partition_series, rational_form
 from flagseries.motives import (
     component_count,
     gottsche_punctual,
@@ -30,7 +24,6 @@ from flagseries.partitions import (
     partition_count,
 )
 from flagseries.quot import (
-    fq_rD,
     verify_exponential_identity,
     verify_fq2_example,
     verify_fq_functional,
@@ -104,12 +97,12 @@ def test_criterion_1_one_gap_tables():
     def body():
         start = time.time()
         for D in range(1, 9):
-            rf = rational_form_D(D)
+            rf = rational_form((D,))
             assert list(rf.numerator) == PUBLISHED_ONE_GAP[D], D
             assert rf.denominator == {j: 1 for j in range(1, D + 1)}
         small_elapsed = time.time() - start
         for D in (9, 10):
-            rf = rational_form_D(D)
+            rf = rational_form((D,))
             assert list(rf.numerator) == PUBLISHED_ONE_GAP[D], D
         total_elapsed = time.time() - start
         assert small_elapsed < 60, "gaps up to 8 expected well under a minute"
@@ -123,10 +116,10 @@ def test_criterion_2_multi_gap_tables():
         order = 40
         z = partition_series(order)
         for k, (num, den) in PUBLISHED_MULTI_GAP.items():
-            rf = rational_form_k(k)
+            rf = rational_form(k)
             published = RationalForm(num, den).expand(order)
             assert rf.expand(order) == published, k
-            assert fz_k(k, order) == ps_mul(published, z), k
+            assert rf.expand(order, z_power=1) == ps_mul(published, z), k
 
     report(2, "published multi-gap ratios re-expand equal, order 40", body)
 
@@ -134,14 +127,14 @@ def test_criterion_2_multi_gap_tables():
 def test_criterion_3_oracle_equivalence():
     def body():
         for D in range(5):
-            series = fz_D(D, 12)
+            series = rational_form((D,)).expand(12, z_power=1)
             for n in range(13):
                 assert series[(n,)] == count_nested_flags((n, n + D)), (D, n)
         for length in range(1, 5):
             for gaps in itertools.product(range(5), repeat=length):
                 if sum(gaps) > 4:
                     continue
-                series = fz_k(gaps, 10)
+                series = rational_form(gaps).expand(10, z_power=1)
                 for n in range(11):
                     sizes = [n]
                     for g in gaps:
@@ -155,10 +148,10 @@ def test_criterion_4_special_value_laws():
     def body():
         p = partition_count
         for D in range(1, 11):
-            rf = rational_form_D(D)
+            rf = rational_form((D,))
             num = list(rf.numerator) + [0] * 4
             assert num[0] == p(D), D
-            assert rf.numerator_value(1) == 1, D
+            assert sum(rf.numerator) == 1, D
             assert num[1] == p(D + 1) - 2 * p(D), D
             if D >= 2:
                 assert num[2] == 2 * p(D + 2) - 2 * p(D + 1) - p(D) - 2, D
@@ -187,7 +180,7 @@ def test_criterion_6_coloured_oracle():
         for r in (1, 2, 3):
             oracle = coloured_flag_counts(r, (10, 13))
             for D in range(4):
-                series = fq_rD(r, D, 10)
+                series = rational_form((D,), r).expand(10, z_power=r)
                 for n in range(11):
                     assert series[(n,)] == oracle[(n, n + D)], (r, D, n)
 
@@ -281,10 +274,10 @@ def test_criterion_9a_transposition_invariance():
 def test_criterion_9b_degree_bounds():
     def body():
         for D in range(1, 11):
-            rf = rational_form_D(D)
+            rf = rational_form((D,))
             assert rf.numerator_degree <= rational_form_degree_bound(D), D
         for k in PUBLISHED_MULTI_GAP:
-            rf = rational_form_k(k)
+            rf = rational_form(k)
             assert rf.numerator_degree <= rational_form_k_degree_bound(sum(k))
 
     report("9b", "every extracted numerator respects its degree bound", body)
@@ -303,7 +296,7 @@ def test_criterion_9c_shape_value_laws():
                 assert (rf.numerator[0] if rf.numerator else 0) == (
                     1 if shape.is_straight() else 0
                 ), shape
-                assert rf.numerator_value(1) == (
+                assert sum(rf.numerator) == (
                     1 if shape.is_disjoint_boxes() else 0
                 ), shape
 

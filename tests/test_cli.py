@@ -188,7 +188,7 @@ def test_internal_check_exit_code(capsys, monkeypatch, exc, code, prefix):
     def broken(*args, **kwargs):
         raise exc("closed form disagrees with termwise build")
 
-    monkeypatch.setattr(engine, "rational_form_D", broken)
+    monkeypatch.setattr(engine, "rational_form", broken)
     assert main(["fz", "--D", "3"]) == code
     err = capsys.readouterr().err
     assert err == prefix + "closed form disagrees with termwise build\n"
@@ -562,8 +562,7 @@ def test_prefix_must_be_nonnegative(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a form was computed before --prefix was checked")
 
-    monkeypatch.setattr(engine, "rational_form_D", unreachable)
-    monkeypatch.setattr(engine, "rational_form_k", unreachable)
+    monkeypatch.setattr(engine, "rational_form", unreachable)
     for argv in (
         ["fz", "--D", "2", "--prefix", "-1"],
         ["fz", "--k", "1,1", "--prefix", "-1"],

@@ -4,22 +4,15 @@ from math import comb
 
 import pytest
 
-from flagseries import engine
+from flagseries import engine, quot
 from flagseries.engine import (
     _one_gap_groups,
-    fz_D,
-    fz_k,
-    fz_lambda,
-    fz_ratio_D,
-    fz_ratio_k,
-    fz_ratio_lambda,
     partition_series,
-    rational_form_D,
-    rational_form_k,
+    rational_form,
     rational_form_lambda,
 )
 from flagseries.partitions import count_nested_flags, partition_count
-from flagseries.series import QSeries, RationalForm, ps_mul
+from flagseries.series import QSeries, RationalForm, ps_mul, ps_pow
 from flagseries.shapes import SkewShape, enum_connected_skew
 import referees
 from referees import (
@@ -44,52 +37,55 @@ def expand_ratio(numerator, denominator, n):
 
 
 def test_fz_lambda_single_box():
-    assert fz_lambda(BOX, 4).dense() == [1, 2, 4, 7, 12]
+    series = rational_form_lambda(BOX).expand(4, z_power=1)
+    assert series.dense() == [1, 2, 4, 7, 12]
 
 
 def test_fz_lambda_horizontal_domino():
-    assert fz_lambda(H_DOMINO, 4).dense() == [1, 1, 3, 4, 8]
+    series = rational_form_lambda(H_DOMINO).expand(4, z_power=1)
+    assert series.dense() == [1, 1, 3, 4, 8]
 
 
 def test_fz_lambda_two_boxes():
     n = 16
     expected = ps_mul(expand_ratio([0, 1], {1: 1, 2: 1}, n), partition_series(n))
-    assert fz_lambda(TWO_BOXES, n) == expected
+    assert rational_form_lambda(TWO_BOXES).expand(n, z_power=1) == expected
 
 
 def test_fz_lambda_matches_insertion_oracle():
     for D in range(1, 5):
         for shape in enum_skew_classes(D):
-            series = fz_lambda(shape, 8)
+            series = rational_form_lambda(shape).expand(8, z_power=1)
             for m in range(9):
                 assert series[(m,)] == insertion_count(shape, m), shape
 
 
 def test_fz_D_zero_is_partition_series():
-    assert fz_D(0, 12) == partition_series(12)
+    assert rational_form((0,)).expand(12, z_power=1) == partition_series(12)
 
 
 def test_fz_D2_ratio():
     n = 24
-    assert fz_ratio_D(2, n) == expand_ratio([2, -1], {1: 1, 2: 1}, n)
+    assert rational_form((2,)).expand(n) == expand_ratio([2, -1], {1: 1, 2: 1}, n)
 
 
 def test_fz_D4_matches_flag_oracle():
-    series = fz_D(4, 12)
+    series = rational_form((4,)).expand(12, z_power=1)
     for n in range(13):
         assert series[(n,)] == count_nested_flags((n, n + 4))
 
 
 def test_fz_k_single_step_consistency():
     for D in range(4):
-        assert fz_k((D,), 14) == fz_D(D, 14)
-    assert fz_k((), 10) == partition_series(10)
+        series = rational_form((D,)).expand(14, z_power=1)
+        assert rational_form((0, D)).expand(14, z_power=1) == series
+    assert rational_form(()).expand(10, z_power=1) == partition_series(10)
 
 
 def test_fz_k_one_one():
     n = 24
     expected = ps_mul(expand_ratio([2], {1: 1, 2: 1}, n), partition_series(n))
-    assert fz_k((1, 1), n) == expected
+    assert rational_form((1, 1)).expand(n, z_power=1) == expected
 
 
 def test_fz_k_two_one():
@@ -97,7 +93,7 @@ def test_fz_k_two_one():
     expected = ps_mul(
         expand_ratio([4, -1, 2, -2], {1: 1, 2: 1, 3: 1}, n), partition_series(n)
     )
-    assert fz_k((2, 1), n) == expected
+    assert rational_form((2, 1)).expand(n, z_power=1) == expected
 
 
 def test_rational_form_lambda_vertical_strip():
@@ -141,26 +137,26 @@ def test_rational_form_lambda_all_small_shapes():
             den_deg = sum(j * e for j, e in rf.denominator.items())
             n = rf.numerator_degree + den_deg + 1
             assert rf.expand(n) == truncated_ratio(shape, n), shape
-            assert fz_ratio_lambda(shape, n) == rf.expand(n), shape
+            assert rational_form_lambda(shape).expand(n) == rf.expand(n), shape
 
 
 def test_rational_form_D_published_small():
-    assert list(rational_form_D(1).numerator) == [1]
-    assert list(rational_form_D(5).numerator) == [
+    assert list(rational_form((1,)).numerator) == [1]
+    assert list(rational_form((5,)).numerator) == [
         7, -3, -1, 1, -2, -5, 3, 1, -1, 2, -1,
     ]
 
 
 def test_rational_form_k_simplified_display():
     # the canonical-denominator numerator re-expands to the simplified ratio
-    rf = rational_form_k((1, 1, 1))
+    rf = rational_form((1, 1, 1))
     assert rf.denominator == {1: 1, 2: 1, 3: 1}
     n = 40
     assert rf.expand(n) == expand_ratio([4, -2], {1: 2, 2: 1}, n)
 
 
 def test_rational_form_k_one_two():
-    rf = rational_form_k((1, 2))
+    rf = rational_form((1, 2))
     n = 40
     assert rf.expand(n) == expand_ratio([3, 2, -1, -1], {1: 1, 2: 1, 3: 1}, n)
 
@@ -194,7 +190,7 @@ def test_rational_form_k_equals_cleared_class_sum():
                     acc[i] += w * c
             ratio = QSeries.from_dense("q", acc, n)
             den = {j: 1 for j in range(1, K + 1)}
-            assert rational_form_k(k) == clear_denominator(ratio, den, bound, 10), k
+            assert rational_form(k) == clear_denominator(ratio, den, bound, 10), k
 
 
 def test_rational_form_k_equals_class_sum_referee(monkeypatch):
@@ -208,7 +204,7 @@ def test_rational_form_k_equals_class_sum_referee(monkeypatch):
     gaps += [(0, 2, 1), (2, 0, 2), (1, 0, 0, 2)]
     gaps += [(1,) * 7, (1, 1, 1, 2, 2), (2, 1, 1, 1, 2)]
     for k in gaps:
-        assert rational_form_k(k) == class_sum_form_k(k), k
+        assert rational_form(k) == class_sum_form_k(k), k
 
 
 def test_rational_form_k_is_one_recurrence_run(monkeypatch):
@@ -220,14 +216,14 @@ def test_rational_form_k_is_one_recurrence_run(monkeypatch):
         return rows(*args)
 
     monkeypatch.setattr(engine, "_numerator_rows", counted)
-    rational_form_k((1, 1, 2, 2))
+    rational_form((1, 1, 2, 2))
     assert runs == [(1, 1, 2, 2)]
 
 
 def test_one_entry_gap_vector_is_the_one_gap_form():
     for D in range(1, 11):
-        rf = rational_form_D(D)
-        assert rational_form_k((0, D, 0)) == rational_form_k((D,)) == rf, D
+        rf = rational_form((D,))
+        assert rational_form((0, D, 0)) == rf, D
         # the shortcut's premise: on a one-entry budget the component run,
         # every component with its single filling, gives the one-gap form
         groups = engine._component_groups({(s,) for s in range(1, D + 1)})
@@ -254,30 +250,30 @@ def test_ratio_value_laws_up_to_size_six():
             rf = clear_denominator(ratio, {j: 1 for j in range(1, D + 1)}, bound)
             value0 = rf.numerator[0] if rf.numerator else 0
             assert value0 == (1 if shape.is_straight() else 0), shape
-            value1 = rf.numerator_value(1)
+            value1 = sum(rf.numerator)
             assert value1 == (1 if shape.is_disjoint_boxes() else 0), shape
 
 
 def test_degree_bounds():
     for D in range(1, 9):
-        rf = rational_form_D(D)
+        rf = rational_form((D,))
         assert rf.numerator_degree <= rational_form_degree_bound(D)
     for k in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1)):
-        rf = rational_form_k(k)
+        rf = rational_form(k)
         assert rf.numerator_degree <= rational_form_k_degree_bound(sum(k))
 
 
 def test_special_values():
     for D in range(1, 9):
-        rf = rational_form_D(D)
+        rf = rational_form((D,))
         assert rf.numerator[0] == partition_count(D)
-        assert rf.numerator_value(1) == 1
+        assert sum(rf.numerator) == 1
 
 
 def test_first_coefficient_laws():
     p = partition_count
     for D in range(1, 9):
-        rf = rational_form_D(D)
+        rf = rational_form((D,))
         num = list(rf.numerator) + [0] * 4
         assert num[1] == p(D + 1) - 2 * p(D)
         if D >= 2:
@@ -301,28 +297,28 @@ def per_class_sum(D, n, weight=lambda shape: 1):
 
 def test_fz_ratio_D_equals_per_class_sum():
     for D in range(1, 8):
-        assert fz_ratio_D(D, 18) == per_class_sum(D, 18), D
+        assert rational_form((D,)).expand(18) == per_class_sum(D, 18), D
 
 
 def test_fz_ratio_k_equals_unpaired_per_class_sum():
     n = 18
     for k in ((1, 1), (2, 1), (1, 2, 1), (1, 1, 1, 1), (0, 2, 1), (2, 0, 2)):
         expected = per_class_sum(sum(k), n, lambda shape: rp_count(shape, k))
-        assert fz_ratio_k(k, n) == expected, k
+        assert rational_form(k).expand(n) == expected, k
 
 
 def test_sliced_ratio_rows_match_referees():
     engine._one_gap_numerators(6)
     table = engine._numerators
-    ratio = fz_ratio_D(3, 12)
-    series = fz_D(3, 12)
+    ratio = rational_form((3,)).expand(12)
+    series = rational_form((3,)).expand(12, z_power=1)
     assert len(table) >= 7
     assert engine._numerators is table  # served from the larger run
     assert ratio == per_class_sum(3, 12)
     for n in range(13):
         assert series[(n,)] == count_nested_flags((n, n + 3))
     # a longer truncation expands the same cached numerators further
-    assert fz_ratio_D(3, 40) == per_class_sum(3, 40)
+    assert rational_form((3,)).expand(40) == per_class_sum(3, 40)
 
 
 def enumerated_groups(D):
@@ -367,16 +363,16 @@ def test_exact_numerators_equal_truncated_dp_referee():
         den = {j: 1 for j in range(1, d + 1)}
         # every coefficient above the bound, up to n, must vanish
         guard = n - bound - d * (d + 1) // 2
-        assert rational_form_D(d) == clear_denominator(ratio, den, bound, guard), d
+        assert rational_form((d,)) == clear_denominator(ratio, den, bound, guard), d
 
 
 def test_value_laws_beyond_the_published_tables():
     p = partition_count
     for D in range(14, 10, -1):
-        rf = rational_form_D(D)
+        rf = rational_form((D,))
         num = list(rf.numerator)
         assert num[0] == p(D), D
-        assert rf.numerator_value(1) == 1, D
+        assert sum(rf.numerator) == 1, D
         assert num[1] == p(D + 1) - 2 * p(D), D
         assert num[2] == 2 * p(D + 2) - 2 * p(D + 1) - p(D) - 2, D
         assert num[3] == (
@@ -384,11 +380,25 @@ def test_value_laws_beyond_the_published_tables():
         ), D
 
 
-def test_rational_form_requires_positive_gap():
-    with pytest.raises(ValueError):
-        rational_form_D(0)
-    with pytest.raises(ValueError):
-        rational_form_k((0, 0))
+def test_rational_form_contract():
+    # a zero vector is the form 1, whose series is Z^r
+    n = 12
+    z = QSeries.from_dense("q", [partition_count(m) for m in range(n + 1)])
+    for r in (1, 2, 3):
+        for zeros in ((), (0,), (0, 0)):
+            rf = rational_form(zeros, r)
+            assert rf == RationalForm((1,), {}), (zeros, r)
+            assert rf.expand(n, z_power=r) == ps_pow(z, r), (zeros, r)
+    # zero gaps are dropped
+    assert rational_form((0, 2, 0, 1)) == rational_form((2, 1))
+    # several nonzero gaps at a rank above 1, a negative gap and rank 0
+    for k, r in (((1, 1), 2), ((-1, 2), 1), ((1,), 0)):
+        with pytest.raises(ValueError):
+            rational_form(k, r)
+    # one gap at any rank is the rank-r sum
+    for r in range(1, 6):
+        for D in range(1, 11):
+            assert rational_form((D,), r) == quot.rational_form_rD(r, D), (r, D)
 
 
 def test_placement_weight_degree():

@@ -20,7 +20,7 @@ from flagseries.motives import (
 )
 from flagseries.partitions import count_nested_flags
 from flagseries.series import LEFSCHETZ as L
-from flagseries.series import LPoly, lpoly_eval_at_one, projective_space
+from flagseries.series import LPoly, projective_space
 from referees import count_partitions_with_k_parts
 
 P1 = projective_space(1)
@@ -103,9 +103,9 @@ def test_strata_assembly_matches_closed_3n():
 
 def test_euler_specialization_matches_oracle():
     for n in range(2, 15):
-        assert lpoly_eval_at_one(motive_2n(n)) == count_nested_flags((2, n))
+        assert motive_2n(n)(1) == count_nested_flags((2, n))
     for n in range(3, 15):
-        assert lpoly_eval_at_one(motive_3n(n)) == count_nested_flags((3, n))
+        assert motive_3n(n)(1) == count_nested_flags((3, n))
 
 
 def test_degrees_and_leading_coefficients():
@@ -198,11 +198,11 @@ def test_registered_base_motives():
     assert BASE_NESTED_MOTIVES[(3, 5)] == motive_3n(5)
     assert BASE_NESTED_MOTIVES[(2, 3, 4)] == P1 * LPoly((1, 2, 2))
     for spec, motive in BASE_NESTED_MOTIVES.items():
-        assert lpoly_eval_at_one(motive) == count_nested_flags(spec)
+        assert motive(1) == count_nested_flags(spec)
 
 
 def test_registered_global_plane_motives():
     # the affine plane has Euler characteristic 1, so the global counts
     # specialize to the punctual flag counts
     for spec, motive in GLOBAL_PLANE_MOTIVES.items():
-        assert lpoly_eval_at_one(motive) == count_nested_flags(spec)
+        assert motive(1) == count_nested_flags(spec)

@@ -2,10 +2,12 @@
 
 If the class of a variety X is a polynomial P(L) in the Lefschetz class,
 then X has P(q) points over every finite field F_q.  These tests count the
-F_q-points of the punctual Hilbert schemes, of their Hilbert-Samuel strata
-and of the (2, n) and (3, n) punctual nested Hilbert schemes by listing
-every m-primary ideal of F_q[x, y] of small colength, and compare each count
-with the closed formula of ``flagseries.motives`` evaluated at L = q.
+F_q-points of the punctual Hilbert schemes, of their Hilbert-Samuel strata,
+of the (2, n) and (3, n) punctual nested Hilbert schemes and of the
+recorded small nestings by listing every m-primary ideal of F_q[x, y] of
+small colength, and compare each count with the closed formula of
+``flagseries.motives`` evaluated at L = q.  The recorded global classes of
+the plane are counted by the support of the subscheme instead.
 
 The ideals are listed through Macaulay inverse systems.  An ideal I of
 colength k containing m^N corresponds to its annihilator I^perp in the dual
@@ -20,10 +22,13 @@ dx f, dy f inside W'.
 
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 import pytest
 
 from flagseries.motives import (
+    BASE_NESTED_MOTIVES,
+    GLOBAL_PLANE_MOTIVES,
     gottsche_punctual,
     motive_2n,
     motive_3n,
@@ -211,3 +216,39 @@ def test_Y1112_stratum_counts(q, top):
                     _hilbert_samuel(j, monomials) == (1, 1, 1) for j in smalls
                 )
         assert count == motive_Y1112(n)(q), (q, n)
+
+
+@pytest.mark.parametrize("q, top", FIELDS)
+def test_base_nested_motive_counts(q, top):
+    # chains of ideals of the recorded colengths, counted level by level:
+    # each inverse system of the next colength sums the chains it contains
+    _, levels = _inverse_systems(q, top)
+    for spec, motive in BASE_NESTED_MOTIVES.items():
+        chains = {basis: 1 for basis in levels[spec[0]]}
+        for n in spec[1:]:
+            chains = {
+                big: sum(c for small, c in chains.items() if _contains(big, small, q))
+                for big in levels[n]
+            }
+        assert sum(chains.values()) == motive(q), (q, spec)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_global_plane_motive_counts(q):
+    # A subscheme of the plane is a product of punctual ones at the closed
+    # points of its support: q^2 rational points, (q^4 - q^2) / 2 points of
+    # degree 2, and H_n(q) punctual length-n schemes at a rational point.
+    # A length-1 subscheme is a rational point of the support, so a support
+    # without one (a point of degree 3) adds nothing to (1, 3).
+    hilb = gottsche_punctual(3)
+    h2, h3 = hilb[2](q), hilb[3](q)
+    points, quadratic = q * q, (q**4 - q * q) // 2
+    hilb2 = points * h2 + comb(points, 2) + quadratic
+    nested13 = (
+        points * h3  # one point of length 3
+        + 2 * points * (points - 1) * h2  # lengths 2 and 1; Z1 at either
+        + 3 * comb(points, 3)  # three rational points; Z1 at any
+        + points * quadratic  # Z1 at the rational point
+    )
+    assert GLOBAL_PLANE_MOTIVES[(0, 2)](q) == hilb2
+    assert GLOBAL_PLANE_MOTIVES[(1, 3)](q) == nested13

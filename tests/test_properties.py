@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagseries.engine import fz_k, fz_lambda, fz_ratio_k, fz_ratio_lambda
+from flagseries.engine import rational_form, rational_form_lambda
 from flagseries.partitions import (
     Partition,
     contains,
@@ -90,7 +90,7 @@ def test_sym_factor_transpose_invariant(shape):
 @given(shapes_by_size)
 @settings(max_examples=30, deadline=None)
 def test_ratio_constant_term_detects_straight_shapes(shape):
-    ratio = fz_ratio_lambda(shape, 6)
+    ratio = rational_form_lambda(shape).expand(6)
     assert ratio[(0,)] == (1 if shape.is_straight() else 0)
 
 
@@ -111,8 +111,9 @@ large_skew_differences = partitions.filter(lambda outer: outer.size >= 7).flatma
 @given(large_skew_differences)
 @settings(max_examples=60, deadline=None)
 def test_single_shape_forms_match_referees_past_size_six(shape):
-    assert fz_ratio_lambda(shape, 14) == truncated_ratio(shape, 14)
-    series = fz_lambda(shape, 4)
+    rf = rational_form_lambda(shape)
+    assert rf.expand(14) == truncated_ratio(shape, 14)
+    series = rf.expand(4, z_power=1)
     for m in range(5):
         assert series[(m,)] == insertion_count(shape, m), (shape, m)
 
@@ -124,9 +125,9 @@ def test_single_shape_forms_match_referees_past_size_six(shape):
 )
 @settings(max_examples=30, deadline=None)
 def test_zero_gaps_are_transparent(gaps):
-    base = fz_ratio_k(gaps, 10)
-    assert fz_ratio_k([0] + gaps, 10) == base
-    assert fz_ratio_k(gaps + [0], 10) == base
+    base = rational_form(gaps).expand(10)
+    assert rational_form([0] + gaps).expand(10) == base
+    assert rational_form(gaps + [0]).expand(10) == base
 
 
 @given(st.integers(0, 5), st.lists(st.integers(0, 5), max_size=4))
@@ -135,7 +136,7 @@ def test_fz_k_matches_flag_oracle(K, cuts):
     # gap vectors of total K <= 5, zero gaps included
     bounds = [0] + sorted(min(c, K) for c in cuts) + [K]
     k = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-    series = fz_k(k, 4)
+    series = rational_form(k).expand(4, z_power=1)
     for n in range(5):
         sizes = tuple(itertools.accumulate(k, initial=n))
         assert series[(n,)] == count_nested_flags(sizes), (k, n)

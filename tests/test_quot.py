@@ -2,11 +2,9 @@ from math import comb
 
 import pytest
 
-from flagseries.engine import fz_D, partition_series
+from flagseries.engine import partition_series, rational_form
 from flagseries.partitions import coloured_flag_counts, partition_count
 from flagseries.quot import (
-    fq_rD,
-    q_rank_series,
     q_surface,
     rational_form_rD,
     verify_exponential_identity,
@@ -19,9 +17,10 @@ from referees import fq_rD_via_generating, ratio_rD_dense
 
 
 def test_q_rank_series():
-    assert q_rank_series(0, 8).dense() == [1] + [0] * 8
-    assert q_rank_series(1, 8) == partition_series(8)
-    assert q_rank_series(2, 8)[(2,)] == 5
+    one = rational_form(())
+    assert one.expand(8).dense() == [1] + [0] * 8
+    assert one.expand(8, z_power=1) == partition_series(8)
+    assert one.expand(8, z_power=2)[(2,)] == 5
 
 
 def test_q_rank_series_is_a_power_of_the_partition_counts():
@@ -31,19 +30,23 @@ def test_q_rank_series_is_a_power_of_the_partition_counts():
         z = QSeries.from_dense("q", [partition_count(m) for m in range(n + 1)])
         assert partition_series(n) == z
         for r in range(7):
-            assert q_rank_series(r, n) == ps_pow(z, r), (r, n)
+            assert rational_form(()).expand(n, z_power=r) == ps_pow(z, r), (r, n)
 
 
 def test_fq_r1_is_rank_one():
-    for D in range(4):
-        assert fq_rD(1, D, 12) == fz_D(D, 12)
+    # the rank-r sum at r = 1 is the one-gap form
+    for D in range(1, 4):
+        series = rational_form((D,)).expand(12, z_power=1)
+        assert rational_form_rD(1, D).expand(12, z_power=1) == series
+    assert rational_form((0,), 1).expand(12, z_power=1) == partition_series(12)
 
 
 def test_fq_rD_one_gap_formula():
     n = 12
     for r in (2, 3, 4):
-        lhs = fq_rD(r, 1, n)
-        rhs = r * ps_mul(fz_D(1, n), ps_pow(partition_series(n), r - 1))
+        lhs = rational_form((1,), r).expand(n, z_power=r)
+        fz1 = rational_form((1,)).expand(n, z_power=1)
+        rhs = r * ps_mul(fz1, ps_pow(partition_series(n), r - 1))
         assert lhs == rhs
 
 
@@ -51,9 +54,11 @@ def test_fq_rD_two_gap_formula():
     n = 12
     z = partition_series(n)
     for r in (2, 3, 4):
-        lhs = fq_rD(r, 2, n)
-        rhs = r * ps_mul(fz_D(2, n), ps_pow(z, r - 1)) + comb(r, 2) * ps_mul(
-            ps_pow(fz_D(1, n), 2), ps_pow(z, r - 2)
+        lhs = rational_form((2,), r).expand(n, z_power=r)
+        fz1 = rational_form((1,)).expand(n, z_power=1)
+        fz2 = rational_form((2,)).expand(n, z_power=1)
+        rhs = r * ps_mul(fz2, ps_pow(z, r - 1)) + comb(r, 2) * ps_mul(
+            ps_pow(fz1, 2), ps_pow(z, r - 2)
         )
         assert lhs == rhs
 
@@ -61,14 +66,15 @@ def test_fq_rD_two_gap_formula():
 def test_fq_composition_route_matches_generating_route():
     for r in (1, 2, 3):
         for D in range(4):
-            assert fq_rD(r, D, 10) == fq_rD_via_generating(r, D, 10)
+            series = rational_form((D,), r).expand(10, z_power=r)
+            assert series == fq_rD_via_generating(r, D, 10)
 
 
 def test_fq_matches_coloured_oracle():
     for r in (1, 2, 3):
         oracle = coloured_flag_counts(r, (10, 13))
         for D in range(4):
-            series = fq_rD(r, D, 10)
+            series = rational_form((D,), r).expand(10, z_power=r)
             for n in range(11):
                 assert series[(n,)] == oracle[(n, n + D)]
 
@@ -76,21 +82,21 @@ def test_fq_matches_coloured_oracle():
 def test_rational_form_rD_examples():
     # gap 1: r / (1 - q) for every rank
     for r in (1, 2, 5):
-        rf = rational_form_rD(r, 1)
+        rf = rational_form((1,), r)
         n = 30
         assert rf.expand(n) == RationalForm([r], {1: 1}).expand(n)
     # rank 1 reduces to the one-colour polynomial
-    assert list(rational_form_rD(1, 3).numerator) == [3, -1, -1]
+    assert list(rational_form((3,), 1).numerator) == [3, -1, -1]
     # rank 2, gap 2: canonical denominator re-expands to (5 - q) over
     # (1-q)(1-q^2)
-    rf = rational_form_rD(2, 2)
+    rf = rational_form((2,), 2)
     assert rf.denominator == {1: 2, 2: 1}
     n = 40
     assert rf.expand(n) == RationalForm([5, -1], {1: 1, 2: 1}).expand(n)
 
 
 def test_rational_form_rD_denominator_shape():
-    rf = rational_form_rD(3, 4)
+    rf = rational_form((4,), 3)
     assert rf.denominator == {1: 3, 2: 2, 3: 1, 4: 1}
 
 
@@ -99,7 +105,7 @@ def test_rational_form_rD_expands_to_row_products():
     # coefficients past the numerator and denominator degrees.
     for r in range(1, 6):
         for D in range(1, 11):
-            rf = rational_form_rD(r, D)
+            rf = rational_form((D,), r)
             den_deg = sum(j * e for j, e in rf.denominator.items())
             n = rf.numerator_degree + den_deg + 10
             assert rf.expand(n).dense() == ratio_rD_dense(r, D, n), (r, D)
@@ -109,7 +115,8 @@ def test_rational_form_rD_constant_term():
     # q^0 of FQ_{r,D}: r-tuples of partitions of total size D.
     for r in range(1, 6):
         for D in range(11, 15):
-            assert rational_form_rD(r, D).numerator[0] == q_rank_series(r, D)[(D,)]
+            z_r = rational_form(()).expand(D, z_power=r)
+            assert rational_form((D,), r).numerator[0] == z_r[(D,)]
 
 
 def test_q_identity():
@@ -136,4 +143,4 @@ def test_fq2_example():
 
 def test_fq_requires_positive_rank():
     with pytest.raises(ValueError):
-        fq_rD(0, 1, 5)
+        rational_form((1,), 0)

@@ -11,7 +11,6 @@ from flagseries.series import (
     LPoly,
     QSeries,
     RationalForm,
-    lpoly_eval_at_one,
     projective_space,
     ps_add,
     ps_inv,
@@ -315,9 +314,9 @@ def test_rational_form_json_round_trip():
 
 
 def test_lpoly_eval_examples():
-    assert lpoly_eval_at_one(LPoly((1, 2, 3, 2))) == 8
-    assert lpoly_eval_at_one(projective_space(2)) == 3
-    assert lpoly_eval_at_one(LPoly((1, 2, 2)) * (1 + L)) == 10
+    assert LPoly((1, 2, 3, 2))(1) == 8
+    assert projective_space(2)(1) == 3
+    assert (LPoly((1, 2, 2)) * (1 + L))(1) == 10
 
 
 def test_lpoly_arithmetic():
