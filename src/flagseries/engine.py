@@ -38,7 +38,8 @@ no truncation, no guard and no degree bound.  A connected shape also has
 a closed q-beta form.  :func:`rational_form` is the one constructor of a
 gap-vector form, any rank, and :func:`rational_form_lambda` that of a
 single shape; a series is its form expanded with Z^r to the order asked
-for.
+for.  At rank r > 1 it sums products of one-gap numerators
+(:func:`_rank_form`).
 
 The truncated DP :func:`_relative_dense` (with :class:`PlacementWeight`,
 :func:`_shape_groups` and :func:`_compute_relative_dense`) runs on no
@@ -51,7 +52,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, perm, prod
+from operator import index
 
 from . import kernels
 from .series import QSeries, RationalForm
@@ -226,9 +228,10 @@ def _placement_terms(L: int, V: int, B: int) -> dict:
 def _one_gap_groups(D: int) -> dict:
     """Merged placement weights of every connected shape of size <= D.
 
-    Maps (s, L) to {t: A}, where the components of size s and west length
-    L have summed weight sum_t A_t(q) * q^(j*t) at offset j: the group
-    terms of the one-gap placement DP, without enumerating shapes.  A row
+    Maps ((s,), L) to {t: A}, where the components of size s and west
+    length L have summed weight sum_t A_t(q) * q^(j*t) at offset j: the
+    groups of the one-gap placement DP, keyed by cost as
+    :func:`_numerator_rows` takes them, without enumerating shapes.  A row
     DP over (last row length, s, L, V) yields sum_c q^(B_c) for each
     (s, L, V): a row of length l1 under a row of length l0 starts
     delta >= max(0, l1 - l0), delta < l1, columns further west, adding l1
@@ -248,7 +251,7 @@ def _one_gap_groups(D: int) -> dict:
                     target = layers[s + l1].setdefault((l1, L + delta, V + 1), [])
                     _grow_add(target, poly, delta * V)
         for (L, V), poly in by_path.items():
-            terms = groups.setdefault((s, L), {})
+            terms = groups.setdefault(((s,), L), {})
             for t, weight in _placement_terms(L, V, 0).items():
                 _grow_add(terms.setdefault(t, []), _mul(poly, weight), 0)
     return groups
@@ -382,8 +385,7 @@ def _one_gap_numerators(D: int) -> tuple:
     global _numerators
     nums = _numerators
     if D >= len(nums):
-        groups = {((s,), L): terms for (s, L), terms in _one_gap_groups(D).items()}
-        rows = _numerator_rows(groups, (D,), _gap_steps)
+        rows = _numerator_rows(_one_gap_groups(D), (D,), _gap_steps)
         nums = _numerators = ((1,),) + tuple(
             tuple(_horner(rows[d,], d + 1)) for d in range(1, D + 1)
         )
@@ -437,6 +439,37 @@ def _component_groups(costs) -> dict:
     return groups
 
 
+def _rank_form(r: int, D: int) -> RationalForm:
+    """Rational form of FQ_{r,D} / Z^r over the canonical denominator
+    prod_{j=1}^{D} (1 - q^j)^{min(r, D // j)}, exact.
+
+    A gap multiset lam of D contributes inj(r, lam) * prod_i P_{lam_i} over
+    prod_j (1 - q^j)^{#{i : lam_i >= j}}, with P_d the one-gap numerators
+    and inj(r, lam) = perm(r, len(lam)) / prod_m mult_m!, 0 past r parts.
+    At most min(r, D // j) parts of lam are >= j, so bringing each term to
+    the canonical denominator only multiplies by factors (1 - q^j): no
+    division, truncation or degree bound.
+    """
+    from .partitions import enum_partitions  # fz loads no partitions
+
+    denominator = {j: min(r, D // j) for j in range(1, D + 1)}
+    nums = _one_gap_numerators(D)
+    numerator = []
+    for lam in enum_partitions(D):
+        repeats = prod(map(factorial, lam.multiplicities().values()))
+        weight = perm(r, len(lam)) // repeats
+        if not weight:
+            continue
+        term = [1]
+        for part in lam:
+            term = _mul(term, nums[part])
+        for j, e in denominator.items():
+            for _ in range(e - sum(1 for part in lam if part >= j)):
+                term = _times_one_minus(term, j)
+        _grow_add(numerator, term, 0, weight)
+    return RationalForm(numerator, denominator)
+
+
 def rational_form(k, r: int = 1) -> RationalForm:
     """The exact form of FQ_{r,k} / Z^r: the rank-r series of nested chains
     with nonnegative gap vector ``k``, over the r-th power of Z.
@@ -449,11 +482,12 @@ def rational_form(k, r: int = 1) -> RationalForm:
     fillings with content c (a chain of order ideals of a disjoint union is
     one chain per component, and the level sizes add; placements are
     ordered by offset, so no symmetry factor enters).  At r > 1 one nonzero
-    gap D is the rank-r sum ``quot.rational_form_rD(r, D)``, and several
-    raise ``ValueError``.  ``rational_form(k, r).expand(n, z_power=r)`` is
-    the series, and ``z_power=0`` the ratio.
+    gap D is the rank-r sum :func:`_rank_form`, and several raise
+    ``ValueError``.  ``rational_form(k, r).expand(n, z_power=r)`` is the
+    series, and ``z_power=0`` the ratio.  Gaps and rank must be integers.
     """
-    k = tuple(int(x) for x in k)
+    k = tuple(map(index, k))
+    r = index(r)
     if any(x < 0 for x in k):
         raise ValueError("gap sizes must be nonnegative")
     if r < 1:
@@ -465,9 +499,7 @@ def rational_form(k, r: int = 1) -> RationalForm:
     if r > 1:
         if len(budget) > 1:
             raise ValueError("a rank above 1 takes a single nonzero gap")
-        from .quot import rational_form_rD  # fz loads no quot
-
-        return rational_form_rD(r, K)
+        return _rank_form(r, K)
     denominator = dict.fromkeys(range(1, K + 1), 1)
     if len(budget) == 1:
         return RationalForm(_one_gap_numerators(K)[K], denominator)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import comb
+from operator import index
 
 from .series import LEFSCHETZ as L
 from .series import LPoly, projective_space
@@ -217,7 +218,7 @@ class HSVector(namedtuple("HSVector", "values")):
     __slots__ = ()
 
     def __new__(cls, values):
-        values = tuple(int(v) for v in values)
+        values = tuple(map(index, values))
         if not values or values[0] != 1:
             raise ValueError("a Hilbert-Samuel vector starts with 1")
         if any(v <= 0 for v in values):

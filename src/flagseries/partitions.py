@@ -17,14 +17,14 @@ no shapes.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, le
+from operator import add, index, le
 
 
 class Partition(tuple):
     """Weakly decreasing tuple of positive parts."""
 
     def __new__(cls, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(index, parts))
         if any(p <= 0 for p in parts):
             raise ValueError("parts must be positive")
         if any(a < b for a, b in zip(parts, parts[1:])):
@@ -61,7 +61,7 @@ class FlagSpec(tuple):
     """Weakly increasing tuple of nonnegative sizes for a nesting."""
 
     def __new__(cls, sizes=()):
-        sizes = tuple(int(n) for n in sizes)
+        sizes = tuple(map(index, sizes))
         if any(n < 0 for n in sizes):
             raise ValueError("sizes must be nonnegative")
         if any(a > b for a, b in zip(sizes, sizes[1:])):

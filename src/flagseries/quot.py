@@ -3,42 +3,22 @@ to the rank-one theory.
 
 The rank-r count with one gap D splits over r-tuples of gaps summing to D,
 so every rank-r series is a polynomial expression in the rank-one series.
-:func:`rational_form_rD` builds that expression exactly, from products of
-the one-gap numerators over one canonical denominator.  It is the rank-r
-case of ``engine.rational_form((D,), r)``, the one constructor, and every
-series here is such a form expanded with Z^r.  The verify_* routines check
-the closed functional equations; each builds both sides independently and
-compares coefficients exactly.  In the functional equation and the
-exponential identity one side is built from these exact forms and the
-other from the rank-one series, so both referee the forms that ``fq``
-prints.
+``engine.rational_form((D,), r)``, the one constructor, builds that
+expression exactly, and every series here is such a form expanded with
+Z^r.  The verify_* routines check the closed functional equations; each
+builds both sides independently and compares coefficients exactly.  In
+the functional equation and the exponential identity one side is built
+from these exact forms and the other from the rank-one series, so both
+referee the forms that ``fq`` prints.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial, perm
+from math import comb
 
-from .engine import (
-    _grow_add,
-    _mul,
-    _one_gap_numerators,
-    _times_one_minus,
-    rational_form,
-)
-from .partitions import coloured_flag_counts, enum_partitions
+from .engine import rational_form
+from .partitions import coloured_flag_counts
 from .series import QSeries, RationalForm, expand_dense, ps_inv, ps_mul
-
-
-def _injections(r: int, parts) -> int:
-    """Ways to assign the gaps of the partition ``parts`` to r distinct
-    colours."""
-    l = len(parts)
-    if l > r:
-        return 0
-    denom = 1
-    for m in parts.multiplicities().values():
-        denom *= factorial(m)
-    return perm(r, l) // denom
 
 
 # fq_rD and rational_form_rD stay public only because perfbench/child.py calls them.
@@ -48,32 +28,10 @@ def fq_rD(r: int, D: int, truncation: int) -> QSeries:
 
 
 def rational_form_rD(r: int, D: int) -> RationalForm:
-    """Rational form of FQ_{r,D} / Z^r over the canonical denominator
-    prod_{j=1}^{D} (1 - q^j)^{min(r, D // j)}, exact.
-
-    A gap multiset lam contributes inj(r, lam) * prod_i P_{lam_i} over
-    prod_j (1 - q^j)^{#{i : lam_i >= j}}, with P_d the one-gap numerators.
-    At most min(r, D // j) parts of lam are >= j, so bringing each term to
-    the canonical denominator only multiplies by factors (1 - q^j): no
-    division, truncation or degree bound.
-    """
+    """``rational_form((D,), r)`` for a positive rank r and gap D."""
     if r < 1 or D < 1:
         raise ValueError("rank and gap must be positive")
-    denominator = {j: min(r, D // j) for j in range(1, D + 1)}
-    nums = _one_gap_numerators(D)
-    numerator = []
-    for lam in enum_partitions(D):
-        weight = _injections(r, lam)
-        if not weight:
-            continue
-        term = [1]
-        for part in lam:
-            term = _mul(term, nums[part])
-        for j, e in denominator.items():
-            for _ in range(e - sum(1 for part in lam if part >= j)):
-                term = _times_one_minus(term, j)
-        _grow_add(numerator, term, 0, weight)
-    return RationalForm(numerator, denominator)
+    return rational_form((D,), r)
 
 
 # -- functional identities -------------------------------------------------

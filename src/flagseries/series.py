@@ -9,6 +9,7 @@ down to the componentwise minimum.
 from __future__ import annotations
 
 import itertools
+from operator import index
 
 from . import kernels
 
@@ -42,7 +43,7 @@ class QSeries:
                 raise ValueError(f"unknown variable name {name!r}")
         if len(set(variables)) != len(variables):
             raise ValueError("variable names must be distinct")
-        truncation = tuple(int(t) for t in truncation)
+        truncation = tuple(map(index, truncation))
         if len(truncation) != len(variables):
             raise ValueError("one truncation order per variable")
         if any(t < 0 for t in truncation):
@@ -52,7 +53,7 @@ class QSeries:
             c = _as_int(c)
             if not c:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(index, exps))
             if len(exps) != len(variables):
                 raise ValueError("exponent arity does not match variables")
             if any(e < 0 for e in exps):
@@ -304,7 +305,7 @@ class RationalForm:
         numerator = tuple(_as_int(c) for c in numerator)
         while numerator and numerator[-1] == 0:
             numerator = numerator[:-1]
-        denominator = {int(j): int(e) for j, e in dict(denominator).items() if e}
+        denominator = {index(j): index(e) for j, e in dict(denominator).items() if e}
         if any(j <= 0 or e < 1 for j, e in denominator.items()):
             raise ValueError("denominator must map positive j to exponents >= 1")
         object.__setattr__(self, "numerator", numerator)

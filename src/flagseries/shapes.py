@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import index
 
 
 class _SortKeyOrder:
@@ -46,7 +47,7 @@ class ConnectedSkew(_SortKeyOrder, namedtuple("ConnectedSkew", "rows")):
     __slots__ = ()
 
     def __new__(cls, rows):
-        rows = tuple((int(s), int(l)) for s, l in rows)
+        rows = tuple((index(s), index(l)) for s, l in rows)
         if not rows:
             raise ValueError("a connected diagram has at least one row")
         if any(l < 1 or s < 0 for s, l in rows):
@@ -247,7 +248,7 @@ def filling_counts(shape: SkewShape, costs) -> dict:
     of chains that reach each ideal, so costs that share a prefix share
     its levels.
     """
-    costs = [tuple(int(k) for k in cost) for cost in costs]
+    costs = [tuple(map(index, cost)) for cost in costs]
     for cost in costs:
         if any(k < 0 for k in cost):
             raise ValueError("block sizes must be nonnegative")

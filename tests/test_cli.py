@@ -1,7 +1,9 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import jsonschema
@@ -53,9 +55,10 @@ def test_fq(capsys):
 
 
 def test_corrupted_rank_form_fails_verify_and_globalize(monkeypatch, capsys):
-    # fq prints rational_form_rD, so verify and the cross-check behind
-    # globalize must referee that very form: a corrupted one has to show.
-    original = quot.rational_form_rD
+    # fq prints the engine's rank-r sum, so verify and the cross-check
+    # behind globalize must referee that very form: a corrupted one has to
+    # show.
+    original = engine._rank_form
 
     def corrupted(r, D):
         rf = original(r, D)
@@ -65,7 +68,7 @@ def test_corrupted_rank_form_fails_verify_and_globalize(monkeypatch, capsys):
         numerator[1] += 1
         return RationalForm(numerator, rf.denominator)
 
-    monkeypatch.setattr(quot, "rational_form_rD", corrupted)
+    monkeypatch.setattr(engine, "_rank_form", corrupted)
     surfaces.punctual_nested_table.cache_clear()
     try:
         assert main(["verify"]) == 1
@@ -416,11 +419,17 @@ def test_fz_loads_only_the_modules_it_runs():
     assert "flagseries.shapes" in modules
 
 
-def test_fq_loads_quot():
+def test_rank_forms_load_partitions_not_quot():
+    # the engine builds the rank-r sum over gap multisets from partitions,
+    # so fq needs no quot, and fz, which has one colour, neither module
     code, modules = loaded_after(["fq", "--r", "2", "--D", "2"])
     assert code == 0
-    assert "flagseries.quot" in modules
+    assert "flagseries.partitions" in modules
+    assert "flagseries.quot" not in modules
     assert "dataclasses" not in modules
+    code, modules = loaded_after(["fz", "--D", "3"])
+    assert code == 0
+    assert not {"flagseries.partitions", "flagseries.quot"} & modules
 
 
 @pytest.mark.parametrize(
@@ -486,6 +495,26 @@ def test_from_import_still_loads_submodules():
     ])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["flagseries.cli", "flagseries.quot", "True"]
+
+
+def test_package_import_graph_has_no_cycle():
+    # every relative import, at module level or inside a function, is an
+    # edge: a cycle ties two modules to each other's layout and load order
+    graph = {}
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        edges = graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    edges.add(node.module.split(".")[0])
+                else:
+                    edges.update(alias.name for alias in node.names)
+    assert {"engine", "partitions"} <= graph["quot"]
+    assert {"engine", "motives", "quot", "surfaces"} <= graph["cli"]
+    try:
+        list(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
 
 
 GUARD_ENV_ARGVS = (

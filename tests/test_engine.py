@@ -345,9 +345,9 @@ def _trimmed(groups):
 
 def test_row_dp_groups_equal_enumerated_weights():
     expected = {}
-    for ((s,), L), terms in enumerated_groups(9).items():
+    for key, terms in enumerated_groups(9).items():
         for (t, base), coef in terms.items():
-            poly = expected.setdefault((s, L), {}).setdefault(t, [])
+            poly = expected.setdefault(key, {}).setdefault(t, [])
             poly.extend([0] * (base + 1 - len(poly)))
             poly[base] += coef
     assert _trimmed(_one_gap_groups(9)) == _trimmed(expected)
@@ -395,10 +395,14 @@ def test_rational_form_contract():
     for k, r in (((1, 1), 2), ((-1, 2), 1), ((1,), 0)):
         with pytest.raises(ValueError):
             rational_form(k, r)
-    # one gap at any rank is the rank-r sum
+    # the alias kept for the benchmark is the public form, and keeps its
+    # rule that rank and gap are positive
     for r in range(1, 6):
         for D in range(1, 11):
-            assert rational_form((D,), r) == quot.rational_form_rD(r, D), (r, D)
+            assert quot.rational_form_rD(r, D) == rational_form((D,), r), (r, D)
+    for r, D in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            quot.rational_form_rD(r, D)
 
 
 def test_placement_weight_degree():

@@ -4,9 +4,11 @@ rely on."""
 
 import pytest
 
+from flagseries.engine import rational_form
 from flagseries.motives import HSVector, StrataMotives
-from flagseries.series import LPoly
-from flagseries.shapes import ConnectedSkew, NWPath, SkewShape
+from flagseries.partitions import FlagSpec, Partition, count_nested_flags
+from flagseries.series import LPoly, QSeries, RationalForm
+from flagseries.shapes import ConnectedSkew, NWPath, SkewShape, filling_counts
 from flagseries.surfaces import SurfaceProfile
 
 STAIR = ((1, 1), (0, 2))
@@ -115,4 +117,28 @@ def test_shapes_order_by_size_then_rows():
 )
 def test_validation_errors(build, message):
     with pytest.raises(ValueError, match=message):
+        build()
+
+
+NON_INTEGER_INPUTS = {
+    "gap-float": lambda: rational_form((2.9, 0.5)),
+    "gap-str": lambda: rational_form(("3",)),
+    "rank-float": lambda: rational_form((2,), 1.0),
+    "partition": lambda: Partition((2.0, 1)),
+    "flagspec": lambda: FlagSpec((1, 2.5)),
+    "nesting": lambda: count_nested_flags((1.7, 3)),
+    "truncation": lambda: QSeries(("q",), (2.5,), {}),
+    "exponent": lambda: QSeries(("q",), (3,), {(1.0,): 1}),
+    "denominator-j": lambda: RationalForm((1,), {1.5: 1}),
+    "denominator-e": lambda: RationalForm((1,), {1: 2.0}),
+    "skew-row": lambda: ConnectedSkew(((0, 2.0),)),
+    "filling-cost": lambda: filling_counts(SkewShape.of(DOMINO), [(1.0, 1)]),
+    "hs-vector": lambda: HSVector((1, 2.0)),
+}
+
+
+@pytest.mark.parametrize("build", NON_INTEGER_INPUTS.values(), ids=NON_INTEGER_INPUTS)
+def test_non_integer_inputs_raise_type_error(build):
+    # an exact engine must not round a float or parse a string it was handed
+    with pytest.raises(TypeError):
         build()
