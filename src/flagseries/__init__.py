@@ -49,6 +49,7 @@ _HOMES = {
         "partition_count",
     ),
     "quot": (
+        "identity_suite",
         "verify_exponential_identity",
         "verify_fq2_example",
         "verify_fq_functional",

@@ -1,6 +1,7 @@
 """Batch command-line front end.
 
-Every subcommand emits either human-readable text, canonical JSON, or CSV.
+Every subcommand returns an ``Outcome``, which ``main`` alone prints as
+text, canonical JSON or CSV; every user error reaches it as a ``ValueError``.
 Integer payloads that third-party JSON consumers might round (counts,
 Euler numbers, series coefficients) are serialized as decimal strings;
 rational-form numerators stay plain integers.
@@ -20,20 +21,24 @@ import io
 import itertools
 import json
 import sys
+from collections import namedtuple
 
 from . import engine
 
+#: A command's JSON payload, text lines, CSV rows and exit code (1: verify failed)
+Outcome = namedtuple("Outcome", "payload text rows code", defaults=(0,))
 
-def _emit(args, payload, text_lines, csv_rows):
-    if args.format == "json":
-        out = json.dumps(payload, sort_keys=True, indent=2)
-    elif args.format == "csv":
+
+def _emit(fmt, outcome):
+    if fmt == "json":
+        out = json.dumps(outcome.payload, sort_keys=True, indent=2)
+    elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(csv_rows)
+        writer.writerows(outcome.rows)
         out = buf.getvalue().rstrip("\n")
     else:
-        out = "\n".join(text_lines)
+        out = "\n".join(outcome.text)
     print(out)
 
 
@@ -65,9 +70,9 @@ def _nonnegative_int(text):
     return value
 
 
-def _emit_form(args, payload, rf, rank, ratio_to):
-    """Emit a rational form of (series / Z^rank) with the series prefix:
-    the form expanded to ``--prefix`` with Z^rank in its denominator."""
+def _form_outcome(args, payload, rf, rank, ratio_to):
+    """The outcome of a rational form of (series / Z^rank) with the series
+    prefix: the form expanded to ``--prefix`` with Z^rank in its denominator."""
     series = rf.expand(args.prefix, z_power=rank)
     payload.update(rf.to_json_dict())
     payload["series_prefix"] = [str(c) for c in series.dense()]
@@ -78,8 +83,7 @@ def _emit_form(args, payload, rf, rank, ratio_to):
     rows = [["degree", "numerator"]] + [
         [i, c] for i, c in enumerate(payload["numerator"])
     ]
-    _emit(args, payload, text, rows)
-    return 0
+    return Outcome(payload, text, rows)
 
 
 def _cmd_fz(args):
@@ -89,13 +93,13 @@ def _cmd_fz(args):
     else:
         rf = engine.rational_form((args.D,))
         payload = {"command": "fz", "D": args.D}
-    return _emit_form(args, payload, rf, 1, "partition series")
+    return _form_outcome(args, payload, rf, 1, "partition series")
 
 
 def _cmd_fq(args):
     rf = engine.rational_form((args.D,), args.r)
     payload = {"command": "fq", "r": args.r, "D": args.D}
-    return _emit_form(
+    return _form_outcome(
         args, payload, rf, args.r, f"rank-{args.r} partition series power"
     )
 
@@ -137,12 +141,10 @@ def _cmd_oracle(args):
     spec = FlagSpec(args.nesting)
     work = _oracle_work(args.rank, spec)
     if work > ORACLE_MAX_WORK:
-        print(
+        raise ValueError(
             f"oracle work estimate {work} exceeds the cap {ORACLE_MAX_WORK}: "
-            "brute force is meant for small sizes",
-            file=sys.stderr,
+            "brute force is meant for small sizes"
         )
-        return 2
     if args.rank == 1:
         count = count_nested_flags(spec)
     else:
@@ -153,8 +155,7 @@ def _cmd_oracle(args):
         "rank": args.rank,
         "count": str(count),
     }
-    _emit(args, payload, [str(count)], [["count"], [count]])
-    return 0
+    return Outcome(payload, [str(count)], [["count"], [count]])
 
 
 def _cmd_motive(args):
@@ -163,8 +164,7 @@ def _cmd_motive(args):
     if args.nesting is not None:
         spec = tuple(args.nesting)
         if len(spec) != 2 or spec[0] not in (2, 3):
-            print("--nesting takes 2,n or 3,n", file=sys.stderr)
-            return 2
+            raise ValueError("--nesting takes 2,n or 3,n")
         i, n = spec
         poly = motives.motive_2n(n) if i == 2 else motives.motive_3n(n)
         payload = {
@@ -177,8 +177,7 @@ def _cmd_motive(args):
         rows = [["power", "coefficient"]] + [
             [k, c] for k, c in enumerate(poly.coefficients)
         ]
-        _emit(args, payload, text, rows)
-        return 0
+        return Outcome(payload, text, rows)
     if args.strata is not None:
         strata = motives.motive_strata(args.strata)
         total = strata.total()
@@ -195,8 +194,7 @@ def _cmd_motive(args):
         rows = [["stratum", "coefficients"]] + [
             [name, " ".join(map(str, p.coefficients))] for name, p in named
         ]
-        _emit(args, payload, text, rows)
-        return 0
+        return Outcome(payload, text, rows)
     builder = motives.series_2bullet if args.series == 2 else motives.series_3bullet
     coeffs = builder(args.order)
     payload = {
@@ -209,8 +207,7 @@ def _cmd_motive(args):
     rows = [["t_power", "coefficients"]] + [
         [n, " ".join(map(str, p.coefficients))] for n, p in enumerate(coeffs)
     ]
-    _emit(args, payload, text, rows)
-    return 0
+    return Outcome(payload, text, rows)
 
 
 def _cmd_globalize(args):
@@ -219,12 +216,10 @@ def _cmd_globalize(args):
     a, b = args.n1, args.n2
     if args.coeff is not None:
         if len(args.coeff) != 2:
-            print("--coeff takes a,b", file=sys.stderr)
-            return 2
+            raise ValueError("--coeff takes a,b")
         a, b = args.coeff
         if not (0 <= a <= args.n1 and 0 <= b <= args.n2):
-            print("--coeff a,b needs 0 <= a <= n1 and 0 <= b <= n2", file=sys.stderr)
-            return 2
+            raise ValueError("--coeff a,b needs 0 <= a <= n1 and 0 <= b <= n2")
     table = surfaces.punctual_nested_table(args.rank, args.n1, args.n2)
     surface = surfaces.SurfaceProfile(f"chi={args.chi}", args.chi)
     powered = surfaces.globalize(table, surface)
@@ -245,67 +240,21 @@ def _cmd_globalize(args):
         "table": entries,
     }
     text = [f"coefficient at ({a}, {b}): {requested}"]
-    _emit(args, payload, text, rows)
-    return 0
-
-
-def _identity_suite():
-    from . import motives, quot
-    from .partitions import coloured_flag_counts, count_nested_flags
-
-    nq, ns, nv = 12, 4, 4
-    checks = [
-        ("geometric-series identity for the unnested rank table",
-         lambda: quot.verify_q_identity(nq, ns)),
-        ("functional equation for the one-gap rank table",
-         lambda: quot.verify_fq_functional(nq, ns, nv)),
-        ("exponential-operator expression for the one-gap rank table",
-         lambda: quot.verify_exponential_identity(nq, ns, nv)),
-        ("second-order operator identity for fixed small size 2",
-         lambda: quot.verify_fq2_example(nq, ns)),
-    ]
-    dmax, nmax = 4, 10
-    def oracle_one_gap():
-        for D in range(dmax + 1):
-            series = engine.rational_form((D,)).expand(nmax, z_power=1)
-            for n in range(nmax + 1):
-                if series[(n,)] != count_nested_flags((n, n + D)):
-                    return False
-        return True
-    checks.append(("one-gap series equals the flag oracle", oracle_one_gap))
-    def oracle_coloured():
-        for r in (2, 3):
-            oracle = coloured_flag_counts(r, (6, 8))
-            for D in range(3):
-                series = engine.rational_form((D,), r).expand(6, z_power=r)
-                for n in range(7):
-                    if series[(n,)] != oracle[(n, n + D)]:
-                        return False
-        return True
-    checks.append(("rank series equals the colouring oracle", oracle_coloured))
-    def strata_close():
-        return all(
-            motives.motive_strata(n).total() == motives.gottsche_punctual(n)[n]
-            for n in range(4, 17)
-        )
-    checks.append(("stratification closes on the punctual motive", strata_close))
-    return checks
+    return Outcome(payload, text, rows)
 
 
 def _cmd_verify(args):
-    results = []
-    all_ok = True
-    for name, check in _identity_suite():
-        ok = bool(check())
-        results.append({"name": name, "ok": ok})
-        all_ok = all_ok and ok
+    from .quot import identity_suite
+
+    suite = identity_suite()
+    results = [{"name": name, "ok": bool(check())} for name, check in suite]
+    all_ok = all(r["ok"] for r in results)
     payload = {"command": "verify", "results": results, "all_ok": all_ok}
     text = [
         ("PASS " if r["ok"] else "FAIL ") + r["name"] for r in results
     ] + ["all identities hold" if all_ok else "identity failure"]
     rows = [["check", "ok"]] + [[r["name"], r["ok"]] for r in results]
-    _emit(args, payload, text, rows)
-    return 0 if all_ok else 1
+    return Outcome(payload, text, rows, 0 if all_ok else 1)
 
 
 def _cmd_tables(args):
@@ -336,12 +285,10 @@ def _cmd_tables(args):
             path.write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
             written.append(str(path))
     except OSError as exc:
-        print(f"cannot write the tables to --out {args.out}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot write the tables to --out {args.out}: {exc}") from exc
 
     payload = {"command": "tables", "written": written}
-    _emit(args, payload, written, [["file"]] + [[w] for w in written])
-    return 0
+    return Outcome(payload, written, [["file"]] + [[w] for w in written])
 
 
 def build_parser():
@@ -416,13 +363,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        outcome = args.func(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal consistency check failed: {exc}", file=sys.stderr)
         return 3
+    _emit(args.format, outcome)
+    return outcome.code
 
 
 if __name__ == "__main__":

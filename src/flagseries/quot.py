@@ -174,3 +174,50 @@ def verify_fq2_example(nq: int, ns: int) -> bool:
     )
 
     return oracle_series == closed_series == operator_series
+
+
+def identity_suite():
+    """The checks ``verify`` runs, in order, as (name, check) pairs; a check
+    returns True when its two constructions agree.  The first check that
+    builds a one-gap form asks for the largest gap first, so one numerator
+    run serves every later check."""
+    from . import motives
+    from .partitions import count_nested_flags
+
+    nq, ns, nv = 12, 4, 4
+    dmax, nmax = 4, 10
+
+    def oracle_one_gap():
+        return all(
+            rational_form((D,)).expand(nmax, z_power=1).dense()
+            == [count_nested_flags((n, n + D)) for n in range(nmax + 1)]
+            for D in range(dmax + 1)
+        )
+
+    def oracle_coloured():
+        oracles = {r: coloured_flag_counts(r, (6, 8)) for r in (2, 3)}
+        return all(
+            rational_form((D,), r).expand(6, z_power=r).dense()
+            == [oracles[r][n, n + D] for n in range(7)]
+            for r in (2, 3) for D in range(3)
+        )
+
+    def strata_close():
+        return all(
+            motives.motive_strata(n).total() == motives.gottsche_punctual(n)[n]
+            for n in range(4, 17)
+        )
+
+    return [
+        ("geometric-series identity for the unnested rank table",
+         lambda: verify_q_identity(nq, ns)),
+        ("functional equation for the one-gap rank table",
+         lambda: verify_fq_functional(nq, ns, nv)),
+        ("exponential-operator expression for the one-gap rank table",
+         lambda: verify_exponential_identity(nq, ns, nv)),
+        ("second-order operator identity for fixed small size 2",
+         lambda: verify_fq2_example(nq, ns)),
+        ("one-gap series equals the flag oracle", oracle_one_gap),
+        ("rank series equals the colouring oracle", oracle_coloured),
+        ("stratification closes on the punctual motive", strata_close),
+    ]

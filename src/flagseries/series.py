@@ -73,14 +73,16 @@ class QSeries:
     @classmethod
     def from_rows(cls, variables, truncation, rows):
         """Series from dense rows of the last variable keyed by the leading
-        exponents, with no per-term check.  Each row is copied, cut or padded
-        to the truncation; keys past the leading truncation and all-zero rows
-        are dropped."""
+        exponents, with no per-term check; a key of another length raises.
+        Each row is copied, cut or padded to the truncation; keys past the
+        leading truncation and all-zero rows are dropped."""
         out = cls(variables, truncation, {})
         width = out.truncation[-1] + 1
         lead = out.truncation[:-1]
         kept = {}
         for key, row in rows.items():
+            if len(key) != len(lead):
+                raise ValueError("row key arity does not match the leading variables")
             row = list(row[:width])
             row += [0] * (width - len(row))
             if any(row) and all(k <= t for k, t in zip(key, lead)):
@@ -120,6 +122,8 @@ class QSeries:
     def __getitem__(self, exponents):
         if not isinstance(exponents, tuple):
             exponents = (exponents,)
+        if len(exponents) != len(self.variables):
+            raise IndexError("exponent arity does not match variables")
         row, e = self.rows.get(exponents[:-1], ()), exponents[-1]
         return row[e] if 0 <= e < len(row) else 0
 

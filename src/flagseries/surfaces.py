@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import index
 
 from .engine import rational_form
 from .partitions import nested_pair_counts
@@ -30,6 +31,7 @@ class SurfaceProfile(namedtuple("SurfaceProfile", "name euler_characteristic")):
     __slots__ = ()
 
     def __new__(cls, name, euler_characteristic):
+        euler_characteristic = index(euler_characteristic)
         if euler_characteristic < 0:
             raise ValueError(
                 "only nonnegative Euler characteristics are supported by the "
@@ -38,16 +40,20 @@ class SurfaceProfile(namedtuple("SurfaceProfile", "name euler_characteristic")):
         return super().__new__(cls, name, euler_characteristic)
 
 
-@lru_cache(maxsize=None)
+# typed: a float size must miss an equal int's entry and be rejected
+@lru_cache(maxsize=None, typed=True)
 def punctual_nested_table(rank: int, max1: int, max2: int) -> QSeries:
     """Two-variable table of r-coloured nested counts: the coefficient of
     q1^a q2^b is the number of r-coloured nested pairs of sizes (a, b).
 
     An r-coloured nested pair is an r-tuple of nested pairs whose sizes add,
     so the table is the rank-th power of the rank-one table, which
-    ``nested_pair_counts`` builds in one walk over the outer partitions.  It
-    is cross-checked against the series engine on every diagonal it covers.
+    ``nested_pair_counts`` builds in one walk over the outer partitions.  The
+    series engine cross-checks the diagonals b - a <= max2 - max1 in full,
+    the ones whose whole length fits the box; the tests referee the triangle
+    beyond them against the colouring oracle.
     """
+    rank, max1, max2 = index(rank), index(max1), index(max2)
     if rank < 1:
         raise ValueError("the number of colours must be positive")
     if max1 > max2:

@@ -292,6 +292,16 @@ def test_verify(capsys):
     assert payload["all_ok"] is True
 
 
+def test_verify_prints_the_library_suite_in_order(capsys):
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "all identities hold"
+    assert all(line.startswith("PASS ") for line in lines[:-1])
+    assert [line[len("PASS "):] for line in lines[:-1]] == [
+        name for name, _ in quot.identity_suite()
+    ]
+
+
 def test_verify_runs_the_numerator_recurrence_once(monkeypatch, capsys):
     # the identities span the gaps 0..4 and ask for the largest first, so
     # one run on (4,) fills the numerator table for every smaller gap
@@ -360,6 +370,73 @@ def test_tables_max_gap_must_be_positive(tmp_path):
             main(["tables", "--out", str(tmp_path / "t"), "--max-gap", max_gap])
         assert exc.value.code == 2
     assert not (tmp_path / "t").exists()
+
+
+HANDLER_ARGVS = {
+    "fz-D": ["fz", "--D", "3"],
+    "fz-k": ["fz", "--k", "1,2"],
+    "fq": ["fq", "--r", "2", "--D", "2"],
+    "oracle": ["oracle", "--nesting", "2,4"],
+    "motive-nesting": ["motive", "--nesting", "3,5"],
+    "motive-strata": ["motive", "--strata", "6"],
+    "motive-series": ["motive", "--series", "2", "--order", "4"],
+    "globalize": ["globalize", "--rank", "1", "--n1", "2", "--n2", "4",
+                  "--chi", "3", "--coeff", "0,1"],
+    "verify": ["verify"],
+    "tables": ["tables", "--max-gap", "2", "--out"],
+}
+
+
+@pytest.mark.parametrize("argv", HANDLER_ARGVS.values(), ids=HANDLER_ARGVS)
+def test_handlers_return_a_record_and_print_nothing(capsys, tmp_path, argv):
+    # main alone prints an outcome and picks the exit code
+    if argv[0] == "tables":
+        argv = argv + [str(tmp_path / "t")]
+    args = cli.build_parser().parse_args(argv)
+    outcome = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert type(outcome) is cli.Outcome
+    assert outcome.code == 0
+    assert outcome.payload["command"] == argv[0]
+    assert outcome.text and outcome.rows
+
+
+def test_cli_checks_raise_value_error(tmp_path):
+    # the CLI's own checks reach main as the library's do: as a ValueError
+    box = ["globalize", "--rank", "1", "--n1", "2", "--n2", "3", "--chi", "1"]
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    cases = [
+        (["oracle", "--nesting", "12,40"], "oracle work estimate "),
+        (["motive", "--nesting", "4,5"], "--nesting takes 2,n or 3,n"),
+        (box + ["--coeff", "1,2,3"], "--coeff takes a,b"),
+        (box + ["--coeff", "3,3"], "--coeff a,b needs 0 <= a <= n1"),
+        (["tables", "--max-gap", "1", "--out", str(blocker / "sub")],
+         "cannot write the tables to --out "),
+    ]
+    for argv, message in cases:
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(ValueError) as exc:
+            args.func(args)
+        assert str(exc.value).startswith(message), argv
+    assert isinstance(exc.value.__cause__, OSError)
+
+
+def test_only_main_and_emit_write_output():
+    # lint-style guard: no handler prints or exits on its own
+    found = {}
+    for top in ast.parse(Path(cli.__file__).read_text()).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in ("print", "_emit"):
+                found.setdefault(node.id, set()).add(owner)
+            elif isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"):
+                found.setdefault("sys." + node.attr, set()).add(owner)
+    assert found == {
+        "print": {"_emit", "main"},
+        "sys.stderr": {"main"},
+        "_emit": {"main"},
+    }
 
 
 def run_fresh(argv):

@@ -9,7 +9,7 @@ from flagseries.motives import HSVector, StrataMotives
 from flagseries.partitions import FlagSpec, Partition, count_nested_flags
 from flagseries.series import LPoly, QSeries, RationalForm
 from flagseries.shapes import ConnectedSkew, NWPath, SkewShape, filling_counts
-from flagseries.surfaces import SurfaceProfile
+from flagseries.surfaces import SurfaceProfile, punctual_nested_table
 
 STAIR = ((1, 1), (0, 2))
 DOMINO = ((0, 2),)
@@ -134,6 +134,10 @@ NON_INTEGER_INPUTS = {
     "skew-row": lambda: ConnectedSkew(((0, 2.0),)),
     "filling-cost": lambda: filling_counts(SkewShape.of(DOMINO), [(1.0, 1)]),
     "hs-vector": lambda: HSVector((1, 2.0)),
+    "euler-characteristic": lambda: SurfaceProfile("x", 2.5),
+    # after a warm int call, so an equal float key must not hit its entry
+    "table-size": lambda: (punctual_nested_table(2, 2, 4),
+                           punctual_nested_table(2.0, 2, 4)),
 }
 
 

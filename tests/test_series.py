@@ -367,6 +367,29 @@ def test_qseries_validation():
         QSeries(("q",), (4,), {(1,): 0.5})
 
 
+def test_qseries_index_arity_must_match_variables():
+    # a short or long exponent tuple is a bug in the caller, not a zero term
+    table = QSeries(("q1", "q2"), (2, 3), {(1, 2): 5})
+    assert table[(1, 2)] == 5 and table[(2, 3)] == 0
+    one = QSeries.from_dense("q", [1, 2, 3])
+    assert one[1] == one[(1,)] == 2
+    for series, exponents in ((table, 1), (table, (1,)), (table, (1, 2, 0)),
+                              (one, (0, 1)), (one, ())):
+        with pytest.raises(IndexError, match="arity"):
+            series[exponents]
+
+
+def test_from_rows_key_arity_must_match_leading_variables():
+    # each row is keyed by the exponents of every variable but the last
+    for key in ((), (1, 0)):
+        with pytest.raises(ValueError, match="row key arity"):
+            QSeries.from_rows(("s", "q"), (2, 3), {key: [1]})
+    with pytest.raises(ValueError, match="row key arity"):
+        QSeries.from_rows(("q",), (3,), {(0,): [1]})
+    series = QSeries.from_rows(("s", "q"), (2, 3), {(1,): [1]})
+    assert series.coefficients == {(1, 0): 1}
+
+
 def test_qseries_drops_out_of_range_terms():
     s = QSeries.monomial(("q",), (4,), (9,))
     assert s.is_zero()
