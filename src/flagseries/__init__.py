@@ -24,6 +24,8 @@ _HOMES = {
         "BASE_NESTED_MOTIVES",
         "GLOBAL_PLANE_MOTIVES",
         "HSVector",
+        "LEFSCHETZ",
+        "LPoly",
         "StrataMotives",
         "a_coefficients",
         "component_count",
@@ -34,6 +36,7 @@ _HOMES = {
         "motive_3n",
         "motive_Y1112",
         "motive_strata",
+        "projective_space",
         "series_2bullet",
         "series_3bullet",
     ),
@@ -56,11 +59,8 @@ _HOMES = {
         "verify_q_identity",
     ),
     "series": (
-        "LEFSCHETZ",
-        "LPoly",
         "QSeries",
         "RationalForm",
-        "projective_space",
         "ps_add",
         "ps_inv",
         "ps_mul",

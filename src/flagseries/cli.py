@@ -333,7 +333,7 @@ def build_parser():
     mode.add_argument("--nesting", type=_parse_int_list)
     mode.add_argument("--strata", type=int)
     mode.add_argument("--series", type=int, choices=(2, 3))
-    p.add_argument("--order", type=int, default=12)
+    p.add_argument("--order", type=_nonnegative_int, default=12)
     common(p)
     p.set_defaults(func=_cmd_motive)
 

@@ -1,11 +1,12 @@
 """Closed motivic formulas for punctual Hilbert schemes, their
 Hilbert-Samuel strata, and nestings with smallest part 2 or 3.
 
-All classes live in Z[L].  Each stratum of length n >= 5 has its own closed
-formula, so the strata summing to the Göttsche motive is a check that can
-fail: ``verify`` and the tests run it, and the F_q point counts referee the
-strata and the nested motives.  The (2, n) and (3, n) series assert their
-closed rational expression against the termwise build.
+All classes live in Z[L], the ring :class:`LPoly`.  Each stratum of
+length n >= 5 has its own closed formula, so the strata summing to the
+Göttsche motive is a check that can fail: ``verify`` and the tests run it,
+and the F_q point counts referee the strata and the nested motives.  The
+(2, n) and (3, n) series are one construction: each asserts its closed
+rational expression, kept as data, against the termwise build.
 """
 
 from __future__ import annotations
@@ -15,9 +16,125 @@ from functools import lru_cache
 from math import comb
 from operator import index
 
-from .series import LEFSCHETZ as L
-from .series import LPoly, projective_space
+from . import kernels
+from .series import _as_int
 
+
+class LPoly:
+    """Polynomial in the Lefschetz class with exact integer coefficients."""
+
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients=()):
+        coeffs = [_as_int(c) for c in coefficients]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        object.__setattr__(self, "coefficients", tuple(coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LPoly is immutable")
+
+    @property
+    def degree(self):
+        return len(self.coefficients) - 1
+
+    @property
+    def leading_coefficient(self):
+        return self.coefficients[-1] if self.coefficients else 0
+
+    def is_zero(self):
+        return not self.coefficients
+
+    def __getitem__(self, i):
+        return self.coefficients[i] if 0 <= i < len(self.coefficients) else 0
+
+    def __iter__(self):
+        return iter(self.coefficients)
+
+    def __add__(self, other):
+        other = _coerce_lpoly(other)
+        n = max(len(self.coefficients), len(other.coefficients))
+        return LPoly([self[i] + other[i] for i in range(n)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LPoly([-c for c in self.coefficients])
+
+    def __sub__(self, other):
+        return self + (-_coerce_lpoly(other))
+
+    def __rsub__(self, other):
+        return _coerce_lpoly(other) - self
+
+    def __mul__(self, other):
+        a, b = self.coefficients, _coerce_lpoly(other).coefficients
+        return LPoly(kernels.mul_trunc(a, b, len(a) + len(b) - 2))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        if e < 0:
+            raise ValueError("exponent must be nonnegative")
+        result = LPoly((1,))
+        for _ in range(e):
+            result = result * self
+        return result
+
+    def __call__(self, x):
+        acc = 0
+        for c in reversed(self.coefficients):
+            acc = acc * x + c
+        return acc
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = LPoly((other,))
+        return isinstance(other, LPoly) and self.coefficients == other.coefficients
+
+    def __hash__(self):
+        # A constant equals its int, so it hashes as that int.
+        return hash(self[0]) if self.degree < 1 else hash(self.coefficients)
+
+    def __repr__(self):
+        if self.is_zero():
+            return "LPoly(0)"
+        parts = []
+        for i in range(self.degree, -1, -1):
+            c = self[i]
+            if not c:
+                continue
+            if i == 0:
+                parts.append(f"{c}")
+            else:
+                mono = "L" if i == 1 else f"L^{i}"
+                parts.append(mono if c == 1 else f"{c}*{mono}")
+        return "LPoly(" + " + ".join(parts) + ")"
+
+    def to_json_list(self):
+        return [str(c) for c in self.coefficients]
+
+
+def _coerce_lpoly(value):
+    if isinstance(value, LPoly):
+        return value
+    if isinstance(value, int):
+        return LPoly((value,))
+    raise TypeError(f"cannot combine LPoly with {type(value).__name__}")
+
+
+#: The Lefschetz class itself.
+LEFSCHETZ = LPoly((0, 1))
+
+
+def projective_space(n: int) -> LPoly:
+    """Class of n-dimensional projective space: 1 + L + ... + L^n."""
+    if n < 0:
+        raise ValueError("dimension must be nonnegative")
+    return LPoly((1,) * (n + 1))
+
+
+L = LEFSCHETZ
 P1 = projective_space(1)
 P2 = projective_space(2)
 
@@ -136,64 +253,53 @@ def strata_assembly_3n(n: int) -> LPoly:
     )
 
 
-def series_2bullet(order: int):
-    """Generating series of the (2, n) motives, built both termwise and from
-    the closed rational expression, asserted equal."""
+#: i -> (N_i, D_i), each the coefficients of t^0, t^1, ... in Z[L]: the
+#: (i, n) series is P_{i-1} H(t) - N_i(t) / D_i(t), H the Göttsche series.
+_CLOSED_SERIES = {
+    2: ((P1, -P1 * (L - 1)), (1, -L)),
+    3: (
+        (P2, 1 - L**3, (1 - L**3) * P1, L**5 - L**2, -(L**2)),
+        (1, -L, -(L**2), L**3),
+    ),
+}
+
+
+def _closed_series(i, motive, order):
+    """The (i, n) motives for n <= order, built termwise from ``motive`` and
+    from the closed rational expression, asserted equal."""
     if order < 0:
         raise ValueError("the series order must be nonnegative")
-    termwise = [LPoly()] * 2 + [motive_2n(n) for n in range(2, order + 1)]
+    termwise = [LPoly()] * i + [motive(n) for n in range(i, order + 1)]
     termwise = termwise[: order + 1]
-    hilb = gottsche_punctual(order)
-    geom = [L**n for n in range(order + 1)]  # 1/(1 - L t)
-    closed = []
+    numerator, denominator = _CLOSED_SERIES[i]
+    # N_i / D_i by t-division; D_i has constant term 1
+    quotient = []
     for n in range(order + 1):
-        tail = (L - 1) * geom[n - 1] - geom[n] if n >= 1 else -geom[0]
-        closed.append(P1 * hilb[n] + P1 * tail)
+        acc = numerator[n] if n < len(numerator) else LPoly()
+        for k, d in enumerate(denominator[1 : n + 1], 1):
+            acc = acc - d * quotient[n - k]
+        quotient.append(acc)
+    fibre = projective_space(i - 1)
+    closed = [fibre * h - r for h, r in zip(gottsche_punctual(order), quotient)]
     if closed != termwise:
         raise AssertionError("closed form disagrees with termwise build")
     return tuple(termwise)
+
+
+def series_2bullet(order: int):
+    """Generating series of the (2, n) motives up to t^order."""
+    return _closed_series(2, motive_2n, order)
 
 
 def series_3bullet(order: int):
-    """Generating series of the (3, n) motives, built both termwise and from
-    the closed rational expression, asserted equal."""
-    if order < 0:
-        raise ValueError("the series order must be nonnegative")
-    termwise = [LPoly()] * 3 + [motive_3n(n) for n in range(3, order + 1)]
-    termwise = termwise[: order + 1]
-    hilb = gottsche_punctual(order)
-    h_coeffs = {
-        0: P2,
-        1: -(L**3 - 1),
-        2: -(L**3 - 1) * P1,
-        3: -(L**2 - L**5),
-        4: -(L**2),
-    }
-    # 1 / ((1 - L t)(1 - L^2 t^2)) expanded in t
-    inv = [LPoly()] * (order + 1)
-    inv[0] = LPoly((1,))
-    for n in range(1, order + 1):
-        acc = L * inv[n - 1]
-        if n >= 2:
-            acc = acc + L**2 * inv[n - 2]
-            if n >= 3:
-                acc = acc - L**3 * inv[n - 3]
-        inv[n] = acc
-    closed = []
-    for n in range(order + 1):
-        acc = P2 * hilb[n]
-        for d, h in h_coeffs.items():
-            if d <= n:
-                acc = acc - h * inv[n - d]
-        closed.append(acc)
-    if closed != termwise:
-        raise AssertionError("closed form disagrees with termwise build")
-    return tuple(termwise)
+    """Generating series of the (3, n) motives up to t^order."""
+    return _closed_series(3, motive_3n, order)
 
 
 def a_coefficients(n: int):
     """Second- and third-from-top coefficients of the punctual Hilbert
     scheme motive as a polynomial in L."""
+    n = index(n)
     if n <= 3:
         raise ValueError("needs n > 3")
     return (n // 2, n * (n - 6) // 12 + (n - 1) // 2 + 1)

@@ -1,4 +1,4 @@
-"""Exact truncated power series, Lefschetz polynomials and rational forms.
+"""Exact truncated power series and rational forms.
 
 Everything in this module is immutable after construction and all
 coefficients are exact Python integers.  Series carry their truncation
@@ -345,116 +345,3 @@ class RationalForm:
             "denominator": [[j, e] for j, e in sorted(self.denominator.items())],
         }
 
-
-class LPoly:
-    """Polynomial in the Lefschetz class with exact integer coefficients."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients=()):
-        coeffs = [_as_int(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LPoly is immutable")
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    @property
-    def leading_coefficient(self):
-        return self.coefficients[-1] if self.coefficients else 0
-
-    def is_zero(self):
-        return not self.coefficients
-
-    def __getitem__(self, i):
-        return self.coefficients[i] if 0 <= i < len(self.coefficients) else 0
-
-    def __iter__(self):
-        return iter(self.coefficients)
-
-    def __add__(self, other):
-        other = _coerce_lpoly(other)
-        n = max(len(self.coefficients), len(other.coefficients))
-        return LPoly([self[i] + other[i] for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LPoly([-c for c in self.coefficients])
-
-    def __sub__(self, other):
-        return self + (-_coerce_lpoly(other))
-
-    def __rsub__(self, other):
-        return _coerce_lpoly(other) - self
-
-    def __mul__(self, other):
-        a, b = self.coefficients, _coerce_lpoly(other).coefficients
-        return LPoly(kernels.mul_trunc(a, b, len(a) + len(b) - 2))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = LPoly((1,))
-        for _ in range(e):
-            result = result * self
-        return result
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = LPoly((other,))
-        return isinstance(other, LPoly) and self.coefficients == other.coefficients
-
-    def __hash__(self):
-        # A constant equals its int, so it hashes as that int.
-        return hash(self[0]) if self.degree < 1 else hash(self.coefficients)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "LPoly(0)"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(f"{c}")
-            else:
-                mono = "L" if i == 1 else f"L^{i}"
-                parts.append(mono if c == 1 else f"{c}*{mono}")
-        return "LPoly(" + " + ".join(parts) + ")"
-
-    def to_json_list(self):
-        return [str(c) for c in self.coefficients]
-
-
-def _coerce_lpoly(value):
-    if isinstance(value, LPoly):
-        return value
-    if isinstance(value, int):
-        return LPoly((value,))
-    raise TypeError(f"cannot combine LPoly with {type(value).__name__}")
-
-
-#: The Lefschetz class itself.
-LEFSCHETZ = LPoly((0, 1))
-
-
-def projective_space(n: int) -> LPoly:
-    """Class of n-dimensional projective space: 1 + L + ... + L^n."""
-    if n < 0:
-        raise ValueError("dimension must be nonnegative")
-    return LPoly((1,) * (n + 1))

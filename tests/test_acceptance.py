@@ -10,6 +10,7 @@ import time
 
 from flagseries.engine import partition_series, rational_form
 from flagseries.motives import (
+    LPoly,
     component_count,
     gottsche_punctual,
     motive_2n,
@@ -29,7 +30,7 @@ from flagseries.quot import (
     verify_fq_functional,
     verify_q_identity,
 )
-from flagseries.series import LPoly, RationalForm, ps_mul
+from flagseries.series import RationalForm, ps_mul
 from flagseries.surfaces import (
     DEL_PEZZO_TARGET,
     SurfaceProfile,

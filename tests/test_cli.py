@@ -11,8 +11,9 @@ import pytest
 
 from flagseries import cli, engine, motives, partitions, quot, surfaces
 from flagseries.cli import main
+from flagseries.motives import LEFSCHETZ
 from flagseries.partitions import coloured_flag_counts
-from flagseries.series import LEFSCHETZ, RationalForm
+from flagseries.series import RationalForm
 
 SCHEMA = json.loads(
     (
@@ -210,6 +211,7 @@ def test_internal_check_exit_code(capsys, monkeypatch, exc, code, prefix):
         ["globalize", "--rank", "0", "--n1", "1", "--n2", "2", "--chi", "1"],
         ["globalize", "--rank", "1", "--n1", "1", "--n2", "2", "--chi", "-1"],
         ["globalize", "--rank", "1", "--n1", "3", "--n2", "2", "--chi", "1"],
+        ["motive", "--nesting", "2,5", "--order", "-3"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):
@@ -246,11 +248,28 @@ def test_motive_series(capsys):
 
 @pytest.mark.parametrize("series", ["2", "3"])
 def test_motive_series_order_bounds(capsys, series):
-    assert main(["motive", "--series", series, "--order", "-1"]) == 2
-    assert "order must be nonnegative" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["motive", "--series", series, "--order", "-1"])
+    assert exc.value.code == 2
+    assert "expected an integer >= 0" in capsys.readouterr().err
     code, payload = run_json(capsys, ["motive", "--series", series, "--order", "0"])
     assert code == 0
     assert len(payload["coefficients"]) == 1
+
+
+def test_planted_error_in_closed_series_fails(capsys, monkeypatch):
+    numerator, denominator = motives._CLOSED_SERIES[3]
+    planted = (numerator[0],) + (numerator[1] + 1,) + numerator[2:]
+    monkeypatch.setitem(motives._CLOSED_SERIES, 3, (planted, denominator))
+    with pytest.raises(AssertionError):
+        motives.series_3bullet(8)
+    assert main(["motive", "--series", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "internal consistency check failed: "
+        "closed form disagrees with termwise build\n"
+    )
 
 
 def test_motive_requires_one_mode(capsys):

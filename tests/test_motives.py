@@ -18,9 +18,9 @@ from flagseries.motives import (
     series_3bullet,
     strata_assembly_3n,
 )
+from flagseries.motives import LEFSCHETZ as L
+from flagseries.motives import LPoly, projective_space
 from flagseries.partitions import count_nested_flags
-from flagseries.series import LEFSCHETZ as L
-from flagseries.series import LPoly, projective_space
 from referees import count_partitions_with_k_parts
 
 P1 = projective_space(1)
@@ -123,6 +123,8 @@ def test_series_2bullet():
     assert coeffs[2] == 1 + L
     assert coeffs[7] == (1 + L) ** 2 * (1 + L**2 * (2 + L + 3 * L**2))
     assert coeffs[0].is_zero() and coeffs[1].is_zero()
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        series_2bullet(-1)
 
 
 def test_series_3bullet():
@@ -131,6 +133,8 @@ def test_series_3bullet():
     assert coeffs[0].is_zero() and coeffs[2].is_zero()
     for n in range(3, 13):
         assert coeffs[n] == motive_3n(n)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        series_3bullet(-1)
 
 
 def test_a_coefficients():

@@ -5,9 +5,15 @@ rely on."""
 import pytest
 
 from flagseries.engine import rational_form
-from flagseries.motives import HSVector, StrataMotives
+from flagseries.motives import (
+    HSVector,
+    LPoly,
+    StrataMotives,
+    a_coefficients,
+    component_count,
+)
 from flagseries.partitions import FlagSpec, Partition, count_nested_flags
-from flagseries.series import LPoly, QSeries, RationalForm
+from flagseries.series import QSeries, RationalForm
 from flagseries.shapes import ConnectedSkew, NWPath, SkewShape, filling_counts
 from flagseries.surfaces import SurfaceProfile, punctual_nested_table
 
@@ -138,6 +144,8 @@ NON_INTEGER_INPUTS = {
     # after a warm int call, so an equal float key must not hit its entry
     "table-size": lambda: (punctual_nested_table(2, 2, 4),
                            punctual_nested_table(2.0, 2, 4)),
+    "a-coefficients": lambda: a_coefficients(6.0),
+    "component-count": lambda: component_count("3n", 5.0),
 }
 
 

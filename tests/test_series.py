@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagseries.engine import partition_series
+from flagseries.motives import LEFSCHETZ as L
+from flagseries.motives import LPoly, projective_space
 from flagseries.partitions import partition_count
 from flagseries.series import (
-    LEFSCHETZ as L,
-    LPoly,
     QSeries,
     RationalForm,
-    projective_space,
     ps_add,
     ps_inv,
     ps_mul,
