@@ -161,6 +161,8 @@ def _cmd_oracle(args):
 def _cmd_motive(args):
     from . import motives
 
+    if args.series is None and args.order is not None:
+        raise ValueError("--order applies only to --series")
     if args.nesting is not None:
         spec = tuple(args.nesting)
         if len(spec) != 2 or spec[0] not in (2, 3):
@@ -196,11 +198,12 @@ def _cmd_motive(args):
         ]
         return Outcome(payload, text, rows)
     builder = motives.series_2bullet if args.series == 2 else motives.series_3bullet
-    coeffs = builder(args.order)
+    order = 12 if args.order is None else args.order
+    coeffs = builder(order)
     payload = {
         "command": "motive",
         "series": args.series,
-        "order": args.order,
+        "order": order,
         "coefficients": [p.to_json_list() for p in coeffs],
     }
     text = [f"t^{n}: {p!r}" for n, p in enumerate(coeffs)]
@@ -333,7 +336,8 @@ def build_parser():
     mode.add_argument("--nesting", type=_parse_int_list)
     mode.add_argument("--strata", type=int)
     mode.add_argument("--series", type=int, choices=(2, 3))
-    p.add_argument("--order", type=_nonnegative_int, default=12)
+    p.add_argument("--order", type=_nonnegative_int,
+                   help="highest power of t in --series (>= 0, default 12)")
     common(p)
     p.set_defaults(func=_cmd_motive)
 

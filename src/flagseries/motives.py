@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import comb
-from operator import index
+from operator import add, index
 
 from . import kernels
 from .series import _as_int
@@ -76,9 +76,13 @@ class LPoly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        result = LPoly((1,))
-        for _ in range(e):
-            result = result * self
+        result, square = LPoly((1,)), self
+        while e:
+            if e & 1:
+                result = result * square
+            e >>= 1
+            if e:
+                square = square * square
         return result
 
     def __call__(self, x):
@@ -142,13 +146,17 @@ P2 = projective_space(2)
 @lru_cache(maxsize=None)
 def gottsche_punctual(order: int):
     """Motives of the punctual Hilbert schemes of a surface point,
-    as coefficients of prod_{j>=1} 1/(1 - L^(j-1) t^j) up to t^order."""
-    coeffs = [LPoly((1,))] + [LPoly()] * order
+    as coefficients of prod_{j>=1} 1/(1 - L^(j-1) t^j) up to t^order.
+
+    The recurrence runs on integer coefficient rows, where multiplying by
+    L^(j-1) is a shift by j - 1; the t^n row has degree below max(n, 1) in
+    L.  Each LPoly is built once, at the end."""
+    rows = [[1]] + [[0] * n for n in range(1, order + 1)]
     for j in range(1, order + 1):
-        weight = L ** (j - 1)
         for n in range(j, order + 1):
-            coeffs[n] = coeffs[n] + weight * coeffs[n - j]
-    return tuple(coeffs)
+            src, dst = rows[n - j], rows[n]
+            dst[j - 1 : j - 1 + len(src)] = map(add, dst[j - 1 :], src)
+    return tuple(map(LPoly, rows))
 
 
 class StrataMotives(

@@ -2,7 +2,13 @@
 
 The oracles here are the ground truth the series engines are tested
 against: each flag count is obtained by direct enumeration of partitions
-and nestings, not from any closed formula.  Some counts also run in
+and nestings, not from any closed formula.  ``count_nested_flags`` tests
+every partition of each inner size against each outer one, on cell
+bitsets: nu is inside mu iff no cell of nu lies outside mu, one integer
+operation per pair.  ``coloured_flag_counts`` convolves the one-colour
+counts of a box, enumerated once per box, and keeps the last table it
+built for the box, so the (r + 1)-colour table is one convolution from
+the r-colour one.  Some counts also run in
 production.  ``nested_pair_counts`` builds the rank-one table behind
 ``globalize`` by a walk over outer partitions, and ``count_nested_flags``
 is its referee.  ``partition_count`` sizes the ``oracle`` command's work
@@ -17,7 +23,7 @@ no shapes.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, index, le
+from operator import add, index, le, sub
 
 
 class Partition(tuple):
@@ -83,7 +89,8 @@ def enum_partitions(n: int):
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    return tuple(Partition(p) for p in gen(n, n))
+    # gen yields valid parts, so Partition's checks are skipped
+    return tuple(tuple.__new__(Partition, p) for p in gen(n, n))
 
 
 @lru_cache(maxsize=None)
@@ -109,19 +116,37 @@ def count_nested_flags(spec) -> int:
     spec = FlagSpec(spec)
     if not spec:
         return 1
-    return sum(_chains_below(mu, spec[:-1]) for mu in enum_partitions(spec[-1]))
+    width = 1 << spec[-1].bit_length()
+    outers = _cell_masks(spec[-1], width)
+    if len(spec) == 1:
+        return len(outers)
+    return sum(_chains_below(mu, spec[:-1], width) for mu in outers)
 
 
 @lru_cache(maxsize=None)
-def _chains_below(outer, sizes) -> int:
-    """Chains lambda_1 c ... c lambda_k c outer with the given inner sizes."""
-    if not sizes:
-        return 1
-    return sum(
-        _chains_below(nu, sizes[:-1])
-        for nu in enum_partitions(sizes[-1])
-        if contains(nu, outer)
+def _cell_masks(n: int, width: int):
+    """Cell bitsets of the partitions of n, in ``enum_partitions`` order:
+    row y, column x is bit ``y * width + x``."""
+    return tuple(
+        sum(((1 << part) - 1) << (y * width) for y, part in enumerate(mu))
+        for mu in enum_partitions(n)
     )
+
+
+@lru_cache(maxsize=None)
+def _chains_below(outer, sizes, width) -> int:
+    """Chains lambda_1 c ... c lambda_k c mu with the given (nonempty) inner
+    sizes, mu the partition with cell bitset ``outer``.
+
+    nu c mu iff ``cells(nu) & ~cells(mu) == 0`` once ``width`` exceeds
+    mu's largest part: a row of nu longer than mu's row y sets the bit of
+    column mu_y in row y, which mu never has.
+    """
+    spare = ~outer
+    inside = [nu for nu in _cell_masks(sizes[-1], width) if not nu & spare]
+    if len(sizes) == 1:
+        return len(inside)
+    return sum(_chains_below(nu, sizes[:-1], width) for nu in inside)
 
 
 def nested_pair_counts(max1: int, max2: int) -> dict:
@@ -160,31 +185,49 @@ def nested_pair_counts(max1: int, max2: int) -> dict:
 
 def count_coloured_flags(r: int, spec) -> int:
     """Number of r-tuples of nested chains whose sizes sum to ``spec``."""
-    return coloured_flag_counts(r, spec)[FlagSpec(spec)]
+    return _coloured_table(r, spec)[FlagSpec(spec)]
 
 
 def coloured_flag_counts(r: int, box) -> dict:
     """``{v: count_coloured_flags(r, v)}`` for every weakly increasing
     v <= box, obtained by convolving the one-colour counts over all
     splittings of each size vector into r weakly increasing summand
-    vectors."""
+    vectors.  The caller owns the returned dict."""
+    return dict(_coloured_table(r, box))
+
+
+#: box -> (r, the r-colour table of the box), the last table built
+_coloured_tops = {}
+
+
+def _coloured_table(r, box):
+    """The r-colour table of ``box``, grown one colour at a time from the
+    last table built for that box, or from the empty colouring when that
+    table has more colours than r."""
     if r < 1:
         raise ValueError("the number of colours must be positive")
     box = FlagSpec(box)
-    vectors = _increasing_vectors_below(box)
-    single = {v: count_nested_flags(v) for v in vectors}
-    table = {(0,) * len(box): 1}
-    for _ in range(r):
+    top, table = _coloured_tops.get(box, (0, None))
+    if table is None or top > r:
+        top, table = 0, {(0,) * len(box): 1}
+    single = _one_colour_counts(box)
+    for _ in range(r - top):
         merged = {}
         for partial, cp in table.items():
-            for v, cv in single.items():
-                if not cv:
-                    continue
-                w = tuple(map(add, partial, v))
-                if all(map(le, w, box)):
+            room = tuple(map(sub, box, partial))
+            for v, cv in single:
+                if all(map(le, v, room)):
+                    w = tuple(map(add, partial, v))
                     merged[w] = merged.get(w, 0) + cp * cv
         table = merged
+    _coloured_tops[box] = (r, table)
     return table
+
+
+@lru_cache(maxsize=None)
+def _one_colour_counts(box):
+    """(v, count_nested_flags(v)) for every weakly increasing v <= box."""
+    return tuple((v, count_nested_flags(v)) for v in _increasing_vectors_below(box))
 
 
 @lru_cache(maxsize=None)

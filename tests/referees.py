@@ -9,7 +9,10 @@ degree bound, the multi-gap form as an exact sum over shape classes, the
 rank-r series as products of expanded one-gap rows, and the rank-r series
 as a coefficient of a power of the one-gap generating series.  The shape
 classes of a size, their transposes and filling counts, and the census of
-nested pairs by the class of their difference come by enumeration.
+nested pairs by the class of their difference come by enumeration.  The
+flag count by filtering partitions through ``contains`` referees the
+bitset count, and the Göttsche recurrence run on ``LPoly`` values
+referees the one run on integer rows.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from flagseries.engine import (
     _grow_add,
     rational_form,
 )
-from flagseries.partitions import contains, enum_partitions
+from flagseries.motives import LEFSCHETZ, LPoly
+from flagseries.partitions import FlagSpec, contains, enum_partitions
 from flagseries.series import QSeries, RationalForm
 from flagseries.shapes import (
     ConnectedSkew,
@@ -148,6 +152,37 @@ def _insertion_census(size: int, m: int) -> dict:
                 shape = skew_class_of_cells(mu_cells - nu.cells())
                 census[shape] = census.get(shape, 0) + 1
     return census
+
+
+def filtered_nested_flags(spec) -> int:
+    """``count_nested_flags`` by filtering: each step keeps the partitions of
+    the next size down that ``contains`` puts inside the outer one."""
+    spec = FlagSpec(spec)
+    if not spec:
+        return 1
+    return sum(_filtered_chains_below(mu, spec[:-1]) for mu in enum_partitions(spec[-1]))
+
+
+@lru_cache(maxsize=None)
+def _filtered_chains_below(outer, sizes) -> int:
+    if not sizes:
+        return 1
+    return sum(
+        _filtered_chains_below(nu, sizes[:-1])
+        for nu in enum_partitions(sizes[-1])
+        if contains(nu, outer)
+    )
+
+
+def gottsche_by_lpoly(order: int):
+    """The Göttsche coefficients by the recurrence in Z[L] itself: for each
+    j, every coefficient from t^j up gains L^(j-1) times the one j below."""
+    coeffs = [LPoly((1,))] + [LPoly()] * order
+    for j in range(1, order + 1):
+        weight = LEFSCHETZ ** (j - 1)
+        for n in range(j, order + 1):
+            coeffs[n] = coeffs[n] + weight * coeffs[n - j]
+    return tuple(coeffs)
 
 
 def count_partitions_with_k_parts(n: int, k: int) -> int:

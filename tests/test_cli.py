@@ -96,6 +96,38 @@ def _double_second_derivative(monkeypatch):
     monkeypatch.setattr(quot, "binomial_weighted_derivative", doubled)
 
 
+def _miscount_one_flag_pair(monkeypatch):
+    # (10, 14) lies outside both colouring boxes, so only the one-gap
+    # check reads it
+    original = partitions.count_nested_flags
+
+    def miscounted(spec):
+        return original(spec) + (tuple(spec) == (10, 14))
+
+    monkeypatch.setattr(partitions, "count_nested_flags", miscounted)
+
+
+def _miscount_one_colour_of_the_rank_box(monkeypatch):
+    original = partitions._one_colour_counts
+
+    def miscounted(box):
+        counts = original(box)
+        if box != (6, 8):
+            return counts
+        return tuple((v, c + (v == (3, 5))) for v, c in counts)
+
+    monkeypatch.setattr(partitions, "_one_colour_counts", miscounted)
+
+
+# bound here, since a test may have replaced the module's name for it
+_one_colour_counts = partitions._one_colour_counts
+
+
+def _clear_colouring_caches():
+    partitions._coloured_tops.clear()
+    _one_colour_counts.cache_clear()
+
+
 @pytest.mark.parametrize(
     "corrupt, check, only",
     [
@@ -103,16 +135,25 @@ def _double_second_derivative(monkeypatch):
         # the exponential identity applies the same operator and fails too
         (_double_second_derivative,
          "second-order operator identity for fixed small size 2", False),
+        (_miscount_one_flag_pair, "one-gap series equals the flag oracle", True),
+        (_miscount_one_colour_of_the_rank_box,
+         "rank series equals the colouring oracle", True),
     ],
-    ids=["strata", "fq2"],
+    ids=["strata", "fq2", "flag-oracle", "colouring-oracle"],
 )
 def test_corrupted_construction_fails_its_verify_check(
     monkeypatch, capsys, corrupt, check, only
 ):
     # each check compares two constructions, so breaking one of them is a
-    # FAIL line and exit 1, not an internal error
+    # FAIL line and exit 1, not an internal error.  The colouring tables
+    # are cached per box: clear them so the corruption is seen, and again
+    # so no corrupted table outlives the test.
+    _clear_colouring_caches()
     corrupt(monkeypatch)
-    assert main(["verify"]) == 1
+    try:
+        assert main(["verify"]) == 1
+    finally:
+        _clear_colouring_caches()
     out, err = capsys.readouterr()
     failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
     assert "FAIL " + check in failed
@@ -212,6 +253,8 @@ def test_internal_check_exit_code(capsys, monkeypatch, exc, code, prefix):
         ["globalize", "--rank", "1", "--n1", "1", "--n2", "2", "--chi", "-1"],
         ["globalize", "--rank", "1", "--n1", "3", "--n2", "2", "--chi", "1"],
         ["motive", "--nesting", "2,5", "--order", "-3"],
+        ["motive", "--nesting", "2,5", "--order", "7"],
+        ["motive", "--strata", "6", "--order", "7"],
     ],
 )
 def test_rejected_input_exits_2(capsys, argv):

@@ -21,7 +21,7 @@ from flagseries.motives import (
 from flagseries.motives import LEFSCHETZ as L
 from flagseries.motives import LPoly, projective_space
 from flagseries.partitions import count_nested_flags
-from referees import count_partitions_with_k_parts
+from referees import count_partitions_with_k_parts, gottsche_by_lpoly
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -40,6 +40,23 @@ def test_gottsche_counts_partitions_by_parts():
     for n in range(21):
         for k in range(n + 1):
             assert hilb[n][n - k] == count_partitions_with_k_parts(n, k)
+
+
+def test_gottsche_rows_equal_the_lpoly_recurrence():
+    for order in range(21):
+        hilb = gottsche_punctual(order)
+        assert hilb == gottsche_by_lpoly(order), order
+        assert all(type(c) is LPoly for c in hilb)
+
+
+def test_lpoly_power_is_repeated_multiplication():
+    for base in (L, P2, LPoly((2, -1, 0, 3)), LPoly((-1,)), LPoly()):
+        product = LPoly((1,))
+        for e in range(13):
+            assert base**e == product, (base, e)
+            product = product * base
+    with pytest.raises(ValueError):
+        L ** -1
 
 
 def test_strata_n4():

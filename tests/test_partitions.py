@@ -1,7 +1,9 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 
+from flagseries import partitions
 from flagseries.partitions import (
     FlagSpec,
     Partition,
@@ -14,7 +16,12 @@ from flagseries.partitions import (
     partition_count,
 )
 from flagseries.shapes import SkewShape
-from referees import count_partitions_with_k_parts, enum_skew_classes, insertion_count
+from referees import (
+    count_partitions_with_k_parts,
+    enum_skew_classes,
+    filtered_nested_flags,
+    insertion_count,
+)
 
 
 def test_partition_validation():
@@ -82,6 +89,17 @@ def test_count_nested_flags_degenerate():
         assert count_nested_flags((n, n)) == partition_count(n)
 
 
+def test_bitset_count_equals_the_filter_referee():
+    # every spec of length <= 3 with top size <= 10
+    specs = [()] + [
+        spec
+        for length in (1, 2, 3)
+        for spec in itertools.combinations_with_replacement(range(11), length)
+    ]
+    for spec in specs:
+        assert count_nested_flags(spec) == filtered_nested_flags(spec), spec
+
+
 def test_count_coloured_flags_examples():
     for spec in ((2, 4), (1, 3), (0, 2, 5)):
         assert count_coloured_flags(1, spec) == count_nested_flags(spec)
@@ -89,25 +107,18 @@ def test_count_coloured_flags_examples():
     assert count_coloured_flags(2, (0, 1)) == 2
 
 
+@lru_cache(maxsize=None)
 def direct_coloured(r, spec):
     """Coloured count of a size pair as a direct sum over ordered
-    splittings into r size pairs."""
-    total = 0
-    pairs = [
-        (a, b)
+    splittings into r size pairs: the first pair of the splitting, times
+    the splittings of the rest into r - 1 pairs."""
+    if r == 0:
+        return int(spec == (0, 0))
+    return sum(
+        count_nested_flags((a, b)) * direct_coloured(r - 1, (spec[0] - a, spec[1] - b))
         for a in range(spec[0] + 1)
         for b in range(a, spec[1] + 1)
-    ]
-    for combo in itertools.product(pairs, repeat=r):
-        if (
-            sum(p[0] for p in combo) == spec[0]
-            and sum(p[1] for p in combo) == spec[1]
-        ):
-            term = 1
-            for p in combo:
-                term *= count_nested_flags(p)
-            total += term
-    return total
+    )
 
 
 def test_count_coloured_flags_relabelling_symmetry():
@@ -131,6 +142,30 @@ def test_coloured_flag_counts_hold_the_whole_box():
     assert coloured_flag_counts(2, ()) == {(): 1}
     with pytest.raises(ValueError):
         coloured_flag_counts(0, (1, 2))
+
+
+@pytest.mark.parametrize("ranks", [(1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3, 3)])
+def test_colouring_tower_matches_the_direct_sum_in_any_order(ranks):
+    # each box keeps its last table and grows it, or starts over below it
+    partitions._coloured_tops.clear()
+    boxes = [(a, b) for b in range(7) for a in range(min(b, 2) + 1)]
+    for r in ranks:
+        for box in boxes:
+            assert coloured_flag_counts(r, box) == {
+                (a, b): direct_coloured(r, (a, b))
+                for a in range(box[0] + 1)
+                for b in range(a, box[1] + 1)
+            }, (r, box)
+
+
+def test_editing_a_returned_table_changes_no_later_call():
+    expected = coloured_flag_counts(2, (2, 4))
+    table = coloured_flag_counts(2, (2, 4))
+    table[(2, 4)] += 1
+    del table[(0, 0)]
+    assert coloured_flag_counts(2, (2, 4)) == expected
+    assert count_coloured_flags(2, (2, 4)) == expected[(2, 4)]
+    assert count_coloured_flags(3, (2, 4)) == direct_coloured(3, (2, 4))
 
 
 def test_nested_pair_counts_match_enumeration():
