@@ -441,33 +441,33 @@ def _component_groups(costs) -> dict:
 
 def _rank_form(r: int, D: int) -> RationalForm:
     """Rational form of FQ_{r,D} / Z^r over the canonical denominator
-    prod_{j=1}^{D} (1 - q^j)^{min(r, D // j)}, exact.
-
-    A gap multiset lam of D contributes inj(r, lam) * prod_i P_{lam_i} over
+    prod_{j=1}^{D} (1 - q^j)^{e_j}, e_j = min(r, D // j), exact: a gap
+    multiset lam of D contributes inj(r, lam) * prod_i P_{lam_i} over
     prod_j (1 - q^j)^{#{i : lam_i >= j}}, with P_d the one-gap numerators
     and inj(r, lam) = perm(r, len(lam)) / prod_m mult_m!, 0 past r parts.
-    At most min(r, D // j) parts of lam are >= j, so bringing each term to
-    the canonical denominator only multiplies by factors (1 - q^j): no
-    division, truncation or degree bound.
+    At most e_j parts of lam are >= j, and over all j they count D boxes,
+    so every term takes sum_j e_j - D factors (1 - q^j), each at most
+    doubling its l1 norm.  The sum runs on ints at q = 2^bits (``kernels``).
     """
     from .partitions import enum_partitions  # fz loads no partitions
 
     denominator = {j: min(r, D // j) for j in range(1, D + 1)}
     nums = _one_gap_numerators(D)
-    numerator = []
-    for lam in enum_partitions(D):
-        repeats = prod(map(factorial, lam.multiplicities().values()))
-        weight = perm(r, len(lam)) // repeats
-        if not weight:
-            continue
-        term = [1]
-        for part in lam:
-            term = _mul(term, nums[part])
+    inj = {
+        lam: perm(r, len(lam)) // prod(map(factorial, lam.multiplicities().values()))
+        for lam in enum_partitions(D) if len(lam) <= r
+    }
+    bound = sum(w * prod(sum(map(abs, nums[p])) for p in lam) for lam, w in inj.items())
+    bits = kernels._signed_bits(bound << (sum(denominator.values()) - D))
+    lifted, value = [kernels._pack(p, bits) for p in nums], 0
+    for lam, weight in inj.items():
+        term = prod(lifted[part] for part in lam)
         for j, e in denominator.items():
             for _ in range(e - sum(1 for part in lam if part >= j)):
-                term = _times_one_minus(term, j)
-        _grow_add(numerator, term, 0, weight)
-    return RationalForm(numerator, denominator)
+                term -= term << (bits * j)
+        value += weight * term
+    digits = value.bit_length() // bits + 1  # |value| > 2^(bits * degree - 1)
+    return RationalForm(kernels._unpack(value, bits, digits), denominator)
 
 
 def rational_form(k, r: int = 1) -> RationalForm:

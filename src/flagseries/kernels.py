@@ -1,9 +1,19 @@
 """Dense single-variable series kernels, in pure Python.
 
 There is one backend, because no workload shows that a second one pays.
-All routines work on plain lists of Python ints indexed by exponent and
-truncated at a given order (inclusive).  Coefficients are exact arbitrary
+The kernels work on plain lists of Python ints indexed by exponent and
+truncated at a given order (inclusive); ``ps_inv`` and the engine's
+placement recurrences run on them.  Coefficients are exact arbitrary
 precision integers; nothing here may introduce floats.
+
+Products of whole polynomials run on packed ints instead (Kronecker
+substitution, D. Harvey, J. Symbolic Comput. 44, 2009): ``_pack``
+evaluates a coefficient list at q = 2^bits, one big-int product then
+multiplies two polynomials, and ``_unpack`` reads the coefficients back
+as signed base-2^bits digits.  The decoding is exact when every
+coefficient it reads has absolute value at most the bound the caller
+proves, with ``bits = _signed_bits(bound)``.  ``series.ps_mul`` and
+``engine._rank_form`` multiply this way.
 """
 
 BACKEND = "pure"
@@ -71,3 +81,30 @@ def addmul_shifted(dst, src, shift, coef, n):
             si = src[i]
             if si:
                 dst[shift + i] += coef * si
+
+
+def _signed_bits(bound):
+    """Slot width holding every integer of absolute value <= bound as one
+    signed digit: the bound's bit length and a sign bit."""
+    return bound.bit_length() + 1
+
+
+def _pack(coeffs, bits):
+    """sum_i coeffs[i] * 2^(bits * i): the polynomial at q = 2^bits."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << bits) + c
+    return value
+
+
+def _unpack(value, bits, count):
+    """The coefficients of degree < count of a polynomial packed by
+    :func:`_pack`, as digits in [-2^(bits-1), 2^(bits-1)); the higher ones
+    are ignored.  Adding 2^(bits-1) to every slot makes each digit
+    nonnegative, so one mask cuts the kept slots and each is read by a
+    shift and a mask."""
+    half = 1 << (bits - 1)
+    slot = (1 << bits) - 1
+    kept = (1 << (bits * count)) - 1
+    value = (value + half * (kept // slot)) & kept
+    return [((value >> (bits * i)) & slot) - half for i in range(count)]

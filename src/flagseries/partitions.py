@@ -159,28 +159,42 @@ def nested_pair_counts(max1: int, max2: int) -> dict:
     (nu padded with zero rows).  Appending a row r gives the nu whose new
     row is p <= r as ``suffix[p]`` shifted by p; every prefix of mu is a
     smaller partition, so each mu costs one row of work.
+
+    A count vector by size is one int with a slot of ``bits`` bits per
+    size a <= max1, so adding vectors is one int addition, and shifting
+    by p drops the sizes past max1 under one mask.  Every count, final or
+    partial, is at most p(a) * p(b), which :func:`_pair_slot_bits` fits.
     """
     if max1 < 0 or max2 < 0:
         raise ValueError("sizes must be nonnegative")
     width = max1 + 1
-    rows = [[0] * width for _ in range(max2 + 1)]
+    bits = _pair_slot_bits(max1, max2)
+    mask = (1 << (bits * width)) - 1
+    rows = [0] * (max2 + 1)
 
     def walk(size, top, suffix):
-        rows[size] = [x + y for x, y in zip(rows[size], suffix[0])]
+        rows[size] += suffix[0]
         for r in range(min(top, max2 - size), 0, -1):
-            acc = [0] * width
+            acc = 0
             new = [None] * (r + 1)
             for p in range(r, -1, -1):
-                acc[p:] = [x + y for x, y in zip(acc[p:], suffix[p])]
-                new[p] = acc[:]
+                acc = (acc + (suffix[p] << (bits * p))) & mask
+                new[p] = acc
             walk(size + r, r, new)
 
-    walk(0, max2, [[1] + [0] * max1] * (max2 + 1))
+    walk(0, max2, [1] * (max2 + 1))
+    slot = (1 << bits) - 1
     return {
-        (a, b): rows[b][a]
+        (a, b): (rows[b] >> (bits * a)) & slot
         for a in range(width)
         for b in range(a, max2 + 1)
     }
+
+
+def _pair_slot_bits(max1: int, max2: int) -> int:
+    """Slot width of the walk's packed counts: a count of nu c mu with
+    |nu| = a <= max1 and |mu| = b <= max2 is at most p(a) * p(b)."""
+    return (partition_count(max1) * partition_count(max2)).bit_length()
 
 
 def count_coloured_flags(r: int, spec) -> int:

@@ -6,10 +6,12 @@ so every rank-r series is a polynomial expression in the rank-one series.
 ``engine.rational_form((D,), r)``, the one constructor, builds that
 expression exactly, and every series here is such a form expanded with
 Z^r.  The verify_* routines check the closed functional equations; each
-builds both sides independently and compares coefficients exactly.  In
-the functional equation and the exponential identity one side is built
-from these exact forms and the other from the rank-one series, so both
-referee the forms that ``fq`` prints.
+takes one side, Q(q,s) or FQ(q,s,v), built once by :func:`identity_suite`
+for every check that reads it, builds the other side independently and
+compares coefficients exactly.  In the functional equation and the
+exponential identity one side is built from these exact forms and the
+other from the rank-one series, so both referee the forms that ``fq``
+prints.
 """
 
 from __future__ import annotations
@@ -43,15 +45,15 @@ def q_surface(nq: int, ns: int) -> QSeries:
     return QSeries.from_rows(("s", "q"), (ns, nq), rows)
 
 
-def verify_q_identity(nq: int, ns: int) -> bool:
-    """Check Q(q,s) * (1 - s Z(q)) = 1 by building both sides separately."""
-    variables = ("s", "q")
-    trunc = (ns, nq)
-    lhs = q_surface(nq, ns)
+def verify_q_identity(q_big: QSeries) -> bool:
+    """Check Q(q,s) * (1 - s Z(q)) = 1 for ``q_big`` = :func:`q_surface`,
+    building the other side, 1 / (1 - s Z(q)), separately."""
+    variables, trunc = q_big.variables, q_big.truncation
+    nq = trunc[-1]
     one = QSeries.one(variables, trunc)
     s_z = QSeries.from_rows(variables, trunc, {(1,): expand_dense([1], {}, nq, 1)})
     rhs = ps_inv(one - s_z)
-    return lhs == rhs
+    return q_big == rhs
 
 
 def fq_surface(nq: int, ns: int, nv: int) -> QSeries:
@@ -74,16 +76,16 @@ def _fz_qv(nq: int, ns: int, nv: int, z_power: int) -> QSeries:
     return QSeries.from_rows(("s", "v", "q"), (ns, nv, nq), rows)
 
 
-def verify_fq_functional(nq: int, ns: int, nv: int) -> bool:
-    """Check FQ(q,s,v) * (1 - FZ(q,v) s) = 1 with both sides independent."""
-    variables = ("s", "v", "q")
-    trunc = (ns, nv, nq)
-    lhs = fq_surface(nq, ns, nv)
+def verify_fq_functional(fq: QSeries) -> bool:
+    """Check FQ(q,s,v) * (1 - FZ(q,v) s) = 1 for ``fq`` = :func:`fq_surface`,
+    building the other side from the rank-one forms."""
+    variables = fq.variables
+    trunc = ns, nv, nq = fq.truncation
     one = QSeries.one(variables, trunc)
     fz = _fz_qv(nq, ns, nv, z_power=1)
     s = QSeries.monomial(variables, trunc, (1, 0, 0))
     rhs = ps_inv(one - ps_mul(fz, s))
-    return lhs == rhs
+    return fq == rhs
 
 
 def binomial_weighted_derivative(series: QSeries, order: int) -> QSeries:
@@ -101,8 +103,10 @@ def binomial_weighted_derivative(series: QSeries, order: int) -> QSeries:
     return QSeries.from_rows(series.variables, series.truncation, rows)
 
 
-def verify_exponential_identity(nq: int, ns: int, nv: int) -> bool:
-    """Check the exponential-operator expression for FQ(q,s,v).
+def verify_exponential_identity(fq: QSeries, q_big: QSeries) -> bool:
+    """Check the exponential-operator expression for ``fq`` = FQ(q,s,v),
+    :func:`fq_surface`, built from ``q_big`` = Q(q,s), :func:`q_surface`,
+    of the same orders in s and q.
 
     The exponential of the normalized gap series, expanded in v with the
     number of factors tracked, turns each product of l gap factors into the
@@ -111,12 +115,13 @@ def verify_exponential_identity(nq: int, ns: int, nv: int) -> bool:
     two-factor terms; divided factorials pair with falling factorials into
     binomials, keeping everything integral.
     """
-    variables = ("s", "v", "q")
-    trunc = (ns, nv, nq)
-    lhs = fq_surface(nq, ns, nv)
+    variables = fq.variables
+    trunc = ns, nv, nq = fq.truncation
+    if q_big.truncation != (ns, nq):
+        raise ValueError("Q(q,s) and FQ(q,s,v) differ in their orders in s and q")
     gaps = _fz_qv(nq, ns, nv, z_power=0) - QSeries.one(variables, trunc)
-    q_big = QSeries.from_rows(
-        variables, trunc, {(r, 0): row for (r,), row in q_surface(nq, ns).rows.items()}
+    q_sv = QSeries.from_rows(
+        variables, trunc, {(r, 0): row for (r,), row in q_big.rows.items()}
     )
     rhs = QSeries.zero(variables, trunc)
     power = QSeries.one(variables, trunc)
@@ -125,16 +130,17 @@ def verify_exponential_identity(nq: int, ns: int, nv: int) -> bool:
             power = ps_mul(power, gaps)
             if power.is_zero():
                 break
-        rhs = rhs + ps_mul(power, binomial_weighted_derivative(q_big, order))
-    return lhs == rhs
+        rhs = rhs + ps_mul(power, binomial_weighted_derivative(q_sv, order))
+    return fq == rhs
 
 
-def verify_fq2_example(nq: int, ns: int) -> bool:
+def verify_fq2_example(q_big: QSeries) -> bool:
     """Check the closed expression for the series of rank-r counts of
     2-in-n coloured nestings against the coloured oracle and against the
-    displayed second-order differential operator applied to Q(q,s)."""
-    variables = ("s", "q")
-    trunc = (ns, nq)
+    displayed second-order differential operator applied to ``q_big`` =
+    Q(q,s), :func:`q_surface`, at its orders in s and q."""
+    variables = q_big.variables
+    trunc = ns, nq = q_big.truncation
 
     oracle = {}
     for r in range(1, ns + 1):
@@ -162,7 +168,6 @@ def verify_fq2_example(nq: int, ns: int) -> bool:
     # (s^2 - 2s/(1-q) + (2s(1-s+s^2) - 2s^2/(1-q)) d/ds
     #      + (s^2 (1-s)^2 / 2) d^2/ds^2) . Q(q, s), where s^l/l! d^l/ds^l
     # is binomial_weighted_derivative of order l
-    q_big = q_surface(nq, ns)
     d1 = binomial_weighted_derivative(q_big, 1)
     d2 = binomial_weighted_derivative(q_big, 2)
     s = QSeries.monomial(variables, trunc, (1, 0))
@@ -178,14 +183,16 @@ def verify_fq2_example(nq: int, ns: int) -> bool:
 
 def identity_suite():
     """The checks ``verify`` runs, in order, as (name, check) pairs; a check
-    returns True when its two constructions agree.  The first check that
-    builds a one-gap form asks for the largest gap first, so one numerator
-    run serves every later check."""
+    returns True when its two constructions agree.  Q(q,s) and FQ(q,s,v)
+    are built once, here, for the checks that read them; FQ asks for the
+    largest gap first, so one numerator run serves every later check."""
     from . import motives
     from .partitions import count_nested_flags
 
     nq, ns, nv = 12, 4, 4
     dmax, nmax = 4, 10
+    fq = fq_surface(nq, ns, nv)
+    q_big = q_surface(nq, ns)
 
     def oracle_one_gap():
         return all(
@@ -210,13 +217,13 @@ def identity_suite():
 
     return [
         ("geometric-series identity for the unnested rank table",
-         lambda: verify_q_identity(nq, ns)),
+         lambda: verify_q_identity(q_big)),
         ("functional equation for the one-gap rank table",
-         lambda: verify_fq_functional(nq, ns, nv)),
+         lambda: verify_fq_functional(fq)),
         ("exponential-operator expression for the one-gap rank table",
-         lambda: verify_exponential_identity(nq, ns, nv)),
+         lambda: verify_exponential_identity(fq, q_big)),
         ("second-order operator identity for fixed small size 2",
-         lambda: verify_fq2_example(nq, ns)),
+         lambda: verify_fq2_example(q_big)),
         ("one-gap series equals the flag oracle", oracle_one_gap),
         ("rank series equals the colouring oracle", oracle_coloured),
         ("stratification closes on the punctual motive", strata_close),

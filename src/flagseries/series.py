@@ -9,7 +9,7 @@ down to the componentwise minimum.
 from __future__ import annotations
 
 import itertools
-from operator import index
+from operator import add, gt, index
 
 from . import kernels
 
@@ -201,29 +201,28 @@ def ps_add(a: QSeries, b: QSeries) -> QSeries:
 
 
 def ps_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product, truncated to the minimum truncation.
-
-    Dense rows of the last variable are convolved for every pair of
-    leading keys whose sum stays inside the truncation; a one-variable
-    series is the single row keyed ``()``.
-    """
+    """Cauchy product, truncated to the minimum truncation: the dense rows
+    of the last variable are packed into ints (see ``kernels``), multiplied
+    for every pair of leading keys whose sum stays inside the truncation,
+    and decoded once per output row."""
     trunc = a._check_compatible(b)
     n = trunc[-1]
     lead = trunc[:-1]
-    rows_b = b.rows.items()
+    # an output coefficient sums at most (n + 1) * min(#rows) products
+    bound = (n + 1) * min(len(a.rows), len(b.rows))
+    for rows in a.rows, b.rows:
+        bound *= max((max(map(abs, row)) for row in rows.values()), default=0)
+    bits = kernels._signed_bits(bound)
+    packed_b = [(kb, kernels._pack(rb, bits)) for kb, rb in b.rows.items()]
     out = {}
     for ka, ra in a.rows.items():
-        for kb, rb in rows_b:
-            key = tuple(x + y for x, y in zip(ka, kb))
-            if any(x > t for x, t in zip(key, lead)):
-                continue
-            prod = kernels.mul_trunc(ra, rb, n)
-            acc = out.get(key)
-            if acc is None:
-                out[key] = prod
-            else:
-                kernels.addmul_shifted(acc, prod, 0, 1, n)
-    return QSeries.from_rows(a.variables, trunc, out)
+        va = kernels._pack(ra, bits)
+        for kb, vb in packed_b:
+            key = tuple(map(add, ka, kb))
+            if not any(map(gt, key, lead)):
+                out[key] = out.get(key, 0) + va * vb
+    rows = {k: kernels._unpack(v, bits, n + 1) for k, v in out.items()}
+    return QSeries.from_rows(a.variables, trunc, rows)
 
 
 def ps_inv(a: QSeries) -> QSeries:

@@ -12,20 +12,25 @@ classes of a size, their transposes and filling counts, and the census of
 nested pairs by the class of their difference come by enumeration.  The
 flag count by filtering partitions through ``contains`` referees the
 bitset count, and the Göttsche recurrence run on ``LPoly`` values
-referees the one run on integer rows.
+referees the one run on integer rows.  The list-arithmetic versions of the
+three packed-int paths (the nested-pair walk, the row products of
+``ps_mul`` and the rank-r sum) referee them.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 
 from flagseries import kernels
 from flagseries.engine import (
     _class_numerator,
     _compute_relative_dense,
     _grow_add,
+    _mul,
+    _one_gap_numerators,
+    _times_one_minus,
     rational_form,
 )
 from flagseries.motives import LEFSCHETZ, LPoly
@@ -312,3 +317,65 @@ def fq_rD_via_generating(r: int, D: int, truncation: int) -> QSeries:
                 kernels.addmul_shifted(nxt[a + b], prod, 0, 1, n)
         power = nxt
     return QSeries.from_dense("q", power[D], n)
+
+
+def nested_pair_counts_by_lists(max1: int, max2: int) -> dict:
+    """``partitions.nested_pair_counts`` by the same walk over outer
+    partitions, with each count vector by inner size a list."""
+    width = max1 + 1
+    rows = [[0] * width for _ in range(max2 + 1)]
+
+    def walk(size, top, suffix):
+        rows[size] = [x + y for x, y in zip(rows[size], suffix[0])]
+        for r in range(min(top, max2 - size), 0, -1):
+            acc = [0] * width
+            new = [None] * (r + 1)
+            for p in range(r, -1, -1):
+                acc[p:] = [x + y for x, y in zip(acc[p:], suffix[p])]
+                new[p] = acc[:]
+            walk(size + r, r, new)
+
+    walk(0, max2, [[1] + [0] * max1] * (max2 + 1))
+    return {
+        (a, b): rows[b][a]
+        for a in range(width)
+        for b in range(a, max2 + 1)
+    }
+
+
+def ps_mul_by_rows(a: QSeries, b: QSeries) -> QSeries:
+    """``series.ps_mul`` by the dense kernels: one truncated row convolution
+    per pair of leading keys whose sum stays inside the truncation."""
+    trunc = a._check_compatible(b)
+    n = trunc[-1]
+    out = {}
+    for ka, ra in a.rows.items():
+        for kb, rb in b.rows.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            if any(x > t for x, t in zip(key, trunc[:-1])):
+                continue
+            prod_row = kernels.mul_trunc(ra, rb, n)
+            acc = out.setdefault(key, [0] * (n + 1))
+            kernels.addmul_shifted(acc, prod_row, 0, 1, n)
+    return QSeries.from_rows(a.variables, trunc, out)
+
+
+def rank_form_by_lists(r: int, D: int) -> RationalForm:
+    """``engine._rank_form`` in list arithmetic: each term's product of
+    one-gap numerators and its factors (1 - q^j) as dense lists."""
+    denominator = {j: min(r, D // j) for j in range(1, D + 1)}
+    nums = _one_gap_numerators(D)
+    numerator = []
+    for lam in enum_partitions(D):
+        repeats = prod(map(factorial, lam.multiplicities().values()))
+        weight = perm(r, len(lam)) // repeats
+        if not weight:
+            continue
+        term = [1]
+        for part in lam:
+            term = _mul(term, nums[part])
+        for j, e in denominator.items():
+            for _ in range(e - sum(1 for part in lam if part >= j)):
+                term = _times_one_minus(term, j)
+        _grow_add(numerator, term, 0, weight)
+    return RationalForm(numerator, denominator)

@@ -25,6 +25,8 @@ from flagseries.partitions import (
     partition_count,
 )
 from flagseries.quot import (
+    fq_surface,
+    q_surface,
     verify_exponential_identity,
     verify_fq2_example,
     verify_fq_functional,
@@ -168,10 +170,11 @@ def test_criterion_4_special_value_laws():
 
 def test_criterion_5_higher_rank_identities():
     def body():
-        assert verify_q_identity(12, 4)
-        assert verify_fq_functional(12, 4, 4)
-        assert verify_exponential_identity(12, 4, 4)
-        assert verify_fq2_example(12, 4)
+        q_big, fq = q_surface(12, 4), fq_surface(12, 4, 4)
+        assert verify_q_identity(q_big)
+        assert verify_fq_functional(fq)
+        assert verify_exponential_identity(fq, q_big)
+        assert verify_fq2_example(q_big)
 
     report(5, "higher-rank functional identities at (q,s,v) <= (12,4,4)", body)
 

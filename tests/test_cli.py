@@ -380,6 +380,24 @@ def test_verify_runs_the_numerator_recurrence_once(monkeypatch, capsys):
     assert budgets == [(4,)]
 
 
+def test_verify_builds_each_shared_series_once(monkeypatch, capsys):
+    # Q(q,s) and FQ(q,s,v) each serve several checks
+    built = []
+
+    def counting(name):
+        original = getattr(quot, name)
+
+        def build(*sizes):
+            built.append(name)
+            return original(*sizes)
+        return build
+
+    for name in ("fq_surface", "q_surface"):
+        monkeypatch.setattr(quot, name, counting(name))
+    assert main(["verify"]) == 0
+    assert sorted(built) == ["fq_surface", "q_surface"]
+
+
 def test_text_and_csv_formats(capsys):
     assert main(["fz", "--D", "2", "--format", "text"]) == 0
     out = capsys.readouterr().out
@@ -539,23 +557,25 @@ def loaded_after(argv):
     return code, set(modules)
 
 
+#: The package modules of three fresh-process requests.  A multi-gap form
+#: counts the fillings of connected shapes, and a rank above 1 sums over
+#: the partitions of its gap; packing integer vectors adds no module.
+REQUEST_MODULES = {
+    ("fz", "--D", "3"): {"cli", "engine", "kernels", "series"},
+    ("fz", "--k", "1,1"): {"cli", "engine", "kernels", "series", "shapes"},
+    ("fq", "--r", "2", "--D", "2"): {
+        "cli", "engine", "kernels", "partitions", "series",
+    },
+}
+
+
 def test_fz_loads_only_the_modules_it_runs():
-    code, modules = loaded_after(["fz", "--D", "3"])
-    assert code == 0
-    unused = {
-        "flagseries.motives",
-        "flagseries.quot",
-        "flagseries.surfaces",
-        "flagseries.shapes",
-        "flagseries.partitions",
-        "dataclasses",
-    }
-    assert not unused & modules
-    assert "flagseries.engine" in modules
-    # A multi-gap form counts the fillings of connected shapes.
-    code, modules = loaded_after(["fz", "--k", "1,1"])
-    assert code == 0
-    assert "flagseries.shapes" in modules
+    for argv, expected in REQUEST_MODULES.items():
+        code, modules = loaded_after(list(argv))
+        assert code == 0
+        package = {m for m in modules if m.startswith("flagseries")}
+        assert package == {"flagseries"} | {f"flagseries.{m}" for m in expected}
+        assert "dataclasses" not in modules
 
 
 def test_rank_forms_load_partitions_not_quot():

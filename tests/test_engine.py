@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from flagseries import engine, quot
+from flagseries import engine, kernels, quot
 from flagseries.engine import (
     _one_gap_groups,
     partition_series,
@@ -22,6 +22,7 @@ from referees import (
     insertion_count,
     rational_form_degree_bound,
     rational_form_k_degree_bound,
+    rank_form_by_lists,
     rp_count,
     transpose,
     truncated_ratio,
@@ -416,3 +417,31 @@ def test_placement_weight_degree():
                     exps = [e for e, _ in w.exponents_at(j, 10**6)]
                     assert max(exps) == w.degree_at(j)
                     assert min(exps) == j * w.V + w.B
+
+
+def test_packed_rank_form_equals_the_list_sum():
+    # the largest gap first, so one numerator run serves the smaller ones
+    assert engine._rank_form(8, 20) == rank_form_by_lists(8, 20)
+    for r in range(1, 9):
+        for D in range(1, 13):
+            assert engine._rank_form(r, D) == rank_form_by_lists(r, D), (r, D)
+
+
+@pytest.mark.parametrize("r, D", [(2, 5), (4, 8), (8, 12)])
+def test_rank_form_slot_below_the_bound_decodes_wrongly(monkeypatch, r, D):
+    expected = rank_form_by_lists(r, D)
+    need = max(abs(c) for c in expected.numerator).bit_length() + 1
+    original = kernels._signed_bits
+    widths = []
+
+    def fixed(width):
+        def slot_bits(bound):
+            widths.append(original(bound))
+            return width
+        return slot_bits
+
+    monkeypatch.setattr(kernels, "_signed_bits", fixed(need))
+    assert engine._rank_form(r, D) == expected
+    monkeypatch.setattr(kernels, "_signed_bits", fixed(need - 1))
+    assert engine._rank_form(r, D) != expected
+    assert min(widths) >= need

@@ -21,6 +21,7 @@ from referees import (
     enum_skew_classes,
     filtered_nested_flags,
     insertion_count,
+    nested_pair_counts_by_lists,
 )
 
 
@@ -177,6 +178,34 @@ def test_nested_pair_counts_match_enumeration():
         }, (max1, max2)
     with pytest.raises(ValueError):
         nested_pair_counts(-1, 3)
+
+
+def test_packed_walk_equals_the_list_walk():
+    # every box with max1 <= 8 and max1 <= max2 <= 20, each against the
+    # list walk on (max1, 20) cut to b <= max2: no entry depends on the box
+    for max1 in range(9):
+        full = nested_pair_counts_by_lists(max1, 20)
+        for max2 in range(max1, 21):
+            cut = {(a, b): n for (a, b), n in full.items() if b <= max2}
+            assert nested_pair_counts(max1, max2) == cut, (max1, max2)
+    assert nested_pair_counts(12, 30) == nested_pair_counts_by_lists(12, 30)
+
+
+@pytest.mark.parametrize(
+    "sizes", [(2, 5), (8, 16), (8, 20), (12, 30)], ids=lambda b: f"{b[0]}-{b[1]}"
+)
+def test_walk_slot_one_bit_narrower_than_the_box_needs_decodes_wrongly(
+    monkeypatch, sizes
+):
+    # the largest count bounds every partial count of the walk, so its bit
+    # length is the narrowest slot that works; the bound must reach it
+    expected = nested_pair_counts_by_lists(*sizes)
+    need = max(expected.values()).bit_length()
+    assert partitions._pair_slot_bits(*sizes) >= need
+    monkeypatch.setattr(partitions, "_pair_slot_bits", lambda max1, max2: need)
+    assert nested_pair_counts(*sizes) == expected
+    monkeypatch.setattr(partitions, "_pair_slot_bits", lambda max1, max2: need - 1)
+    assert nested_pair_counts(*sizes) != expected
 
 
 def box(*starts_lens):

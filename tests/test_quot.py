@@ -6,6 +6,7 @@ from flagseries import engine
 from flagseries.engine import partition_series, rational_form
 from flagseries.partitions import coloured_flag_counts, partition_count
 from flagseries.quot import (
+    fq_surface,
     q_surface,
     verify_exponential_identity,
     verify_fq2_example,
@@ -120,7 +121,7 @@ def test_rational_form_rD_constant_term():
 
 
 def test_q_identity():
-    assert verify_q_identity(8, 4)
+    assert verify_q_identity(q_surface(8, 4))
     # s-slices: coefficient of s^1 q^n is p(n)
     surface = q_surface(8, 4)
     z = partition_series(8)
@@ -130,15 +131,17 @@ def test_q_identity():
 
 
 def test_fq_functional():
-    assert verify_fq_functional(10, 3, 3)
+    assert verify_fq_functional(fq_surface(10, 3, 3))
 
 
 def test_exponential_identity():
-    assert verify_exponential_identity(10, 3, 3)
+    assert verify_exponential_identity(fq_surface(10, 3, 3), q_surface(10, 3))
+    with pytest.raises(ValueError):
+        verify_exponential_identity(fq_surface(10, 3, 3), q_surface(8, 3))
 
 
 def test_fq2_example():
-    assert verify_fq2_example(8, 4)
+    assert verify_fq2_example(q_surface(8, 4))
 
 
 def test_fq_requires_positive_rank():

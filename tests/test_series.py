@@ -1,13 +1,15 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagseries import kernels
 from flagseries.engine import partition_series
 from flagseries.motives import LEFSCHETZ as L
 from flagseries.motives import LPoly, projective_space
-from flagseries.partitions import partition_count
+from flagseries.partitions import nested_pair_counts, partition_count
 from flagseries.series import (
     QSeries,
     RationalForm,
@@ -16,7 +18,7 @@ from flagseries.series import (
     ps_mul,
     ps_pow,
 )
-from referees import RationalityError, clear_denominator
+from referees import RationalityError, clear_denominator, ps_mul_by_rows
 
 
 def q(coeffs, trunc=None):
@@ -167,6 +169,83 @@ def test_multivariate_mul_matches_term_convolution(pair):
     assert product == term_convolution(a, b)
     assert product.truncation == tuple(map(min, a.truncation, b.truncation))
     assert ps_mul(b, a) == product
+
+
+def big_series(rng, nvars, truncation, rows, zero_rows=0):
+    """A series whose coefficients reach past 2^64 in both signs: ``rows``
+    random rows, each with a random share of zero slots, and ``zero_rows``
+    more all-zero rows that the constructor drops."""
+    lead = [range(t + 1) for t in truncation[:-1]]
+    keys = rng.sample(list(itertools.product(*lead)), rows + zero_rows)
+    width = truncation[-1] + 1
+    out = {key: [0] * width for key in keys[rows:]}
+    for key in keys[:rows]:
+        out[key] = [
+            rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 40, 90)))
+            if rng.random() < 0.7 else 0
+            for _ in range(width)
+        ]
+    return QSeries.from_rows(VARIABLES[nvars], truncation, out)
+
+
+def packed_product_cases():
+    """Operand pairs for the packed product: one to three variables,
+    coefficients past 2^64 of both signs, zero operands and dropped zero
+    rows, rows longer than the product's truncation, truncations that
+    differ in every variable, and factors whose product cancels."""
+    rng = random.Random(27)
+    cases = []
+    for nvars in (1, 2, 3):
+        small, large = (3,) * (nvars - 1) + (6,), (4,) * (nvars - 1) + (11,)
+        rows = 2 * nvars - 1
+        for ta, tb in ((small, small), (small, large), (large, small)):
+            a = big_series(rng, nvars, ta, rows, zero_rows=min(nvars - 1, 1))
+            b = big_series(rng, nvars, tb, rows)
+            cases.append((a, b))
+            cases.append((a, QSeries.zero(a.variables, tb)))
+            cases.append((a - b, a + b))
+        one = QSeries.one(VARIABLES[nvars], small)
+        x = QSeries.monomial(VARIABLES[nvars], small, (1,) * nvars)
+        cases.append((one + x * (1 << 70), one - x * (1 << 70)))
+    return cases
+
+
+def test_packed_product_equals_the_row_kernels():
+    for a, b in packed_product_cases():
+        product = ps_mul(a, b)
+        assert product == ps_mul_by_rows(a, b) == term_convolution(a, b)
+        assert ps_mul(b, a) == product
+
+
+def test_power_of_the_pair_table_equals_repeated_row_products():
+    table = QSeries(("q1", "q2"), (8, 16), nested_pair_counts(8, 16))
+    expected = table
+    for _ in range(11):
+        expected = ps_mul_by_rows(expected, table)
+    assert ps_pow(table, 12) == expected
+
+
+def signed_width(c):
+    """Bits of the narrowest two's-complement slot that holds c."""
+    return (c if c >= 0 else ~c).bit_length() + 1
+
+
+def test_product_slot_below_the_bound_decodes_wrongly(monkeypatch):
+    rng = random.Random(28)
+    a = big_series(rng, 2, (3, 6), 3)
+    b = big_series(rng, 2, (4, 11), 3)
+    expected = ps_mul_by_rows(a, b)
+    need = max(signed_width(c) for c in expected.coefficients.values())
+    original = kernels._signed_bits
+    widths = []
+
+    def narrowed(bound):
+        widths.append(original(bound))
+        return need - 1
+
+    monkeypatch.setattr(kernels, "_signed_bits", narrowed)
+    assert ps_mul(a, b) != expected
+    assert widths and min(widths) >= need
 
 
 @given(st.sampled_from([1, 2, 3]).flatmap(
