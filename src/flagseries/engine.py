@@ -34,7 +34,15 @@ kept with their zero entries dropped.
 Summing the geometric series in j turns the DP into one exact integer
 recurrence (:func:`_numerator_rows`) for the numerators over
 prod_{i<=K} (1 - q^i) of the one-gap, multi-gap and single-shape ratios:
-no truncation, no guard and no degree bound.  A connected shape also has
+no truncation, no guard and no degree bound.  It runs on integers:
+evaluation at q = 2^B is a ring map, so each polynomial is one Python int,
+a product is ``*``, a shift ``<<`` and a factor (1 - q^i) is
+``v - (v << B*i)`` (Kronecker substitution over the whole program;
+D. Harvey, J. Symbolic Comput. 44, 2009), and each numerator is decoded
+once by signed base-2^B digits.  B comes from a proven bound: the same
+program at q = 1 with every minus sign read as plus bounds each l1 norm,
+since ||a + b|| <= ||a|| + ||b||, ||ab|| <= ||a|| ||b|| and
+||(1 - q^i) a|| <= 2 ||a||.  A connected shape also has
 a closed q-beta form.  :func:`rational_form` is the one constructor of a
 gap-vector form, any rank, and :func:`rational_form_lambda` that of a
 single shape; a series is its form expanded with Z^r to the order asked
@@ -51,7 +59,7 @@ per-class sums and the insertion census there.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import partial
 from math import comb, factorial, perm, prod
 from operator import index
 
@@ -182,102 +190,91 @@ def _compute_relative_dense(shape: SkewShape, n: int) -> list:
     return _relative_dense(groups, budget, n)[budget]
 
 
-def _grow_add(dst: list, src, shift: int, coef: int = 1) -> None:
-    """dst += coef * q^shift * src, lengthening dst as needed."""
-    top = shift + len(src)
-    if len(dst) < top:
-        dst.extend([0] * (top - len(dst)))
-    kernels.addmul_shifted(dst, src, shift, coef, top - 1)
+def _placement_values(L: int, bits: int, sign: int) -> list:
+    """The coefficients c_u of x^u in prod_{p=1}^{L-1} (1 + sign * x q^p) at
+    q = 2^bits.  At sign -1 they are (-1)^u q^(u(u+1)/2) [L-1 choose u]_q
+    by the q-binomial theorem; at (bits, sign) = (0, +1) they are the
+    binomials C(L-1, u), the l1 norms of those coefficients."""
+    coeffs = [1]
+    for p in range(1, L):
+        coeffs = [
+            a + sign * (b << (bits * p)) for a, b in zip(coeffs + [0], [0] + coeffs)
+        ]
+    return coeffs
 
 
-def _times_one_minus(poly: list, i: int) -> list:
-    """poly * (1 - q^i), exact."""
-    out = poly + [0] * i
-    for m in range(len(out) - 1, i - 1, -1):
-        out[m] -= out[m - i]
-    return out
-
-
-def _mul(a, b) -> list:
-    """Full product of two dense polynomials."""
-    return kernels.mul_trunc(a, b, len(a) + len(b) - 2)
-
-
-@lru_cache(maxsize=None)
-def _q_binomial(n: int, k: int) -> tuple:
-    """Gaussian binomial [n choose k]_q for 0 <= k <= n, dense."""
-    if k == 0 or k == n:
-        return (1,)
-    out = list(_q_binomial(n - 1, k - 1))
-    _grow_add(out, _q_binomial(n - 1, k), k)
-    return tuple(out)
-
-
-def _placement_terms(L: int, V: int, B: int) -> dict:
-    """q^B prod_{p<L} (1 - x q^p) as {V + u: coefficient of x^u}, exact:
-    sum_u (-1)^u q^(B + u(u+1)/2) [L-1 choose u]_q x^u by the q-binomial
-    theorem.  At x = q^j this is the weight sum_t A_t(q) q^(j*t) of a
-    component with path data (L, V, B) placed at offset j."""
-    return {
-        V + u: [0] * (B + u * (u + 1) // 2)
-        + [(-1) ** u * c for c in _q_binomial(L - 1, u)]
-        for u in range(L)
-    }
-
-
-def _one_gap_groups(D: int) -> dict:
-    """Merged placement weights of every connected shape of size <= D.
-
-    Maps ((s,), L) to {t: A}, where the components of size s and west
-    length L have summed weight sum_t A_t(q) * q^(j*t) at offset j: the
-    groups of the one-gap placement DP, keyed by cost as
-    :func:`_numerator_rows` takes them, without enumerating shapes.  A row
-    DP over (last row length, s, L, V) yields sum_c q^(B_c) for each
-    (s, L, V): a row of length l1 under a row of length l0 starts
-    delta >= max(0, l1 - l0), delta < l1, columns further west, adding l1
-    boxes, one row, delta to L and delta * (rows above) to B.  The factor
-    prod_{p<L} (1 - x q^p) then expands by :func:`_placement_terms`.
-    """
-    layers = [{} for _ in range(D + 1)]  # s -> (last row length, L, V) -> poly
-    for l in range(1, D + 1):
-        layers[l][l, l, 1] = [1]
+def _path_groups(paths, bits: int, sign: int) -> dict:
+    """Groups (cost, L) -> {t: A_t} of the placement recurrence at q = 2^bits
+    from components listed as (cost, L, V, offset, weight).  A component
+    with path data (L, V, offset) placed at offset j weighs
+    q^(j*V + offset) prod_{p=1}^{L-1} (1 - q^(j+p)), which is
+    sum_u q^offset c_u q^(j*(V+u)) with c_u from :func:`_placement_values`;
+    so it adds weight * q^offset * c_u to A_(V+u).  A weight is the value of
+    a polynomial with nonnegative coefficients (a count, or a sum of
+    q-powers), so at (0, +1) every A_t bounds the l1 norm of its
+    polynomial."""
+    merged = {}  # (cost, L, V) -> sum of weight * q^offset
+    for cost, L, V, offset, weight in paths:
+        key = cost, L, V
+        merged[key] = merged.get(key, 0) + (weight << (bits * offset))
+    placements = {}
     groups = {}
-    for s in range(1, D + 1):
-        by_path = {}  # (L, V) -> sum_c q^(B_c)
-        for (l0, L, V), poly in layers[s].items():
-            _grow_add(by_path.setdefault((L, V), []), poly, 0)
-            for l1 in range(1, D - s + 1):
-                for delta in range(max(0, l1 - l0), l1):
-                    target = layers[s + l1].setdefault((l1, L + delta, V + 1), [])
-                    _grow_add(target, poly, delta * V)
-        for (L, V), poly in by_path.items():
-            terms = groups.setdefault(((s,), L), {})
-            for t, weight in _placement_terms(L, V, 0).items():
-                _grow_add(terms.setdefault(t, []), _mul(poly, weight), 0)
+    for (cost, L, V), weight in merged.items():
+        if L not in placements:
+            placements[L] = _placement_values(L, bits, sign)
+        terms = groups.setdefault((cost, L), {})
+        for u, c in enumerate(placements[L], V):
+            terms[u] = terms.get(u, 0) + weight * c
     return groups
 
 
-def _horner(parts, stop: int) -> list:
-    """sum_{T<stop} parts[T] * prod_{T<i<stop} (1 - q^i), by Horner's rule."""
-    acc = []
+def _one_gap_groups(D: int, bits: int, sign: int) -> dict:
+    """Groups of the one-gap recurrence at q = 2^bits: every connected shape
+    of size s <= D, costing (s,), without enumerating shapes.  A row DP over
+    (last row length, s, L, V) yields sum_c q^(B_c) for each (s, L, V): a
+    row of length l1 under a row of length l0 starts delta >= max(0, l1 - l0),
+    delta < l1, columns further west, adding l1 boxes, one row, delta to L
+    and delta * (rows above) to B.  Its values have nonnegative
+    coefficients, so at bits 0 they are the counts, their l1 norms."""
+    layers = [{} for _ in range(D + 1)]  # s -> (last row length, L, V) -> value
+    for l in range(1, D + 1):
+        layers[l][l, l, 1] = 1
+    paths = []
+    for s in range(1, D + 1):
+        for (l0, L, V), value in layers[s].items():
+            paths.append(((s,), L, V, 0, value))
+            step = bits * V
+            for l1 in range(1, D - s + 1):
+                layer = layers[s + l1]
+                low = max(0, l1 - l0)
+                shifted = value << (step * low)
+                for west in range(L + low, L + l1):
+                    key = l1, west, V + 1
+                    layer[key] = layer.get(key, 0) + shifted
+                    shifted <<= step
+    return _path_groups(paths, bits, sign)
+
+
+def _horner(parts, stop: int, bits: int, sign: int) -> int:
+    """sum_{T<stop} parts[T] * prod_{T<i<stop} (1 + sign * q^i) at
+    q = 2^bits, by Horner's rule."""
+    acc = 0
     for T in range(stop):
-        if acc:
-            acc = _times_one_minus(acc, T)
-        if T in parts:
-            _grow_add(acc, parts[T], 0)
-    while acc and not acc[-1]:
-        acc.pop()
+        acc += sign * (acc << (bits * T)) + parts.get(T, 0)
     return acc
 
 
-def _numerator_rows(groups, budget, steps) -> dict:
-    """N_{b,T} with U(b, 0) = sum_T N_{b,T} / prod_{i<=T} (1 - q^i), for
-    ``budget`` and every budget b it steps down to.
+def _numerator_rows(groups, budget, steps, tops) -> dict:
+    """The exact numerators N_b, as coefficient lists, with
+    U(b, 0) = N_b / prod_{i<=top} (1 - q^i) for each b -> top in ``tops``:
+    ``budget`` and budgets it steps down to, each top at least the largest T
+    below.
 
-    ``groups`` maps (cost, L) to {t: A}: the group placed at offset j has
-    weight sum_t A_t(q) * q^(j*t), with every t >= 1.  The caller's budget
-    rule ``steps(b)`` maps (cost, b') to the number of ways that placing one
-    component of that cost leaves the budget b' of b.  Writing
+    ``groups(bits, sign)`` gives the groups (cost, L) -> {t: A_t} at
+    q = 2^bits, every minus sign replaced by ``sign``: the group placed at
+    offset j has weight sum_t A_t(q) * q^(j*t), with every t >= 1.  The
+    caller's budget rule ``steps(b)`` maps (cost, b') to the number of ways
+    that placing one component of that cost leaves the budget b' of b.  Writing
     U(b, j) = sum_T q^(j*T) R_{b,T} in the placement DP and summing the
     geometric series in j gives
     R_{b,T} = (1 - q^T)^(-1) sum A_{cost,L,t} * q^(L*T') * R_{b',T'} over
@@ -285,25 +282,14 @@ def _numerator_rows(groups, budget, steps) -> dict:
     N_{b,T} = R_{b,T} prod_{i<=T} (1 - q^i), N_{0,0} = 1 and
 
         N_{b,T} = sum_{T'<T} X_{b,T,T'} prod_{T'<i<T} (1 - q^i),
-        X_{b,T,T'} = sum_{(cost,b'),t} count [sum_L q^(L*T') A_{cost,L,t}] N_{b',T'}:
+        X_{b,T,T'} = sum_{(cost,b'),t} count [sum_L q^(L*T') A_{cost,L,t}] N_{b',T'},
 
-    integer polynomial arithmetic with no division, no truncation and no
-    degree bound.  The ratio itself is then
-    _horner(N_b, top + 1) / prod_{i<=top} (1 - q^i) for any top >= max T.
+    and N_b = sum_{T<=top} N_{b,T} prod_{T<i<=top} (1 - q^i).  The program
+    runs twice: at (bits, sign) = (0, +1), where every value bounds the l1
+    norm of its polynomial (the group terms are their norms or bound them),
+    and at (bits, -1) with bits = ``kernels._signed_bits`` of the largest
+    bound, so every coefficient of every N_b is one signed digit.
     """
-    by_cost = {}  # cost -> t -> [(L, A)]
-    for (cost, L), terms in groups.items():
-        for t, poly in terms.items():
-            by_cost.setdefault(cost, {}).setdefault(t, []).append((L, poly))
-    shifted = {}  # (cost, T', t) -> sum_L q^(L*T') A_{cost,L,t}
-
-    def weight(cost, T0, t):
-        if (cost, T0, t) not in shifted:
-            acc = shifted[cost, T0, t] = []
-            for L, poly in by_cost[cost][t]:
-                _grow_add(acc, poly, L * T0)
-        return shifted[cost, T0, t]
-
     split = {}  # b -> {(cost, b'): count}, for every budget reached
     todo = [budget]
     while todo:
@@ -311,19 +297,40 @@ def _numerator_rows(groups, budget, steps) -> dict:
         if b not in split:
             split[b] = steps(b)
             todo.extend(sub for _, sub in split[b])
-    rows = {}
-    for b in sorted(split, key=sum):  # a step lowers the budget's total
-        if not any(b):
-            rows[b] = {0: [1]}
-            continue
-        X = {}  # T -> T' -> X_{b,T,T'}
-        for (cost, sub), count in split[b].items():
-            for T0, src in rows[sub].items():
-                for t in by_cost[cost]:
-                    part = X.setdefault(T0 + t, {}).setdefault(T0, [])
-                    _grow_add(part, _mul(src, weight(cost, T0, t)), 0, count)
-        rows[b] = {T: _horner(parts, T) for T, parts in X.items()}
-    return rows
+    order = sorted(split, key=sum)  # a step lowers the budget's total
+
+    def run(bits, sign):
+        by_cost = {}  # cost -> t -> [(L, A)]
+        for (cost, L), terms in groups(bits, sign).items():
+            for t, value in terms.items():
+                by_cost.setdefault(cost, {}).setdefault(t, []).append((L, value))
+        shifted = {}  # (cost, T', t) -> sum_L q^(L*T') A_{cost,L,t}
+        rows = {}
+        for b in order:
+            if not any(b):
+                rows[b] = {0: 1}
+                continue
+            X = {}  # T -> T' -> X_{b,T,T'}
+            for (cost, sub), count in split[b].items():
+                for T0, src in rows[sub].items():
+                    for t, weights in by_cost[cost].items():
+                        key = cost, T0, t
+                        if key not in shifted:
+                            shifted[key] = sum(A << (bits * L * T0) for L, A in weights)
+                        part = X.setdefault(T0 + t, {})
+                        part[T0] = part.get(T0, 0) + count * src * shifted[key]
+            rows[b] = {T: _horner(parts, T, bits, sign) for T, parts in X.items()}
+        return {b: _horner(rows[b], top + 1, bits, sign) for b, top in tops.items()}
+
+    bits = kernels._signed_bits(max(run(0, 1).values()))
+    out = {}
+    for b, value in run(bits, -1).items():
+        # |value| > 2^(bits * degree - 1), so these digits reach the degree
+        row = kernels._unpack(value, bits, value.bit_length() // bits + 1)
+        while row and not row[-1]:
+            row.pop()
+        out[b] = row
+    return out
 
 
 def _type_steps(b) -> dict:
@@ -348,11 +355,10 @@ def _gap_steps(b) -> dict:
     return out
 
 
-def _path_terms(component: ConnectedSkew) -> tuple:
-    """West length L and the placement terms {t: A} of one component."""
+def _path_data(component: ConnectedSkew) -> tuple:
+    """West length L, south length V and offset weight of one component."""
     path = component.nw_path()
-    L = path.west_total
-    return L, _placement_terms(L, path.south_total, path.offset_weight)
+    return path.west_total, path.south_total, path.offset_weight
 
 
 def _class_numerator(shape: SkewShape) -> list:
@@ -363,13 +369,10 @@ def _class_numerator(shape: SkewShape) -> list:
         (comp, sum(1 for _ in group))
         for comp, group in itertools.groupby(shape.components)
     ]
-    groups = {}
-    for i, (comp, _) in enumerate(types):
-        L, terms = _path_terms(comp)
-        groups[i, L] = terms
+    paths = [(i, *_path_data(comp), 1) for i, (comp, _) in enumerate(types)]
     budget = tuple(m for _, m in types)
-    rows = _numerator_rows(groups, budget, _type_steps)
-    return _horner(rows[budget], shape.size + 1)
+    groups = partial(_path_groups, paths)
+    return _numerator_rows(groups, budget, _type_steps, {budget: shape.size})[budget]
 
 
 #: The exact numerators (P_0, ..., P_D) of the last run; a run for D fills
@@ -385,10 +388,9 @@ def _one_gap_numerators(D: int) -> tuple:
     global _numerators
     nums = _numerators
     if D >= len(nums):
-        rows = _numerator_rows(_one_gap_groups(D), (D,), _gap_steps)
-        nums = _numerators = ((1,),) + tuple(
-            tuple(_horner(rows[d,], d + 1)) for d in range(1, D + 1)
-        )
+        tops = {(d,): d for d in range(1, D + 1)}
+        rows = _numerator_rows(partial(_one_gap_groups, D), (D,), _gap_steps, tops)
+        nums = _numerators = ((1,),) + tuple(tuple(rows[b]) for b in tops)
     return nums[: D + 1]
 
 
@@ -406,37 +408,33 @@ def rational_form_lambda(shape: SkewShape) -> RationalForm:
     if not shape.is_connected:
         denominator = dict.fromkeys(range(1, shape.size + 1), 1)
         return RationalForm(_class_numerator(shape), denominator)
-    path = shape.components[0].nw_path()
-    L, V = path.west_total, path.south_total
-    numerator = [0] * path.offset_weight + [1]
+    L, V, B = _path_data(shape.components[0])
+    numerator = [0] * B + [1]
     for i in range(1, min(L, V)):
-        numerator = _times_one_minus(numerator, i)
+        numerator = [a - b for a, b in zip(numerator + [0] * i, [0] * i + numerator)]
     return RationalForm(numerator, dict.fromkeys(range(max(L, V), L + V), 1))
 
 
-def _component_groups(costs) -> dict:
-    """Groups (cost, L) -> {t: A} of a gap budget: for each cost, every
-    connected shape of that size with its placement terms times its number
-    of fillings with content ``cost``; shapes with none are left out.
-    Each shape counts its fillings for all costs of its size at once."""
+def _component_paths(costs) -> list:
+    """Components (cost, L, V, offset, fillings) of a gap budget, as
+    :func:`_path_groups` takes them: for each cost, every connected shape of
+    that size with its number of fillings with content ``cost``; shapes
+    with none are left out.  Each shape counts its fillings for all costs
+    of its size at once."""
     from .shapes import SkewShape, enum_connected_skew, filling_counts
 
     by_size = {}
     for cost in costs:
         by_size.setdefault(sum(cost), []).append(cost)
-    groups = {}
+    paths = []
     for size, sized in by_size.items():
         for comp in enum_connected_skew(size):
             counts = filling_counts(SkewShape((comp,)), sized)
             found = [(cost, n) for cost, n in counts.items() if n]
-            if not found:
-                continue
-            L, terms = _path_terms(comp)
-            for cost, fillings in found:
-                merged = groups.setdefault((cost, L), {})
-                for t, poly in terms.items():
-                    _grow_add(merged.setdefault(t, []), poly, 0, fillings)
-    return groups
+            if found:
+                data = _path_data(comp)
+                paths.extend((cost, *data, fillings) for cost, fillings in found)
+    return paths
 
 
 def _rank_form(r: int, D: int) -> RationalForm:
@@ -503,6 +501,6 @@ def rational_form(k, r: int = 1) -> RationalForm:
     denominator = dict.fromkeys(range(1, K + 1), 1)
     if len(budget) == 1:
         return RationalForm(_one_gap_numerators(K)[K], denominator)
-    groups = _component_groups({cost for cost, _ in _gap_steps(budget)})
-    rows = _numerator_rows(groups, budget, _gap_steps)
-    return RationalForm(_horner(rows[budget], K + 1), denominator)
+    paths = _component_paths({cost for cost, _ in _gap_steps(budget)})
+    rows = _numerator_rows(partial(_path_groups, paths), budget, _gap_steps, {budget: K})
+    return RationalForm(rows[budget], denominator)

@@ -2,9 +2,11 @@
 
 There is one backend, because no workload shows that a second one pays.
 The kernels work on plain lists of Python ints indexed by exponent and
-truncated at a given order (inclusive); ``ps_inv`` and the engine's
-placement recurrences run on them.  Coefficients are exact arbitrary
-precision integers; nothing here may introduce floats.
+truncated at a given order (inclusive).  Their callers are
+``series.ps_inv`` (all three), ``motives.LPoly`` products (``mul_trunc``)
+and the engine's truncated placement DP, which only the tests run
+(``addmul_shifted``).  Coefficients are exact arbitrary precision
+integers; nothing here may introduce floats.
 
 Products of whole polynomials run on packed ints instead (Kronecker
 substitution, D. Harvey, J. Symbolic Comput. 44, 2009): ``_pack``
@@ -12,8 +14,10 @@ evaluates a coefficient list at q = 2^bits, one big-int product then
 multiplies two polynomials, and ``_unpack`` reads the coefficients back
 as signed base-2^bits digits.  The decoding is exact when every
 coefficient it reads has absolute value at most the bound the caller
-proves, with ``bits = _signed_bits(bound)``.  ``series.ps_mul`` and
-``engine._rank_form`` multiply this way.
+proves, with ``bits = _signed_bits(bound)``.  ``series.ps_mul``,
+``engine._rank_form`` and the engine's numerator recurrence
+(``engine._numerator_rows``, which runs whole at q = 2^bits and decodes
+only its results) work this way.
 """
 
 BACKEND = "pure"

@@ -13,8 +13,9 @@ nested pairs by the class of their difference come by enumeration.  The
 flag count by filtering partitions through ``contains`` referees the
 bitset count, and the Göttsche recurrence run on ``LPoly`` values
 referees the one run on integer rows.  The list-arithmetic versions of the
-three packed-int paths (the nested-pair walk, the row products of
-``ps_mul`` and the rank-r sum) referee them.
+packed-int paths (the nested-pair walk, the row products of ``ps_mul``,
+the rank-r sum and the numerator recurrence behind the one-gap, multi-gap
+and single-shape forms) referee them.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ from math import comb, factorial, perm, prod
 from flagseries import kernels
 from flagseries.engine import (
     _class_numerator,
+    _component_paths,
+    _compress,
     _compute_relative_dense,
-    _grow_add,
-    _mul,
+    _gap_steps,
     _one_gap_numerators,
-    _times_one_minus,
+    _path_data,
+    _type_steps,
     rational_form,
 )
 from flagseries.motives import LEFSCHETZ, LPoly
@@ -259,6 +262,27 @@ def rational_form_k_degree_bound(K: int) -> int:
     return (5 * K * K - 2 * K + 4 + 3) // 4
 
 
+def _grow_add(dst: list, src, shift: int, coef: int = 1) -> None:
+    """dst += coef * q^shift * src, lengthening dst as needed."""
+    top = shift + len(src)
+    if len(dst) < top:
+        dst.extend([0] * (top - len(dst)))
+    kernels.addmul_shifted(dst, src, shift, coef, top - 1)
+
+
+def _times_one_minus(poly: list, i: int) -> list:
+    """poly * (1 - q^i), exact."""
+    out = poly + [0] * i
+    for m in range(len(out) - 1, i - 1, -1):
+        out[m] -= out[m - i]
+    return out
+
+
+def _mul(a, b) -> list:
+    """Full product of two dense polynomials."""
+    return kernels.mul_trunc(a, b, len(a) + len(b) - 2)
+
+
 def class_sum_form_k(block_sizes) -> RationalForm:
     """Closed rational form of FZ_k / Z over prod_{j=1}^{K} (1 - q^j), exact:
     the filling-weighted sum of class numerators.  Both are invariant under
@@ -379,3 +403,140 @@ def rank_form_by_lists(r: int, D: int) -> RationalForm:
                 term = _times_one_minus(term, j)
         _grow_add(numerator, term, 0, weight)
     return RationalForm(numerator, denominator)
+
+
+@lru_cache(maxsize=None)
+def _q_binomial(n: int, k: int) -> tuple:
+    """Gaussian binomial [n choose k]_q for 0 <= k <= n, dense."""
+    if k == 0 or k == n:
+        return (1,)
+    out = list(_q_binomial(n - 1, k - 1))
+    _grow_add(out, _q_binomial(n - 1, k), k)
+    return tuple(out)
+
+
+def _placement_terms(L: int, V: int, B: int) -> dict:
+    """q^B prod_{p=1}^{L-1} (1 - x q^p) as {V + u: coefficient of x^u}:
+    sum_u (-1)^u q^(B + u(u+1)/2) [L-1 choose u]_q x^u by the q-binomial
+    theorem."""
+    return {
+        V + u: [0] * (B + u * (u + 1) // 2)
+        + [(-1) ** u * c for c in _q_binomial(L - 1, u)]
+        for u in range(L)
+    }
+
+
+def one_gap_groups_by_lists(D: int) -> dict:
+    """``engine._one_gap_groups`` as list polynomials: the same row DP over
+    (last row length, s, L, V), each sum_c q^(B_c) a dense list, then
+    multiplied out against the placement terms."""
+    layers = [{} for _ in range(D + 1)]
+    for l in range(1, D + 1):
+        layers[l][l, l, 1] = [1]
+    groups = {}
+    for s in range(1, D + 1):
+        by_path = {}
+        for (l0, L, V), poly in layers[s].items():
+            _grow_add(by_path.setdefault((L, V), []), poly, 0)
+            for l1 in range(1, D - s + 1):
+                for delta in range(max(0, l1 - l0), l1):
+                    target = layers[s + l1].setdefault((l1, L + delta, V + 1), [])
+                    _grow_add(target, poly, delta * V)
+        for (L, V), poly in by_path.items():
+            terms = groups.setdefault(((s,), L), {})
+            for t, weight in _placement_terms(L, V, 0).items():
+                _grow_add(terms.setdefault(t, []), _mul(poly, weight), 0)
+    return groups
+
+
+def path_groups_by_lists(paths) -> dict:
+    """``engine._path_groups`` as list polynomials, for components
+    (cost, L, V, offset, fillings) with integer fillings."""
+    groups = {}
+    for cost, L, V, offset, fillings in paths:
+        terms = groups.setdefault((cost, L), {})
+        for t, poly in _placement_terms(L, V, offset).items():
+            _grow_add(terms.setdefault(t, []), poly, 0, fillings)
+    return groups
+
+
+def _horner(parts, stop: int) -> list:
+    """sum_{T<stop} parts[T] * prod_{T<i<stop} (1 - q^i), by Horner's rule."""
+    acc = []
+    for T in range(stop):
+        if acc:
+            acc = _times_one_minus(acc, T)
+        if T in parts:
+            _grow_add(acc, parts[T], 0)
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
+
+
+def numerator_rows_by_lists(groups, budget, steps) -> dict:
+    """The rows N_{b,T} of ``engine._numerator_rows``'s recurrence in list
+    arithmetic, for ``budget`` and every budget it steps down to; the
+    numerator of b over prod_{i<=top} (1 - q^i) is
+    ``_horner(rows[b], top + 1)``.  ``groups`` maps (cost, L) to {t: A},
+    with A a dense list."""
+    by_cost = {}  # cost -> t -> [(L, A)]
+    for (cost, L), terms in groups.items():
+        for t, poly in terms.items():
+            by_cost.setdefault(cost, {}).setdefault(t, []).append((L, poly))
+    shifted = {}  # (cost, T', t) -> sum_L q^(L*T') A_{cost,L,t}
+
+    def weight(cost, T0, t):
+        if (cost, T0, t) not in shifted:
+            acc = shifted[cost, T0, t] = []
+            for L, poly in by_cost[cost][t]:
+                _grow_add(acc, poly, L * T0)
+        return shifted[cost, T0, t]
+
+    split = {}  # b -> {(cost, b'): count}, for every budget reached
+    todo = [budget]
+    while todo:
+        b = todo.pop()
+        if b not in split:
+            split[b] = steps(b)
+            todo.extend(sub for _, sub in split[b])
+    rows = {}
+    for b in sorted(split, key=sum):  # a step lowers the budget's total
+        if not any(b):
+            rows[b] = {0: [1]}
+            continue
+        X = {}  # T -> T' -> X_{b,T,T'}
+        for (cost, sub), count in split[b].items():
+            for T0, src in rows[sub].items():
+                for t in by_cost[cost]:
+                    part = X.setdefault(T0 + t, {}).setdefault(T0, [])
+                    _grow_add(part, _mul(src, weight(cost, T0, t)), 0, count)
+        rows[b] = {T: _horner(parts, T) for T, parts in X.items()}
+    return rows
+
+
+def one_gap_numerators_by_lists(D: int) -> tuple:
+    """``engine._one_gap_numerators(D)`` by the list recurrence."""
+    rows = numerator_rows_by_lists(one_gap_groups_by_lists(D), (D,), _gap_steps)
+    return ((1,),) + tuple(tuple(_horner(rows[d,], d + 1)) for d in range(1, D + 1))
+
+
+def gap_numerator_by_lists(k) -> list:
+    """The numerator of ``rational_form(k)`` over prod_{j<=K} (1 - q^j) by
+    the list recurrence over the compressed budget of ``k``, from the
+    same components as ``engine._component_paths``."""
+    budget = _compress(k)
+    paths = _component_paths({cost for cost, _ in _gap_steps(budget)})
+    rows = numerator_rows_by_lists(path_groups_by_lists(paths), budget, _gap_steps)
+    return _horner(rows[budget], sum(budget) + 1)
+
+
+def class_numerator_by_lists(shape: SkewShape) -> list:
+    """``engine._class_numerator`` by the list recurrence."""
+    types = [
+        (comp, sum(1 for _ in group))
+        for comp, group in itertools.groupby(shape.components)
+    ]
+    paths = [(i, *_path_data(comp), 1) for i, (comp, _) in enumerate(types)]
+    budget = tuple(m for _, m in types)
+    rows = numerator_rows_by_lists(path_groups_by_lists(paths), budget, _type_steps)
+    return _horner(rows[budget], shape.size + 1)

@@ -1,5 +1,5 @@
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 import pytest
@@ -16,10 +16,13 @@ from flagseries.series import QSeries, RationalForm, ps_mul, ps_pow
 from flagseries.shapes import SkewShape, enum_connected_skew
 import referees
 from referees import (
+    class_numerator_by_lists,
     class_sum_form_k,
     clear_denominator,
     enum_skew_classes,
+    gap_numerator_by_lists,
     insertion_count,
+    one_gap_numerators_by_lists,
     rational_form_degree_bound,
     rational_form_k_degree_bound,
     rank_form_by_lists,
@@ -195,17 +198,31 @@ def test_rational_form_k_equals_cleared_class_sum():
 
 
 def test_rational_form_k_equals_class_sum_referee(monkeypatch):
-    # Referee for the component run: the filling-weighted sum of exact class
-    # numerators over every shape class of size K.  Each class numerator is
-    # computed once and shared by every gap vector of its size.
+    # Referees for the component run: the filling-weighted sum of exact class
+    # numerators over every shape class of size K, and the list recurrence
+    # over the same components.  Each class numerator is computed once and
+    # shared by every gap vector of its size; each budget's components are
+    # enumerated once for both recurrences.
     monkeypatch.setattr(
         referees, "_class_numerator", lru_cache(maxsize=None)(engine._class_numerator)
     )
+    original, found = engine._component_paths, {}
+
+    def shared(costs):
+        key = frozenset(costs)
+        if key not in found:
+            found[key] = original(costs)
+        return found[key]
+
+    monkeypatch.setattr(engine, "_component_paths", shared)
+    monkeypatch.setattr(referees, "_component_paths", shared)
     gaps = [k for K in range(1, 7) for k in compositions(K)]
     gaps += [(0, 2, 1), (2, 0, 2), (1, 0, 0, 2)]
     gaps += [(1,) * 7, (1, 1, 1, 2, 2), (2, 1, 1, 1, 2)]
     for k in gaps:
-        assert rational_form(k) == class_sum_form_k(k), k
+        rf = rational_form(k)
+        assert rf == class_sum_form_k(k), k
+        assert list(rf.numerator) == gap_numerator_by_lists(k), k
 
 
 def test_rational_form_k_is_one_recurrence_run(monkeypatch):
@@ -227,9 +244,10 @@ def test_one_entry_gap_vector_is_the_one_gap_form():
         assert rational_form((0, D, 0)) == rf, D
         # the shortcut's premise: on a one-entry budget the component run,
         # every component with its single filling, gives the one-gap form
-        groups = engine._component_groups({(s,) for s in range(1, D + 1)})
-        rows = engine._numerator_rows(groups, (D,), engine._gap_steps)
-        assert engine._horner(rows[D,], D + 1) == list(rf.numerator), D
+        paths = engine._component_paths({(s,) for s in range(1, D + 1)})
+        groups = partial(engine._path_groups, paths)
+        rows = engine._numerator_rows(groups, (D,), engine._gap_steps, {(D,): D})
+        assert rows[D,] == list(rf.numerator), D
 
 
 def test_transposition_invariance_up_to_size_six():
@@ -351,7 +369,17 @@ def test_row_dp_groups_equal_enumerated_weights():
             poly = expected.setdefault(key, {}).setdefault(t, [])
             poly.extend([0] * (base + 1 - len(poly)))
             poly[base] += coef
-    assert _trimmed(_one_gap_groups(9)) == _trimmed(expected)
+    # the groups at q = 2^bits, decoded with the slot their l1 bounds prove
+    bounds = _one_gap_groups(9, 0, 1)
+    bits = kernels._signed_bits(max(max(terms.values()) for terms in bounds.values()))
+    decoded = {
+        key: {
+            t: kernels._unpack(v, bits, v.bit_length() // bits + 1)
+            for t, v in terms.items()
+        }
+        for key, terms in _one_gap_groups(9, bits, -1).items()
+    }
+    assert _trimmed(decoded) == _trimmed(expected)
 
 
 def test_exact_numerators_equal_truncated_dp_referee():
@@ -444,4 +472,52 @@ def test_rank_form_slot_below_the_bound_decodes_wrongly(monkeypatch, r, D):
     assert engine._rank_form(r, D) == expected
     monkeypatch.setattr(kernels, "_signed_bits", fixed(need - 1))
     assert engine._rank_form(r, D) != expected
+    assert min(widths) >= need
+
+
+def test_one_gap_numerators_equal_the_list_recurrence(monkeypatch):
+    # a fresh evaluated run for every D, each with its own proven slot
+    expected = one_gap_numerators_by_lists(14)
+    for D in range(1, 15):
+        monkeypatch.setattr(engine, "_numerators", ())
+        assert engine._one_gap_numerators(D) == expected[: D + 1], D
+
+
+def test_disconnected_class_numerators_equal_the_list_recurrence():
+    for D in range(2, 8):
+        for shape in enum_skew_classes(D):
+            if not shape.is_connected:
+                expected = class_numerator_by_lists(shape)
+                assert engine._class_numerator(shape) == expected, shape
+
+
+SPREAD = SkewShape.of([(0, 1)], [(0, 1)], [(0, 1)], [(0, 1), (0, 1)], [(0, 2)])
+
+
+@pytest.mark.parametrize(
+    "form, referee",
+    [
+        (lambda: rational_form((12,)), lambda: one_gap_numerators_by_lists(12)[12]),
+        (lambda: rational_form((1, 1, 2, 2)), lambda: gap_numerator_by_lists((1, 1, 2, 2))),
+        (lambda: rational_form_lambda(SPREAD), lambda: class_numerator_by_lists(SPREAD)),
+    ],
+    ids=["one gap", "multi gap", "single shape"],
+)
+def test_numerator_slot_below_the_bound_decodes_wrongly(monkeypatch, form, referee):
+    # the numerator table is emptied, so each form runs the recurrence anew
+    expected = list(referee())
+    need = max(abs(c) for c in expected).bit_length() + 1
+    original = kernels._signed_bits
+    widths = []
+
+    def fixed(width):
+        def slot_bits(bound):
+            widths.append(original(bound))
+            return width
+        return slot_bits
+
+    for width, decodes in ((need, True), (need - 1, False)):
+        monkeypatch.setattr(kernels, "_signed_bits", fixed(width))
+        monkeypatch.setattr(engine, "_numerators", ())
+        assert (list(form().numerator) == expected) is decodes, width
     assert min(widths) >= need

@@ -1,6 +1,7 @@
 """Randomized structural properties tying the modules together."""
 
 import itertools
+from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,9 @@ from flagseries.partitions import (
 )
 from referees import (
     enum_skew_classes,
+    gap_numerator_by_lists,
     insertion_count,
+    one_gap_numerators_by_lists,
     rp_count,
     skew_class_of_cells,
     sym_factor,
@@ -140,6 +143,23 @@ def test_fz_k_matches_flag_oracle(K, cuts):
     for n in range(5):
         sizes = tuple(itertools.accumulate(k, initial=n))
         assert series[(n,)] == count_nested_flags(sizes), (k, n)
+
+
+# P_d does not depend on the run's largest gap, so one list run serves all.
+listed_one_gap_numerators = lru_cache(maxsize=None)(one_gap_numerators_by_lists)
+
+
+@given(st.integers(1, 7), st.lists(st.integers(0, 7), max_size=6), st.integers(1, 14))
+@settings(max_examples=20, deadline=None)
+def test_gap_forms_match_the_list_recurrence(K, cuts, D):
+    # gap vectors of total K <= 7, zero gaps included: one nonzero gap takes
+    # the one-gap numerators, several the component run; and a gap D <= 14,
+    # served by whichever numerator run the table holds
+    bounds = [0] + sorted(min(c, K) for c in cuts) + [K]
+    k = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    assert list(rational_form(k).numerator) == gap_numerator_by_lists(k), k
+    expected = listed_one_gap_numerators(14)[D]
+    assert rational_form((D,)).numerator == expected, D
 
 
 def brute_force_fillings(shape, k):
