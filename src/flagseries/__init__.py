@@ -16,7 +16,6 @@ import importlib
 #: home module -> names it exports here: the one list of public names
 _HOMES = {
     "engine": (
-        "partition_series",
         "rational_form",
         "rational_form_lambda",
     ),

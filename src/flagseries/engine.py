@@ -60,16 +60,11 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from math import comb, factorial, perm, prod
+from math import factorial, perm, prod
 from operator import index
 
 from . import kernels
-from .series import QSeries, RationalForm
-
-
-def partition_series(truncation: int) -> QSeries:
-    """The partition generating function Z as a q-series."""
-    return RationalForm((1,), {}).expand(truncation, z_power=1)
+from .series import RationalForm
 
 
 class PlacementWeight:
@@ -92,16 +87,6 @@ class PlacementWeight:
             for subset in itertools.combinations(range(1, self.L), t):
                 terms.append((self.V + t, self.B + sum(subset), (-1) ** t))
         self.terms = tuple(sorted(terms))
-
-    def exponents_at(self, offset: int, n: int):
-        """(exponent, sign) pairs of the weight at the given offset."""
-        for tplus, base, sign in self.terms:
-            e = offset * tplus + base
-            if e <= n:
-                yield e, sign
-
-    def degree_at(self, offset: int) -> int:
-        return offset * self.V + self.B + comb(self.L, 2) + (self.L - 1) * offset
 
 
 def _add_weight(groups, cost, component) -> None:
@@ -323,14 +308,7 @@ def _numerator_rows(groups, budget, steps, tops) -> dict:
         return {b: _horner(rows[b], top + 1, bits, sign) for b, top in tops.items()}
 
     bits = kernels._signed_bits(max(run(0, 1).values()))
-    out = {}
-    for b, value in run(bits, -1).items():
-        # |value| > 2^(bits * degree - 1), so these digits reach the degree
-        row = kernels._unpack(value, bits, value.bit_length() // bits + 1)
-        while row and not row[-1]:
-            row.pop()
-        out[b] = row
-    return out
+    return {b: kernels._decode(value, bits) for b, value in run(bits, -1).items()}
 
 
 def _type_steps(b) -> dict:
@@ -464,8 +442,7 @@ def _rank_form(r: int, D: int) -> RationalForm:
             for _ in range(e - sum(1 for part in lam if part >= j)):
                 term -= term << (bits * j)
         value += weight * term
-    digits = value.bit_length() // bits + 1  # |value| > 2^(bits * degree - 1)
-    return RationalForm(kernels._unpack(value, bits, digits), denominator)
+    return RationalForm(kernels._decode(value, bits), denominator)
 
 
 def rational_form(k, r: int = 1) -> RationalForm:

@@ -3,21 +3,22 @@
 There is one backend, because no workload shows that a second one pays.
 The kernels work on plain lists of Python ints indexed by exponent and
 truncated at a given order (inclusive).  Their callers are
-``series.ps_inv`` (all three), ``motives.LPoly`` products (``mul_trunc``)
-and the engine's truncated placement DP, which only the tests run
-(``addmul_shifted``).  Coefficients are exact arbitrary precision
-integers; nothing here may introduce floats.
+``series.ps_inv`` (``inv_trunc``, on the constant row), ``motives.LPoly``
+products (``mul_trunc``) and the engine's truncated placement DP, which
+only the tests run (``addmul_shifted``).  Coefficients are exact
+arbitrary precision integers; nothing here may introduce floats.
 
 Products of whole polynomials run on packed ints instead (Kronecker
 substitution, D. Harvey, J. Symbolic Comput. 44, 2009): ``_pack``
 evaluates a coefficient list at q = 2^bits, one big-int product then
 multiplies two polynomials, and ``_unpack`` reads the coefficients back
-as signed base-2^bits digits.  The decoding is exact when every
-coefficient it reads has absolute value at most the bound the caller
-proves, with ``bits = _signed_bits(bound)``.  ``series.ps_mul``,
-``engine._rank_form`` and the engine's numerator recurrence
-(``engine._numerator_rows``, which runs whole at q = 2^bits and decodes
-only its results) work this way.
+as signed base-2^bits digits, a fixed count of them for ``series.ps_mul``'s
+rows and all of them (``_decode``) for a whole polynomial.  The decoding
+is exact when every coefficient it reads has absolute value at most the
+bound the caller proves, with ``bits = _signed_bits(bound)``.
+``series.ps_mul``, ``engine._rank_form`` and the engine's numerator
+recurrence (``engine._numerator_rows``, which runs whole at q = 2^bits
+and decodes only its results) work this way.
 """
 
 BACKEND = "pure"
@@ -112,3 +113,14 @@ def _unpack(value, bits, count):
     kept = (1 << (bits * count)) - 1
     value = (value + half * (kept // slot)) & kept
     return [((value >> (bits * i)) & slot) - half for i in range(count)]
+
+
+def _decode(value, bits):
+    """Every coefficient of a polynomial packed by :func:`_pack`, trailing
+    zeros stripped.  A nonzero top digit at degree d makes
+    |value| > 2^(bits * d - 1), so ``bit_length // bits + 1`` digits reach
+    the degree."""
+    row = _unpack(value, bits, value.bit_length() // bits + 1)
+    while row and not row[-1]:
+        row.pop()
+    return row

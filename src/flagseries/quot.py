@@ -7,11 +7,12 @@ so every rank-r series is a polynomial expression in the rank-one series.
 expression exactly, and every series here is such a form expanded with
 Z^r.  The verify_* routines check the closed functional equations; each
 takes one side, Q(q,s) or FQ(q,s,v), built once by :func:`identity_suite`
-for every check that reads it, builds the other side independently and
-compares coefficients exactly.  In the functional equation and the
-exponential identity one side is built from these exact forms and the
-other from the rank-one series, so both referee the forms that ``fq``
-prints.
+for every check that reads it, builds the rest independently and compares
+coefficients exactly.  A functional equation U = 1 / W is checked as the
+product U * W = 1, which holds within the truncation exactly when U
+inverts the unit W.  In the functional equation and the exponential
+identity one side is built from these exact forms and the other from the
+rank-one series, so both referee the forms that ``fq`` prints.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import comb
 
 from .engine import rational_form
 from .partitions import coloured_flag_counts
-from .series import QSeries, RationalForm, expand_dense, ps_inv, ps_mul
+from .series import QSeries, RationalForm, expand_dense, ps_mul
 
 
 # fq_rD and rational_form_rD stay public only because perfbench/child.py calls them.
@@ -47,13 +48,12 @@ def q_surface(nq: int, ns: int) -> QSeries:
 
 def verify_q_identity(q_big: QSeries) -> bool:
     """Check Q(q,s) * (1 - s Z(q)) = 1 for ``q_big`` = :func:`q_surface`,
-    building the other side, 1 / (1 - s Z(q)), separately."""
+    building the factor 1 - s Z(q) separately."""
     variables, trunc = q_big.variables, q_big.truncation
     nq = trunc[-1]
     one = QSeries.one(variables, trunc)
     s_z = QSeries.from_rows(variables, trunc, {(1,): expand_dense([1], {}, nq, 1)})
-    rhs = ps_inv(one - s_z)
-    return q_big == rhs
+    return ps_mul(q_big, one - s_z) == one
 
 
 def fq_surface(nq: int, ns: int, nv: int) -> QSeries:
@@ -78,14 +78,13 @@ def _fz_qv(nq: int, ns: int, nv: int, z_power: int) -> QSeries:
 
 def verify_fq_functional(fq: QSeries) -> bool:
     """Check FQ(q,s,v) * (1 - FZ(q,v) s) = 1 for ``fq`` = :func:`fq_surface`,
-    building the other side from the rank-one forms."""
+    building the factor 1 - FZ(q,v) s from the rank-one forms."""
     variables = fq.variables
     trunc = ns, nv, nq = fq.truncation
     one = QSeries.one(variables, trunc)
     fz = _fz_qv(nq, ns, nv, z_power=1)
     s = QSeries.monomial(variables, trunc, (1, 0, 0))
-    rhs = ps_inv(one - ps_mul(fz, s))
-    return fq == rhs
+    return ps_mul(fq, one - ps_mul(fz, s)) == one
 
 
 def binomial_weighted_derivative(series: QSeries, order: int) -> QSeries:

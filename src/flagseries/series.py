@@ -8,7 +8,6 @@ down to the componentwise minimum.
 
 from __future__ import annotations
 
-import itertools
 from operator import add, gt, index
 
 from . import kernels
@@ -228,38 +227,26 @@ def ps_mul(a: QSeries, b: QSeries) -> QSeries:
 def ps_inv(a: QSeries) -> QSeries:
     """Multiplicative inverse up to truncation; constant term must be +-1.
 
-    The inverse is a graded back-substitution on dense rows of the last
-    variable: ``B_0 = A_0^-1`` and, for each leading key k > 0,
-    ``B_k = -B_0 * sum_{f != 0} A_f B_{k-f}``, where every ``k - f`` is
-    solved before k.  A one-variable series is the single row keyed ``()``,
-    so its inverse is ``B_0``.
+    ``B_0`` inverts the row at the zero leading key (``kernels.inv_trunc``),
+    so ``E = 1 - B_0 A`` has no row there and E^m vanishes past m = M, the
+    sum of the leading truncations.  The inverse is then
+    ``(1 + E + ... + E^M) B_0``, summed by Horner's rule on :func:`ps_mul`.
+    A one-variable series is the single row keyed ``()``, so M = 0 and its
+    inverse is ``B_0``.
     """
     c0 = a.constant_term()
     if c0 not in (1, -1):
         raise ValueError("constant term must be a unit (+1 or -1)")
-    n = a.truncation[-1]
-    rows = dict(a.rows)
-    zero = (0,) * (len(a.variables) - 1)
-    b0 = kernels.inv_trunc(rows.pop(zero), n)
-    minus_b0 = [-c for c in b0]
-    out = {zero: b0}
-    keys = sorted(
-        itertools.product(*(range(t + 1) for t in a.truncation[:-1])), key=sum
-    )
-    for k in keys[1:]:
-        acc = None
-        for f, af in rows.items():
-            bg = out.get(tuple(x - y for x, y in zip(k, f)))
-            if bg is None:
-                continue
-            prod = kernels.mul_trunc(af, bg, n)
-            if acc is None:
-                acc = prod
-            else:
-                kernels.addmul_shifted(acc, prod, 0, 1, n)
-        if acc is not None and any(acc):
-            out[k] = kernels.mul_trunc(minus_b0, acc, n)
-    return QSeries.from_rows(a.variables, a.truncation, out)
+    variables, trunc = a.variables, a.truncation
+    zero = (0,) * (len(variables) - 1)
+    row = kernels.inv_trunc(a.rows[zero], trunc[-1])
+    b0 = QSeries.from_rows(variables, trunc, {zero: row})
+    one = QSeries.one(variables, trunc)
+    e = one - ps_mul(b0, a)
+    out = one
+    for _ in range(sum(trunc[:-1])):
+        out = one + ps_mul(e, out)
+    return ps_mul(out, b0)
 
 
 def ps_pow(a: QSeries, exponent: int) -> QSeries:

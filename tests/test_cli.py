@@ -13,7 +13,7 @@ from flagseries import cli, engine, motives, partitions, quot, surfaces
 from flagseries.cli import main
 from flagseries.motives import LEFSCHETZ
 from flagseries.partitions import coloured_flag_counts
-from flagseries.series import RationalForm
+from flagseries.series import QSeries, RationalForm
 
 SCHEMA = json.loads(
     (
@@ -119,6 +119,25 @@ def _miscount_one_colour_of_the_rank_box(monkeypatch):
     monkeypatch.setattr(partitions, "_one_colour_counts", miscounted)
 
 
+def _raise_one_coefficient_of(surface, key, degree):
+    """A corruption adding 1 to the q^degree coefficient of row ``key`` of
+    what ``quot.<surface>`` builds."""
+
+    def corrupt(monkeypatch):
+        original = getattr(quot, surface)
+
+        def raised(*orders):
+            series = original(*orders)
+            rows = dict(series.rows)
+            rows[key] = list(rows[key])
+            rows[key][degree] += 1
+            return QSeries.from_rows(series.variables, series.truncation, rows)
+
+        monkeypatch.setattr(quot, surface, raised)
+
+    return corrupt
+
+
 # bound here, since a test may have replaced the module's name for it
 _one_colour_counts = partitions._one_colour_counts
 
@@ -138,8 +157,13 @@ def _clear_colouring_caches():
         (_miscount_one_flag_pair, "one-gap series equals the flag oracle", True),
         (_miscount_one_colour_of_the_rank_box,
          "rank series equals the colouring oracle", True),
+        # the exponential-operator and fq2 checks read the same series
+        (_raise_one_coefficient_of("q_surface", (1,), 3),
+         "geometric-series identity for the unnested rank table", False),
+        (_raise_one_coefficient_of("fq_surface", (1, 1), 2),
+         "functional equation for the one-gap rank table", False),
     ],
-    ids=["strata", "fq2", "flag-oracle", "colouring-oracle"],
+    ids=["strata", "fq2", "flag-oracle", "colouring-oracle", "q-surface", "fq-surface"],
 )
 def test_corrupted_construction_fails_its_verify_check(
     monkeypatch, capsys, corrupt, check, only

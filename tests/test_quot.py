@@ -3,9 +3,10 @@ from math import comb
 import pytest
 
 from flagseries import engine
-from flagseries.engine import partition_series, rational_form
+from flagseries.engine import rational_form
 from flagseries.partitions import coloured_flag_counts, partition_count
 from flagseries.quot import (
+    _fz_qv,
     fq_surface,
     q_surface,
     verify_exponential_identity,
@@ -13,14 +14,14 @@ from flagseries.quot import (
     verify_fq_functional,
     verify_q_identity,
 )
-from flagseries.series import QSeries, RationalForm, ps_mul, ps_pow
+from flagseries.series import QSeries, RationalForm, ps_inv, ps_mul, ps_pow
 from referees import fq_rD_via_generating, ratio_rD_dense
 
 
 def test_q_rank_series():
     one = rational_form(())
     assert one.expand(8).dense() == [1] + [0] * 8
-    assert one.expand(8, z_power=1) == partition_series(8)
+    assert one.expand(8, z_power=1).dense() == [partition_count(m) for m in range(9)]
     assert one.expand(8, z_power=2)[(2,)] == 5
 
 
@@ -29,7 +30,7 @@ def test_q_rank_series_is_a_power_of_the_partition_counts():
     # series of p(m), counted by the partition oracle.
     for n in range(31):
         z = QSeries.from_dense("q", [partition_count(m) for m in range(n + 1)])
-        assert partition_series(n) == z
+        assert rational_form(()).expand(n, z_power=1) == z
         for r in range(7):
             assert rational_form(()).expand(n, z_power=r) == ps_pow(z, r), (r, n)
 
@@ -39,7 +40,8 @@ def test_fq_r1_is_rank_one():
     # r = 1 to the one-gap numerators, so the sum is called directly
     for D in range(1, 8):
         assert engine._rank_form(1, D) == rational_form((D,)), D
-    assert rational_form((0,), 1).expand(12, z_power=1) == partition_series(12)
+    z = rational_form(()).expand(12, z_power=1)
+    assert rational_form((0,), 1).expand(12, z_power=1) == z
 
 
 def test_fq_rD_one_gap_formula():
@@ -47,13 +49,13 @@ def test_fq_rD_one_gap_formula():
     for r in (2, 3, 4):
         lhs = rational_form((1,), r).expand(n, z_power=r)
         fz1 = rational_form((1,)).expand(n, z_power=1)
-        rhs = r * ps_mul(fz1, ps_pow(partition_series(n), r - 1))
+        rhs = r * ps_mul(fz1, ps_pow(rational_form(()).expand(n, z_power=1), r - 1))
         assert lhs == rhs
 
 
 def test_fq_rD_two_gap_formula():
     n = 12
-    z = partition_series(n)
+    z = rational_form(()).expand(n, z_power=1)
     for r in (2, 3, 4):
         lhs = rational_form((2,), r).expand(n, z_power=r)
         fz1 = rational_form((1,)).expand(n, z_power=1)
@@ -124,7 +126,7 @@ def test_q_identity():
     assert verify_q_identity(q_surface(8, 4))
     # s-slices: coefficient of s^1 q^n is p(n)
     surface = q_surface(8, 4)
-    z = partition_series(8)
+    z = rational_form(()).expand(8, z_power=1)
     for n in range(9):
         assert surface[(1, n)] == z[(n,)]
     assert surface[(2, 2)] == 5
@@ -132,6 +134,26 @@ def test_q_identity():
 
 def test_fq_functional():
     assert verify_fq_functional(fq_surface(10, 3, 3))
+
+
+def _one_minus_s_z(nq, ns):
+    """1 - s Z(q) in variables (s, q), with Z the form 1 expanded."""
+    z = rational_form(()).expand(nq, z_power=1).dense()
+    variables, trunc = ("s", "q"), (ns, nq)
+    return QSeries.one(variables, trunc) - QSeries.from_rows(variables, trunc, {(1,): z})
+
+
+def test_inverse_builds_both_sides_of_the_functional_equations():
+    # verify checks Q (1 - sZ) = 1 and FQ (1 - FZ s) = 1 as products, so
+    # ps_inv is refereed here: the inverse of each unit is the other side
+    assert ps_inv(_one_minus_s_z(12, 4)) == q_surface(12, 4)
+    fq = fq_surface(12, 4, 4)
+    s = QSeries.monomial(fq.variables, fq.truncation, (1, 0, 0))
+    fz_s = ps_mul(_fz_qv(12, 4, 4, z_power=1), s)
+    assert ps_inv(QSeries.one(fq.variables, fq.truncation) - fz_s) == fq
+    # the hypothesis tests draw short rows only
+    unit = _one_minus_s_z(200, 4)
+    assert ps_mul(unit, ps_inv(unit)) == QSeries.one(unit.variables, unit.truncation)
 
 
 def test_exponential_identity():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagseries import kernels
-from flagseries.engine import partition_series
+from flagseries.engine import rational_form
 from flagseries.motives import LEFSCHETZ as L
 from flagseries.motives import LPoly, projective_space
 from flagseries.partitions import nested_pair_counts, partition_count
@@ -43,7 +43,7 @@ def test_add_cancellation():
 
 
 def test_add_identity():
-    z = partition_series(10)
+    z = rational_form(()).expand(10, z_power=1)
     assert ps_add(z, QSeries.zero(("q",), (10,))) == z
 
 
@@ -66,7 +66,7 @@ def test_mul_truncates_to_minimum():
 
 def test_z_cubed_prefix():
     # hand convolution of the partition series cube
-    z = partition_series(3)
+    z = rational_form(()).expand(3, z_power=1)
     cube = ps_pow(z, 3)
     assert cube.dense() == [1, 3, 9, 22]
 
@@ -94,7 +94,7 @@ def test_inv_requires_unit():
 
 
 def test_pow_edge_cases():
-    z = partition_series(6)
+    z = rational_form(()).expand(6, z_power=1)
     assert ps_pow(z, 0) == QSeries.one(("q",), (6,))
     assert ps_pow(z, 1) == z
     sq = ps_pow(z, 2)
@@ -320,11 +320,8 @@ def test_row_invariant_after_every_constructor(case):
 
 def test_multivariate_inverse():
     one = QSeries.one(("q", "s"), (6, 3))
-    sz = QSeries(
-        ("q", "s"),
-        (6, 3),
-        {(e, 1): c for e, c in enumerate(partition_series(6).dense())},
-    )
+    z = rational_form(()).expand(6, z_power=1)
+    sz = QSeries(("q", "s"), (6, 3), {(e, 1): c for e, c in enumerate(z.dense())})
     inv = ps_inv(one - sz)
     assert ps_mul(one - sz, inv) == one
 
@@ -345,16 +342,17 @@ def test_clear_denominator_constant():
 
 
 def test_clear_denominator_guard_failure():
-    z = partition_series(40)
+    z = rational_form(()).expand(40, z_power=1)
     with pytest.raises(RationalityError):
         clear_denominator(z, {1: 1}, 5, guard=10)
 
 
 def test_clear_denominator_requires_positive_guard():
     # a guard of -3 left the checked range empty and accepted a false form
+    z = rational_form(()).expand(5, z_power=1)
     for guard in (-3, 0):
         with pytest.raises(ValueError, match="guard"):
-            clear_denominator(partition_series(5), {1: 1, 2: 1}, 5, guard)
+            clear_denominator(z, {1: 1, 2: 1}, 5, guard)
 
 
 @given(
@@ -376,7 +374,7 @@ def test_expand_with_a_power_of_z():
     # power of the partition series.
     rf = RationalForm([3, -1, -1], {1: 1, 2: 1, 3: 1})
     n = 20
-    z = partition_series(n)
+    z = rational_form(()).expand(n, z_power=1)
     for r in range(4):
         assert rf.expand(n, z_power=r) == ps_mul(rf.expand(n), ps_pow(z, r)), r
     with pytest.raises(ValueError, match="nonnegative"):
@@ -417,7 +415,7 @@ def test_lpoly_iterates_over_its_coefficients():
 def test_qseries_is_not_iterable():
     # indexing returns 0 past the truncation, so iteration would not end
     with pytest.raises(TypeError):
-        iter(partition_series(2))
+        iter(rational_form(()).expand(2, z_power=1))
 
 
 def test_constant_lpoly_hashes_as_its_int():
