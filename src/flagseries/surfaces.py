@@ -11,9 +11,10 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import index
 
+from . import kernels
 from .engine import rational_form
 from .partitions import nested_pair_counts
-from .series import QSeries, ps_mul, ps_pow
+from .series import QSeries, expand_dense, ps_mul, ps_pow
 
 #: Published rank-6 global count on the sixth del Pezzo surface for the
 #: size vector (6, 12); used to pin down that surface's Euler characteristic
@@ -48,23 +49,31 @@ def punctual_nested_table(rank: int, max1: int, max2: int) -> QSeries:
 
     An r-coloured nested pair is an r-tuple of nested pairs whose sizes add,
     so the table is the rank-th power of the rank-one table, which
-    ``nested_pair_counts`` builds in one walk over the outer partitions.  The
-    series engine cross-checks the diagonals b - a <= max2 - max1 in full,
-    the ones whose whole length fits the box; the tests referee the triangle
-    beyond them against the colouring oracle.
+    ``nested_pair_counts`` builds in one walk over the outer partitions; its
+    counts go into the rows keyed ``(a,)`` as they are.  The series engine
+    cross-checks the diagonals b - a <= max2 - max1 in full, the ones whose
+    whole length fits the box: each diagonal is the expansion of its form's
+    ratio times Z^rank, and Z^rank is expanded once per table.  The tests
+    referee the triangle beyond them against the colouring oracle.
     """
     rank, max1, max2 = index(rank), index(max1), index(max2)
     if rank < 1:
         raise ValueError("the number of colours must be positive")
     if max1 > max2:
         raise ValueError("need max1 <= max2")
-    single = nested_pair_counts(max1, max2)
-    table = ps_pow(QSeries(("q1", "q2"), (max1, max2), single), rank)
+    rows = {}
+    for (a, b), count in nested_pair_counts(max1, max2).items():
+        rows.setdefault((a,), [0] * (max2 + 1))[b] = count
+    single = QSeries.from_rows(("q1", "q2"), (max1, max2), rows)
+    table = ps_pow(single, rank)
+    z_rank = expand_dense([1], {}, max1, rank)
     # Largest gap first: its one-gap numerators serve every smaller gap.
     for gap in range(max2 - max1, -1, -1):
-        engine_side = rational_form((gap,), rank).expand(max1, z_power=rank)
-        for a in range(max1 + 1):
-            if engine_side[(a,)] != table[(a, a + gap)]:
+        form = rational_form((gap,), rank)
+        ratio = expand_dense(form.numerator, form.denominator, max1)
+        engine_side = kernels.mul_trunc(ratio, z_rank, max1)
+        for a, value in enumerate(engine_side):
+            if value != table.rows[(a,)][a + gap]:
                 raise AssertionError(
                     f"power-structure/engine mismatch at sizes "
                     f"({a}, {a + gap}), rank {rank}"
@@ -82,14 +91,25 @@ def globalize(punctual: QSeries, surface: SurfaceProfile) -> QSeries:
 def resolve_dp6_exponent(candidates=range(2, 13)) -> int:
     """Euler characteristic of the sixth del Pezzo surface, resolved by
     scanning which exponent reproduces the published rank-6 count of
-    (6, 12)-nestings.  Raises unless exactly one candidate matches."""
+    (6, 12)-nestings.  Raises unless exactly one candidate matches.
+
+    The scan stops at the first count above the target.  Let c(e) be the
+    (6, 12) coefficient of T^e, T the table.  T has nonnegative integer
+    coefficients, T_(0,0) = 1 and T_(6,12) >= 1, so
+    c(e + 1) >= c(e) T_(0,0) + [T^e]_(0,0) T_(6,12) = c(e) + T_(6,12) > c(e):
+    the counts strictly increase, and no candidate after that one, in
+    sorted order, can match."""
     table = punctual_nested_table(6, 6, 12)
     matches = []
-    powered, reached = QSeries.one(table.variables, table.truncation), 0
+    powered, reached = None, 0
     for e in sorted(candidates):
-        powered = ps_mul(powered, ps_pow(table, e - reached))
+        step = ps_pow(table, e - reached)
+        powered = step if powered is None else ps_mul(powered, step)
         reached = e
-        if powered[(6, 12)] == DEL_PEZZO_TARGET:
+        count = powered[(6, 12)]
+        if count > DEL_PEZZO_TARGET:
+            break
+        if count == DEL_PEZZO_TARGET:
             matches.append(e)
     if len(matches) != 1:
         raise SurfaceResolutionError(

@@ -207,6 +207,32 @@ def test_corrupted_rank_one_table_fails_globalize(monkeypatch, capsys):
     assert err.startswith("internal consistency check failed:")
 
 
+def test_corrupted_engine_form_fails_globalize(monkeypatch, capsys):
+    # the other side of the same cross-check: one wrong numerator
+    # coefficient of the largest-gap form must be caught too
+    original = surfaces.rational_form
+
+    def corrupted(k, r=1):
+        form = original(k, r)
+        if k != (2,):
+            return form
+        numerator = list(form.numerator)
+        numerator[0] += 1
+        return RationalForm(numerator, form.denominator)
+
+    monkeypatch.setattr(surfaces, "rational_form", corrupted)
+    surfaces.punctual_nested_table.cache_clear()
+    try:
+        argv = ["globalize", "--rank", "2", "--n1", "2", "--n2", "4", "--chi", "1"]
+        assert main(argv) == 3
+    finally:
+        surfaces.punctual_nested_table.cache_clear()
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "internal consistency check failed: power-structure/engine mismatch"
+    )
+
+
 def test_oracle(capsys):
     code, payload = run_json(capsys, ["oracle", "--nesting", "2,4"])
     assert code == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagseries.engine import rational_form, rational_form_lambda
+from flagseries.kernels import mul_trunc
 from flagseries.partitions import (
     Partition,
     contains,
@@ -14,6 +15,7 @@ from flagseries.partitions import (
     enum_partitions,
     nested_pair_counts,
 )
+from flagseries.series import expand_dense
 from referees import (
     enum_skew_classes,
     gap_numerator_by_lists,
@@ -160,6 +162,19 @@ def test_gap_forms_match_the_list_recurrence(K, cuts, D):
     assert list(rational_form(k).numerator) == gap_numerator_by_lists(k), k
     expected = listed_one_gap_numerators(14)[D]
     assert rational_form((D,)).numerator == expected, D
+
+
+def test_partition_series_power_factors_out_of_the_expansion():
+    # punctual_nested_table expands Z^r once per table and multiplies each
+    # diagonal's ratio expansion by it; truncated products are exact
+    for r in range(1, 7):
+        for D in range(9):
+            form = rational_form((D,), r)
+            for n in range(13):
+                ratio = expand_dense(form.numerator, form.denominator, n)
+                z_r = expand_dense([1], {}, n, r)
+                expected = form.expand(n, z_power=r).dense()
+                assert mul_trunc(ratio, z_r, n) == expected, (r, D, n)
 
 
 def brute_force_fillings(shape, k):

@@ -1,5 +1,6 @@
 import pytest
 
+from flagseries import series, surfaces
 from flagseries.engine import rational_form
 from flagseries.partitions import count_coloured_flags
 from flagseries.series import QSeries, ps_mul, ps_pow
@@ -92,6 +93,30 @@ def test_resolve_dp6_exponent_unique():
     # so neither can reproduce the global count
     assert ps_pow(table, 0)[(6, 12)] == 0
     assert table[(6, 12)] != DEL_PEZZO_TARGET
+
+
+def test_dp6_counts_strictly_increase_with_the_exponent():
+    # the proof behind the scan's early stop, checked on the table it scans
+    table = punctual_nested_table(6, 6, 12)
+    counts = [ps_pow(table, e)[(6, 12)] for e in range(13)]
+    assert all(a < b for a, b in zip(counts, counts[1:]))
+
+
+def test_dp6_scan_stops_past_the_target(monkeypatch):
+    punctual_nested_table(6, 6, 12)  # cached, so only the scan multiplies
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return ps_mul(a, b)
+
+    # ps_pow multiplies through the series binding, the scan through its own
+    monkeypatch.setattr(series, "ps_mul", counted)
+    monkeypatch.setattr(surfaces, "ps_mul", counted)
+    assert resolve_dp6_exponent() == 6
+    # T^2 once, then one product per exponent up to 7, the first past it
+    assert len(calls) == 6
+    assert resolve_dp6_exponent(candidates=(2, 6, 13, 40)) == 6
 
 
 def test_resolve_fails_on_empty_candidates():
