@@ -43,7 +43,6 @@ _HOMES = {
         "FlagSpec",
         "Partition",
         "coloured_flag_counts",
-        "contains",
         "count_coloured_flags",
         "count_nested_flags",
         "enum_partitions",
@@ -61,7 +60,6 @@ _HOMES = {
         "QSeries",
         "RationalForm",
         "ps_add",
-        "ps_inv",
         "ps_mul",
         "ps_pow",
     ),

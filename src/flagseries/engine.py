@@ -154,14 +154,20 @@ def _relative_dense(groups, budget, n: int) -> dict:
     return out
 
 
+def _component_types(shape: SkewShape) -> list:
+    """The distinct components of a shape class with their multiplicities,
+    in the shape's sorted component order."""
+    return [
+        (comp, sum(1 for _ in group))
+        for comp, group in itertools.groupby(shape.components)
+    ]
+
+
 def _shape_groups(shape: SkewShape):
     """Groups (merged as by :func:`_add_weight`) and budget of one shape
     class: the budget counts the components of each type, and placing one
     component spends one unit of its type."""
-    types = [
-        (comp, sum(1 for _ in group))
-        for comp, group in itertools.groupby(shape.components)
-    ]
+    types = _component_types(shape)
     groups = {}
     for i, (comp, _) in enumerate(types):
         cost = tuple(int(i == k) for k in range(len(types)))
@@ -343,10 +349,7 @@ def _class_numerator(shape: SkewShape) -> list:
     """Numerator of one shape's ratio over prod_{i<=size} (1 - q^i), exact:
     a component of size s has t <= V + L - 1 <= s, so every T <= size.
     The budget counts the components of each type."""
-    types = [
-        (comp, sum(1 for _ in group))
-        for comp, group in itertools.groupby(shape.components)
-    ]
+    types = _component_types(shape)
     paths = [(i, *_path_data(comp), 1) for i, (comp, _) in enumerate(types)]
     budget = tuple(m for _, m in types)
     groups = partial(_path_groups, paths)

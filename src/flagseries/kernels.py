@@ -2,11 +2,14 @@
 
 There is one backend, because no workload shows that a second one pays.
 The kernels work on plain lists of Python ints indexed by exponent and
-truncated at a given order (inclusive).  Their callers are
-``series.ps_inv`` (``inv_trunc``, on the constant row), ``motives.LPoly``
-products (``mul_trunc``) and the engine's truncated placement DP, which
-only the tests run (``addmul_shifted``).  Coefficients are exact
-arbitrary precision integers; nothing here may introduce floats.
+truncated at a given order (inclusive).  Their callers are ``motives.LPoly``
+products and the table cross-check of ``surfaces`` (``mul_trunc``), and the
+engine's truncated placement DP, which only the tests run
+(``addmul_shifted``).  ``inv_trunc`` has no caller in the package: the
+tests' ``ps_inv`` referee inverts its constant row with it, and it stays
+here because the benchmark tracer (``perfbench/spans.py``) reads it from
+this module by name.  Coefficients are exact arbitrary precision integers;
+nothing here may introduce floats.
 
 Products of whole polynomials run on packed ints instead (Kronecker
 substitution, D. Harvey, J. Symbolic Comput. 44, 2009): ``_pack``

@@ -15,9 +15,9 @@ is its referee.  ``partition_count`` sizes the ``oracle`` command's work
 estimate against its cap.  The ``oracle`` command prints
 ``count_nested_flags`` and ``count_coloured_flags``, and ``verify`` checks
 the series against ``count_nested_flags`` and ``coloured_flag_counts``.
-The census of nested pairs by the shape class of their difference, which
-only the tests use, lives in ``tests/referees.py``, so this module imports
-no shapes.
+The census of nested pairs by the shape class of their difference and the
+rowwise test ``contains``, which only the tests use, live in
+``tests/referees.py``, so this module imports no shapes.
 """
 
 from __future__ import annotations
@@ -103,11 +103,6 @@ def partition_count(n: int) -> int:
         for m in range(j, n + 1):
             table[m] += table[m - j]
     return table[n]
-
-
-def contains(inner, outer) -> bool:
-    """True iff inner_i <= outer_i rowwise (missing rows count as 0)."""
-    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def count_nested_flags(spec) -> int:

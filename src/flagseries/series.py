@@ -224,31 +224,6 @@ def ps_mul(a: QSeries, b: QSeries) -> QSeries:
     return QSeries.from_rows(a.variables, trunc, rows)
 
 
-def ps_inv(a: QSeries) -> QSeries:
-    """Multiplicative inverse up to truncation; constant term must be +-1.
-
-    ``B_0`` inverts the row at the zero leading key (``kernels.inv_trunc``),
-    so ``E = 1 - B_0 A`` has no row there and E^m vanishes past m = M, the
-    sum of the leading truncations.  The inverse is then
-    ``(1 + E + ... + E^M) B_0``, summed by Horner's rule on :func:`ps_mul`.
-    A one-variable series is the single row keyed ``()``, so M = 0 and its
-    inverse is ``B_0``.
-    """
-    c0 = a.constant_term()
-    if c0 not in (1, -1):
-        raise ValueError("constant term must be a unit (+1 or -1)")
-    variables, trunc = a.variables, a.truncation
-    zero = (0,) * (len(variables) - 1)
-    row = kernels.inv_trunc(a.rows[zero], trunc[-1])
-    b0 = QSeries.from_rows(variables, trunc, {zero: row})
-    one = QSeries.one(variables, trunc)
-    e = one - ps_mul(b0, a)
-    out = one
-    for _ in range(sum(trunc[:-1])):
-        out = one + ps_mul(e, out)
-    return ps_mul(out, b0)
-
-
 def ps_pow(a: QSeries, exponent: int) -> QSeries:
     """Nonnegative integer power by binary exponentiation."""
     if exponent < 0:

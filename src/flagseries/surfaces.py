@@ -2,7 +2,9 @@
 
 At the Euler-characteristic level the power structure on unit series is
 ordinary exponentiation, so the two-variable punctual table raised to the
-surface Euler characteristic gives the global nested counts.
+surface Euler characteristic gives the global nested counts.  The sixth
+del Pezzo surface's Euler characteristic is the one exponent that takes the
+rank-6 table to the published (6, 12) count.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ DEL_PEZZO_TARGET = 120806108165466
 
 
 class SurfaceResolutionError(RuntimeError):
-    """No (or no unique) exponent reproduces the published value."""
+    """No exponent reproduces the published value."""
 
 
 class SurfaceProfile(namedtuple("SurfaceProfile", "name euler_characteristic")):
@@ -88,31 +90,27 @@ def globalize(punctual: QSeries, surface: SurfaceProfile) -> QSeries:
     return ps_pow(punctual, surface.euler_characteristic)
 
 
-def resolve_dp6_exponent(candidates=range(2, 13)) -> int:
-    """Euler characteristic of the sixth del Pezzo surface, resolved by
-    scanning which exponent reproduces the published rank-6 count of
-    (6, 12)-nestings.  Raises unless exactly one candidate matches.
+def resolve_dp6_exponent() -> int:
+    """Euler characteristic of the sixth del Pezzo surface: the exponent
+    e in 2..12 whose power of the rank-6 table T reproduces the published
+    (6, 12) count.  Raises ``SurfaceResolutionError`` when none does.
 
-    The scan stops at the first count above the target.  Let c(e) be the
-    (6, 12) coefficient of T^e, T the table.  T has nonnegative integer
+    Let c(e) be the (6, 12) coefficient of T^e.  T has nonnegative integer
     coefficients, T_(0,0) = 1 and T_(6,12) >= 1, so
     c(e + 1) >= c(e) T_(0,0) + [T^e]_(0,0) T_(6,12) = c(e) + T_(6,12) > c(e):
-    the counts strictly increase, and no candidate after that one, in
-    sorted order, can match."""
+    the counts strictly increase.  So at most one exponent matches, and the
+    scan, one product per exponent, stops at the first count that reaches
+    the target: no later count can equal it."""
     table = punctual_nested_table(6, 6, 12)
-    matches = []
-    powered, reached = None, 0
-    for e in sorted(candidates):
-        step = ps_pow(table, e - reached)
-        powered = step if powered is None else ps_mul(powered, step)
-        reached = e
+    powered = table
+    for e in range(2, 13):
+        powered = ps_mul(powered, table)
         count = powered[(6, 12)]
-        if count > DEL_PEZZO_TARGET:
+        if count >= DEL_PEZZO_TARGET:
             break
-        if count == DEL_PEZZO_TARGET:
-            matches.append(e)
-    if len(matches) != 1:
+    if count != DEL_PEZZO_TARGET:
         raise SurfaceResolutionError(
-            f"expected exactly one matching exponent, found {matches}"
+            f"no exponent in 2..12 reproduces the published count: "
+            f"exponent {e} reached {count}"
         )
-    return matches[0]
+    return e

@@ -12,7 +12,9 @@ classes of a size, their transposes and filling counts, and the census of
 nested pairs by the class of their difference come by enumeration.  The
 flag count by filtering partitions through ``contains`` referees the
 bitset count, and the Göttsche recurrence run on ``LPoly`` values
-referees the one run on integer rows.  The list-arithmetic versions of the
+referees the one run on integer rows.  ``ps_inv`` inverts a unit series,
+building the other side of the functional equations whose products
+``verify`` checks.  The list-arithmetic versions of the
 packed-int paths (the nested-pair walk, the row products of ``ps_mul``,
 the rank-r sum and the numerator recurrence behind the one-gap, multi-gap
 and single-shape forms) referee them.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb, factorial, perm, prod
+from operator import le
 
 from flagseries import kernels
 from flagseries.engine import (
@@ -37,8 +40,8 @@ from flagseries.engine import (
     rational_form,
 )
 from flagseries.motives import LEFSCHETZ, LPoly
-from flagseries.partitions import FlagSpec, contains, enum_partitions
-from flagseries.series import QSeries, RationalForm
+from flagseries.partitions import FlagSpec, enum_partitions
+from flagseries.series import QSeries, RationalForm, ps_mul
 from flagseries.shapes import (
     ConnectedSkew,
     SkewShape,
@@ -51,6 +54,31 @@ def truncated_ratio(shape: SkewShape, n: int) -> QSeries:
     """The single-shape ratio (insertion series / partition series) to q^n,
     from the truncated placement DP rather than the exact form."""
     return QSeries.from_dense("q", _compute_relative_dense(shape, n), n)
+
+
+def ps_inv(a: QSeries) -> QSeries:
+    """Multiplicative inverse up to truncation; constant term must be +-1.
+
+    ``B_0`` inverts the row at the zero leading key (``kernels.inv_trunc``),
+    so ``E = 1 - B_0 A`` has no row there and E^m vanishes past m = M, the
+    sum of the leading truncations.  The inverse is then
+    ``(1 + E + ... + E^M) B_0``, summed by Horner's rule on :func:`ps_mul`.
+    A one-variable series is the single row keyed ``()``, so M = 0 and its
+    inverse is ``B_0``.
+    """
+    c0 = a.constant_term()
+    if c0 not in (1, -1):
+        raise ValueError("constant term must be a unit (+1 or -1)")
+    variables, trunc = a.variables, a.truncation
+    zero = (0,) * (len(variables) - 1)
+    row = kernels.inv_trunc(a.rows[zero], trunc[-1])
+    b0 = QSeries.from_rows(variables, trunc, {zero: row})
+    one = QSeries.one(variables, trunc)
+    e = one - ps_mul(b0, a)
+    out = one
+    for _ in range(sum(trunc[:-1])):
+        out = one + ps_mul(e, out)
+    return ps_mul(out, b0)
 
 
 @lru_cache(maxsize=None)
@@ -160,6 +188,11 @@ def _insertion_census(size: int, m: int) -> dict:
                 shape = skew_class_of_cells(mu_cells - nu.cells())
                 census[shape] = census.get(shape, 0) + 1
     return census
+
+
+def contains(inner, outer) -> bool:
+    """True iff inner_i <= outer_i rowwise (missing rows count as 0)."""
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def filtered_nested_flags(spec) -> int:

@@ -683,12 +683,15 @@ def test_package_exports_lazily():
     with pytest.raises(AttributeError, match="no_such_name"):
         flagseries.no_such_name
     assert not hasattr(flagseries, "_placement_terms")
-    # the shape-class census lives in tests/referees.py, not the package
+    # the shape-class census, inversion and containment live in
+    # tests/referees.py, not the package
     for name in (
+        "contains",
         "count_partitions_with_k_parts",
         "enum_skew_classes",
         "insertion_count",
         "nw_path",
+        "ps_inv",
         "rp_count",
         "sym_factor",
         "transpose",
@@ -726,67 +729,40 @@ def test_package_import_graph_has_no_cycle():
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
 
 
-GUARD_ENV_ARGVS = (
-    ["fz", "--k", "1,1"],
-    ["fz", "--D", "2"],
-    ["fq", "--r", "2", "--D", "2"],
+@pytest.mark.parametrize("raw", ["12", "ten", "-3", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [["fz", "--k", "1,1"], ["fz", "--D", "2"], ["fq", "--r", "2", "--D", "2"]],
+    ids="_".join,
 )
-
-
-def assert_guard_env_ignored(monkeypatch, capsys, raws, argvs=GUARD_ENV_ARGVS):
+def test_no_guard_env_value_changes_any_output(monkeypatch, capsys, raw, argv):
     # Every rational form is exact, so FLAGSERIES_GUARD is no longer read:
-    # any value, well formed or not, leaves exit code and output unchanged.
-    monkeypatch.delenv("FLAGSERIES_GUARD", raising=False)
-    expected = []
-    for argv in argvs:
-        expected.append((main(argv), capsys.readouterr()))
-    for raw in raws:
-        monkeypatch.setenv("FLAGSERIES_GUARD", raw)
-        for argv, want in zip(argvs, expected):
-            assert (main(argv), capsys.readouterr()) == want, (raw, argv)
-
-
-def test_guard_env_override(monkeypatch, capsys):
-    assert_guard_env_ignored(monkeypatch, capsys, ("12",))
-
-
-def test_malformed_guard_env_rejected(monkeypatch, capsys):
-    # A malformed value used to exit 2; with the variable unread it changes
-    # nothing, and the parser that rejected it is gone.
+    # any value, well formed or not, leaves exit code and output unchanged,
+    # and the parser that rejected a malformed one is gone.
     assert not hasattr(engine, "default_guard")
-    assert_guard_env_ignored(monkeypatch, capsys, ("ten", "-3", "0"))
+    monkeypatch.delenv("FLAGSERIES_GUARD", raising=False)
+    expected = main(argv), capsys.readouterr()
+    monkeypatch.setenv("FLAGSERIES_GUARD", raw)
+    assert (main(argv), capsys.readouterr()) == expected
 
 
-def test_malformed_guard_env_rejected_in_every_mode(monkeypatch, capsys):
-    for argv in GUARD_ENV_ARGVS:
-        assert_guard_env_ignored(monkeypatch, capsys, ("ten",), (argv,))
-
-
-def test_jobs_option_removed():
-    with pytest.raises(SystemExit) as exc:
-        main(["fz", "--D", "2", "--jobs", "2"])
-    assert exc.value.code == 2
-
-
-def test_guard_must_be_positive():
-    # fz --guard is removed, so argparse rejects every value, positive or not.
-    for guard in ("-10", "0", "x", "5"):
-        with pytest.raises(SystemExit) as exc:
-            main(["fz", "--D", "4", "--guard", guard])
-        assert exc.value.code == 2
-
-
-def test_guard_applies_to_k_only():
-    # --guard used to apply to fz --k only; every form is now exact, so no
-    # mode takes it.
-    for argv in (
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fz", "--D", "2", "--jobs", "2"],
+        *(["fz", "--D", "4", "--guard", guard] for guard in ("-10", "0", "x", "5")),
         ["fz", "--D", "3", "--guard", "5"],
         ["fz", "--k", "1,1", "--guard", "5"],
         ["fq", "--r", "2", "--D", "2", "--guard", "5"],
-    ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2, argv
+    ],
+    ids="_".join,
+)
+def test_removed_guard_and_jobs_options_exit_2(argv):
+    # --guard (once fz --k only) and --jobs are gone, so argparse rejects
+    # every value in every mode
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_fz_rejects_D_with_k(capsys):

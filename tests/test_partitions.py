@@ -8,7 +8,6 @@ from flagseries.partitions import (
     FlagSpec,
     Partition,
     coloured_flag_counts,
-    contains,
     count_coloured_flags,
     count_nested_flags,
     enum_partitions,
@@ -17,6 +16,7 @@ from flagseries.partitions import (
 )
 from flagseries.shapes import SkewShape
 from referees import (
+    contains,
     count_partitions_with_k_parts,
     enum_skew_classes,
     filtered_nested_flags,

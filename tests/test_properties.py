@@ -10,13 +10,13 @@ from flagseries.engine import rational_form, rational_form_lambda
 from flagseries.kernels import mul_trunc
 from flagseries.partitions import (
     Partition,
-    contains,
     count_nested_flags,
     enum_partitions,
     nested_pair_counts,
 )
 from flagseries.series import expand_dense
 from referees import (
+    contains,
     enum_skew_classes,
     gap_numerator_by_lists,
     insertion_count,

@@ -14,8 +14,8 @@ from flagseries.quot import (
     verify_fq_functional,
     verify_q_identity,
 )
-from flagseries.series import QSeries, RationalForm, ps_inv, ps_mul, ps_pow
-from referees import fq_rD_via_generating, ratio_rD_dense
+from flagseries.series import QSeries, RationalForm, ps_mul, ps_pow
+from referees import fq_rD_via_generating, ps_inv, ratio_rD_dense
 
 
 def test_q_rank_series():

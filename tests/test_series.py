@@ -14,11 +14,10 @@ from flagseries.series import (
     QSeries,
     RationalForm,
     ps_add,
-    ps_inv,
     ps_mul,
     ps_pow,
 )
-from referees import RationalityError, clear_denominator, ps_mul_by_rows
+from referees import RationalityError, clear_denominator, ps_inv, ps_mul_by_rows
 
 
 def q(coeffs, trunc=None):

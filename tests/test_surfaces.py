@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from flagseries import series, surfaces
@@ -95,10 +97,17 @@ def test_resolve_dp6_exponent_unique():
     assert table[(6, 12)] != DEL_PEZZO_TARGET
 
 
+@lru_cache(maxsize=None)
+def dp6_counts():
+    """c(e), the (6, 12) coefficient of T^e for e = 0..12, T the scanned
+    table."""
+    table = punctual_nested_table(6, 6, 12)
+    return tuple(ps_pow(table, e)[(6, 12)] for e in range(13))
+
+
 def test_dp6_counts_strictly_increase_with_the_exponent():
     # the proof behind the scan's early stop, checked on the table it scans
-    table = punctual_nested_table(6, 6, 12)
-    counts = [ps_pow(table, e)[(6, 12)] for e in range(13)]
+    counts = dp6_counts()
     assert all(a < b for a, b in zip(counts, counts[1:]))
 
 
@@ -110,22 +119,34 @@ def test_dp6_scan_stops_past_the_target(monkeypatch):
         calls.append(None)
         return ps_mul(a, b)
 
-    # ps_pow multiplies through the series binding, the scan through its own
+    # count the products made through either module's binding
     monkeypatch.setattr(series, "ps_mul", counted)
     monkeypatch.setattr(surfaces, "ps_mul", counted)
     assert resolve_dp6_exponent() == 6
-    # T^2 once, then one product per exponent up to 7, the first past it
-    assert len(calls) == 6
-    assert resolve_dp6_exponent(candidates=(2, 6, 13, 40)) == 6
+    # one product per exponent 2..6: the scan ends at the match
+    assert len(calls) == 5
 
 
-def test_resolve_fails_on_empty_candidates():
-    for candidates in ((), (2, 3), (6, 6)):
-        with pytest.raises(SurfaceResolutionError):
-            resolve_dp6_exponent(candidates=candidates)
-    with pytest.raises(ValueError):
-        resolve_dp6_exponent(candidates=(7, -1))
-    assert resolve_dp6_exponent(candidates=iter((12, 6, 2))) == 6
+@pytest.mark.parametrize("exponent", [2, 12])
+def test_dp6_scan_finds_the_first_and_last_exponent(monkeypatch, exponent):
+    monkeypatch.setattr(surfaces, "DEL_PEZZO_TARGET", dp6_counts()[exponent])
+    assert resolve_dp6_exponent() == exponent
+
+
+@pytest.mark.parametrize(
+    "exponent, offset, reached",
+    [(2, -1, 2), (6, 1, 7), (12, 1, 12)],
+    ids=["below", "between", "above"],
+)
+def test_dp6_scan_raises_when_no_count_equals_the_target(
+    monkeypatch, exponent, offset, reached
+):
+    counts = dp6_counts()
+    monkeypatch.setattr(surfaces, "DEL_PEZZO_TARGET", counts[exponent] + offset)
+    with pytest.raises(
+        SurfaceResolutionError, match=f"exponent {reached} reached {counts[reached]}$"
+    ):
+        resolve_dp6_exponent()
 
 
 def test_surface_profile_rejects_negative():
