@@ -16,7 +16,6 @@ the same answer disagree, which is a bug in the program, not in the input).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import itertools
 import json
@@ -33,6 +32,8 @@ def _emit(fmt, outcome):
     if fmt == "json":
         out = json.dumps(outcome.payload, sort_keys=True, indent=2)
     elif fmt == "csv":
+        import csv  # only csv output loads it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(outcome.rows)

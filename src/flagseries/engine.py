@@ -28,8 +28,9 @@ FZ_k / Z runs over connected components, not shape classes: a chain of
 order ideals of a disjoint union is one chain per component whose level
 sizes add (J(P + Q) = J(P) x J(Q), Stanley EC1 ch. 3).  So a component
 spends a vector c <= k of the gap budget, weighted by its number of
-fillings with content c.  A zero level adds no box, so gap budgets are
-kept with their zero entries dropped.
+fillings with content c, counted once per symmetry orbit of connected
+diagrams (``shapes.component_fillings``).  A zero level adds no box, so
+gap budgets are kept with their zero entries dropped.
 
 Summing the geometric series in j turns the DP into one exact integer
 recurrence (:func:`_numerator_rows`) for the numerators over
@@ -400,17 +401,17 @@ def _component_paths(costs) -> list:
     """Components (cost, L, V, offset, fillings) of a gap budget, as
     :func:`_path_groups` takes them: for each cost, every connected shape of
     that size with its number of fillings with content ``cost``; shapes
-    with none are left out.  Each shape counts its fillings for all costs
-    of its size at once."""
-    from .shapes import SkewShape, enum_connected_skew, filling_counts
+    with none are left out.  ``shapes.component_fillings`` counts the
+    fillings of each size for all its costs at once, once per orbit of the
+    transpose and the 180-degree rotation."""
+    from .shapes import component_fillings
 
     by_size = {}
     for cost in costs:
         by_size.setdefault(sum(cost), []).append(cost)
     paths = []
     for size, sized in by_size.items():
-        for comp in enum_connected_skew(size):
-            counts = filling_counts(SkewShape((comp,)), sized)
+        for comp, counts in component_fillings(size, sized):
             found = [(cost, n) for cost, n in counts.items() if n]
             if found:
                 data = _path_data(comp)

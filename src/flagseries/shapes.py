@@ -9,8 +9,14 @@ equality is structural.
 
 This module holds what the production paths use: the diagrams, their
 boundary paths, the connected diagrams of each size and monotone-filling
-counts.  Enumerating whole shape classes is brute force that only the tests
-run, as a referee, so it lives in ``tests/referees.py``.
+counts.  One enumerator yields the row signatures, valid by construction,
+and one counter counts fillings as chains of order ideals, from need masks
+built straight from the rows.  The multi-gap forms ask for the fillings of
+every connected diagram of a size (:func:`component_fillings`), which are
+counted once per orbit of the transpose and the 180-degree rotation.
+Enumerating whole shape classes is brute force that only the tests run, as
+a referee, so it lives in ``tests/referees.py``, beside the shape-by-shape
+filling counts.
 """
 
 from __future__ import annotations
@@ -177,6 +183,7 @@ class SkewShape(_SortKeyOrder, namedtuple("SkewShape", "components")):
     def sort_key(self):
         return tuple(c.sort_key() for c in self.components)
 
+
 @lru_cache(maxsize=None)
 def enum_connected_skew(size: int):
     """All connected translation classes with ``size`` boxes, sorted by row
@@ -185,76 +192,66 @@ def enum_connected_skew(size: int):
         raise ValueError("size must be positive")
     found = []
 
-    def place(lens, starts, i):
-        if i < 0:
-            found.append(ConnectedSkew(tuple(zip(starts, lens))))
+    def grow(rows, remaining):
+        # a row put on top starts and ends no further west than the row
+        # below, and shares a column with it
+        if not remaining:
+            found.append(rows)
             return
-        below_s, below_l = starts[i + 1], lens[i + 1]
-        lo = max(below_s, below_s + below_l - lens[i])
-        hi = below_s + below_l - 1
-        for s in range(lo, hi + 1):
-            starts[i] = s
-            place(lens, starts, i - 1)
-
-    def row_lengths(remaining, acc):
-        if remaining == 0 and acc:
-            if len(acc) == 1:
-                found.append(ConnectedSkew(((0, acc[0]),)))
-            else:
-                place(acc, [0] * len(acc), len(acc) - 2)
-            return
+        s0, l0 = rows[0]
         for l in range(1, remaining + 1):
-            row_lengths(remaining - l, acc + [l])
+            for s in range(max(s0, s0 + l0 - l), s0 + l0):
+                grow(((s, l),) + rows, remaining - l)
 
-    row_lengths(size, [])
-    return tuple(sorted(found, key=ConnectedSkew.sort_key))
+    for l in range(1, size + 1):
+        grow(((0, l),), size - l)
+    # grow yields valid signatures, so ConnectedSkew's checks are skipped
+    return tuple(tuple.__new__(ConnectedSkew, (rows,)) for rows in sorted(found))
 
 
-def _order_ideals(shape: SkewShape) -> list:
-    """The order ideals of ``shape`` by size, as bit masks over its boxes
-    sorted by (component, row, column).  An ideal holds the west and north
-    neighbours of each of its boxes (Stanley, EC1 ch. 3), so the ideals of
-    size m + 1 are those of size m with one box added whose neighbours are
-    in."""
-    cells = sorted(
-        (c, y, x)
-        for c, comp in enumerate(shape.components)
-        for x, y in comp.cells()
-    )
-    index = {cell: i for i, cell in enumerate(cells)}
-    needs = [
-        sum(1 << index[nb] for nb in ((c, y, x - 1), (c, y - 1, x)) if nb in index)
-        for c, y, x in cells
-    ]
+def _needs(components) -> list:
+    """West/north need masks of the boxes of diagrams given by their row
+    signatures, the boxes numbered by (component, row, column): bit j of
+    box i's mask is set when box j is its west or north neighbour."""
+    needs = []
+    for rows in components:
+        above = None  # (first box, start, end) of the row above
+        for s, l in rows:
+            first = len(needs)
+            for x in range(s, s + l):
+                need = 1 << (len(needs) - 1) if x > s else 0
+                if above and above[1] <= x < above[2]:
+                    need |= 1 << (above[0] + x - above[1])
+                needs.append(need)
+            above = first, s, s + l
+    return needs
+
+
+def _order_ideals(needs) -> list:
+    """The order ideals by size, as bit masks over the boxes of ``needs``.
+    An ideal holds the west and north neighbours of each of its boxes
+    (Stanley, EC1 ch. 3).  The last box of an ideal is needed by none of
+    its boxes, since east and south neighbours come later in (component,
+    row, column) order; so each ideal of size m + 1 is, once, an ideal of
+    size m with a box added past its last one whose neighbours are in."""
+    boxes = [(1 << i, need) for i, need in enumerate(needs)]
     levels = [[0]]
-    for _ in cells:
-        grown = {}
-        for ideal in levels[-1]:
-            for i, need in enumerate(needs):
-                if not ideal >> i & 1 and ideal & need == need:
-                    grown[ideal | 1 << i] = None
-        levels.append(list(grown))
+    for _ in boxes:
+        levels.append([
+            ideal | bit
+            for ideal in levels[-1]
+            for bit, need in boxes[ideal.bit_length():]
+            if ideal & need == need
+        ])
     return levels
 
 
-def filling_counts(shape: SkewShape, costs) -> dict:
-    """{cost: number of monotone fillings of ``shape`` with content cost}.
-
-    A filling labels the boxes 1..s, weakly increasing east along rows and
-    south down columns, with ``k_i`` boxes labelled ``i``.  Its sublevel
-    sets are a chain of order ideals ``I_1 <= ... <= I_s = shape`` with
-    ``|I_i - I_(i-1)| = k_i``.  The ideals are built once; the chains are
-    counted level by level, keeping for each prefix of a cost the number
-    of chains that reach each ideal, so costs that share a prefix share
-    its levels.
-    """
-    costs = [tuple(map(index, cost)) for cost in costs]
-    for cost in costs:
-        if any(k < 0 for k in cost):
-            raise ValueError("block sizes must be nonnegative")
-        if sum(cost) != shape.size:
-            raise ValueError("block sizes must sum to the shape size")
-    levels = _order_ideals(shape)
+def _chain_counts(levels, costs) -> dict:
+    """{cost: number of chains of order ideals I_1 <= ... <= I_s = the
+    whole diagram with |I_i - I_(i-1)| = k_i}, from the ideals by size.
+    The chains are counted level by level, keeping for each prefix of a
+    cost the number of chains that reach each ideal, so costs that share a
+    prefix share its levels."""
     reached = {(): {0: 1}}  # cost prefix -> ideal -> chains reaching it
 
     def chains(prefix):
@@ -268,6 +265,86 @@ def filling_counts(shape: SkewShape, costs) -> dict:
             reached[prefix] = out
         return reached[prefix]
 
-    full = (1 << shape.size) - 1
+    (full,) = levels[-1]
     return {cost: chains(cost).get(full, 0) for cost in costs}
 
+
+def filling_counts(shape: SkewShape, costs) -> dict:
+    """{cost: number of monotone fillings of ``shape`` with content cost}.
+
+    A filling labels the boxes 1..s, weakly increasing east along rows and
+    south down columns, with ``k_i`` boxes labelled ``i``.  Its sublevel
+    sets are a chain of order ideals ``I_1 <= ... <= I_s = shape`` with
+    ``|I_i - I_(i-1)| = k_i``, so the count is :func:`_chain_counts`.
+    """
+    costs = [tuple(map(index, cost)) for cost in costs]
+    for cost in costs:
+        if any(k < 0 for k in cost):
+            raise ValueError("block sizes must be nonnegative")
+        if sum(cost) != shape.size:
+            raise ValueError("block sizes must sum to the shape size")
+    levels = _order_ideals(_needs(comp.rows for comp in shape.components))
+    return _chain_counts(levels, costs)
+
+
+def _transpose(rows) -> tuple:
+    """Row signature of the diagram reflected in its main diagonal: row x
+    of the image is column x, which starts at its top box's row."""
+    s0, l0 = rows[0]  # the top row reaches furthest east
+    tops, lengths = [0] * (s0 + l0), [0] * (s0 + l0)
+    for y in range(len(rows) - 1, -1, -1):
+        s, l = rows[y]
+        for x in range(s, s + l):
+            tops[x] = y
+            lengths[x] += 1
+    return tuple(zip(tops, lengths))
+
+
+def _rotate(rows) -> tuple:
+    """Row signature of the diagram turned through 180 degrees."""
+    s0, l0 = rows[0]
+    return tuple((s0 + l0 - s - l, l) for s, l in reversed(rows))
+
+
+def component_fillings(size: int, costs) -> list:
+    """(component, {cost: fillings}) for every connected diagram of ``size``
+    boxes, in the order of :func:`enum_connected_skew`.  Each cost is a
+    content of ``size`` boxes, and a count is as in :func:`filling_counts`.
+
+    The fillings are counted once per orbit of the transpose T and the
+    180-degree rotation R.  Both are involutions and they commute, so a
+    diagram S has the images S, T(S), R(S) and RT(S), all of them
+    connected skew diagrams of ``size`` boxes:
+
+    - T maps a box (x, y) to (y, x), so the rows of T(S) are the columns of
+      S.  A filling f of S gives the filling f(T(p)) of T(S), increasing
+      along rows because f increases down columns and conversely, and with
+      the same content.  So T(S) has the fillings of S for every content.
+    - R maps a box (x, y) to (-x, -y), up to translation.  A filling f of S
+      with labels 1..m gives g(R(p)) = m + 1 - f(p) on R(S): going east or
+      south in R(S) goes west or north in S, where f weakly decreases, so g
+      weakly increases, and g has as many labels i as f has labels
+      m + 1 - i.  So R(S) with content (k_1, ..., k_m) has the fillings of
+      S with content (k_m, ..., k_1), and by the first point so has RT(S).
+
+    Each orbit counts its first diagram in enumeration order, for the costs
+    and, unless R(S) is S or T(S), their reverses; the images read them.
+    """
+    costs = list(costs)
+    both = costs + [cost[::-1] for cost in costs if cost[::-1] not in costs]
+    found = {}  # row signature -> {cost: fillings}
+    out = []
+    for comp in enum_connected_skew(size):
+        rows = comp.rows
+        if rows not in found:
+            flipped, turned = _transpose(rows), _rotate(rows)
+            reverse = turned != rows and turned != flipped
+            levels = _order_ideals(_needs((rows,)))
+            counts = _chain_counts(levels, both if reverse else costs)
+            found[rows] = found[flipped] = {cost: counts[cost] for cost in costs}
+            if reverse:
+                found[turned] = found[_rotate(flipped)] = {
+                    cost: counts[cost[::-1]] for cost in costs
+                }
+        out.append((comp, found[rows]))
+    return out

@@ -37,13 +37,16 @@ GAP_VECTORS = (
     "1,1", "1,1,1", "1,1,1,1", "1,1,1,1,1", "1,1,1,1,1,1", "1,2", "2,1", "2,2",
     "1,1,1,2,2", "2,1,1,1,2", "1,1,2,2", "3,1,1,1", "1,1,1,1,2", "2,1,1,1,1",
 )
+#: gap vectors whose components are mostly counted through a symmetric
+#: image of another shape (``shapes.component_fillings``)
+ORBIT_VECTORS = ("3,3,3", "2,2,2,2", "1,1,1,1,1,1,1,1", "1,2,3,2")
 #: the benchmark's globalized boxes (rank, n1, n2)
 GLOBAL_BOXES = ((2, 8, 16), (4, 6, 12), (6, 4, 8))
 
 
 def _commands():
     fz = [["fz", "--D", str(D)] for D in range(1, 13)]
-    fz += [["fz", "--k", k] for k in GAP_VECTORS]
+    fz += [["fz", "--k", k] for k in GAP_VECTORS + ORBIT_VECTORS]
     fz += [["fz", "--D", "5", "--prefix", p] for p in ("0", "30")]
     fq = [["fq", "--r", str(r), "--D", str(D)] for r in range(1, 7) for D in range(1, 11)]
     fq += [["fq", "--r", "3", "--D", "4", "--prefix", "20"]]

@@ -8,7 +8,8 @@ of one shape, clearing a truncated series over a claimed denominator at a
 degree bound, the multi-gap form as an exact sum over shape classes, the
 rank-r series as products of expanded one-gap rows, and the rank-r series
 as a coefficient of a power of the one-gap generating series.  The shape
-classes of a size, their transposes and filling counts, and the census of
+classes of a size, their transposes and rotations, the filling counts of
+each connected shape one by one, and the census of
 nested pairs by the class of their difference come by enumeration.  The
 flag count by filtering partitions through ``contains`` referees the
 bitset count, and the Göttsche recurrence run on ``LPoly`` values
@@ -150,6 +151,32 @@ def transpose(shape: SkewShape) -> SkewShape:
             for comp in shape.components
         )
     )
+
+
+def rotate(shape: SkewShape) -> SkewShape:
+    """Turn every component through 180 degrees."""
+    return SkewShape(
+        tuple(
+            connected_from_cells({(-x, -y) for x, y in comp.cells()})
+            for comp in shape.components
+        )
+    )
+
+
+def component_paths_per_shape(costs) -> list:
+    """``engine._component_paths`` shape by shape: every connected shape of
+    each size counts its own fillings, with no reuse across symmetric
+    images."""
+    by_size = {}
+    for cost in costs:
+        by_size.setdefault(sum(cost), []).append(cost)
+    paths = []
+    for size, sized in by_size.items():
+        for comp in enum_connected_skew(size):
+            counts = filling_counts(SkewShape((comp,)), sized)
+            data = _path_data(comp)
+            paths.extend((cost, *data, n) for cost, n in counts.items() if n)
+    return paths
 
 
 def sym_factor(shape: SkewShape) -> int:
@@ -328,14 +355,23 @@ def class_sum_form_k(block_sizes) -> RationalForm:
     if K < 1:
         raise ValueError("the gap sizes must sum to at least 1")
     numerator = []
-    for shape in enum_skew_classes(K):
-        key, flipped = shape.key(), transpose(shape).key()
-        if flipped < key:
-            continue
-        weight = rp_count(shape, block_sizes) * (1 if flipped == key else 2)
+    for shape, orbit in _transposition_orbits(K):
+        weight = rp_count(shape, block_sizes) * orbit
         if weight:
             _grow_add(numerator, _class_numerator(shape), 0, weight)
     return RationalForm(numerator, {j: 1 for j in range(1, K + 1)})
+
+
+@lru_cache(maxsize=None)
+def _transposition_orbits(size: int) -> tuple:
+    """(shape, orbit size) for each orbit of the shape classes of ``size``
+    boxes under transposition, through its smaller key."""
+    out = []
+    for shape in enum_skew_classes(size):
+        key, flipped = shape.key(), transpose(shape).key()
+        if flipped >= key:
+            out.append((shape, 1 if flipped == key else 2))
+    return tuple(out)
 
 
 def ratio_rD_dense(r: int, D: int, n: int) -> list:

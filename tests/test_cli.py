@@ -626,6 +626,7 @@ def test_fz_loads_only_the_modules_it_runs():
         package = {m for m in modules if m.startswith("flagseries")}
         assert package == {"flagseries"} | {f"flagseries.{m}" for m in expected}
         assert "dataclasses" not in modules
+        assert "csv" not in modules  # LOADED_AFTER asks for --format json
 
 
 def test_rank_forms_load_partitions_not_quot():

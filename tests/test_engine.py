@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from functools import lru_cache, partial
 from math import comb
 
@@ -18,6 +19,7 @@ from referees import (
     class_numerator_by_lists,
     class_sum_form_k,
     clear_denominator,
+    component_paths_per_shape,
     enum_skew_classes,
     gap_numerator_by_lists,
     insertion_count,
@@ -225,6 +227,22 @@ def test_rational_form_k_equals_class_sum_referee(monkeypatch):
         rf = rational_form(k)
         assert rf == class_sum_form_k(k), k
         assert list(rf.numerator) == gap_numerator_by_lists(k), k
+
+
+def test_component_paths_equal_per_shape_referee():
+    # the orbit reuse of shapes.component_fillings against every shape
+    # counting its own fillings; a cost's paths do not depend on the other
+    # costs asked for, so the referee runs once over every cost
+    budgets = [k for K in range(1, 8) for k in compositions(K)]
+    budgets += [(3, 3, 3), (1,) * 8]
+    every = {cost for b in budgets for cost, _ in engine._gap_steps(b)}
+    expected = {cost: [] for cost in every}
+    for path in component_paths_per_shape(every):
+        expected[path[0]].append(path)
+    for b in budgets:
+        costs = {cost for cost, _ in engine._gap_steps(b)}
+        paths = Counter(engine._component_paths(costs))
+        assert paths == Counter(p for cost in costs for p in expected[cost]), b
 
 
 def test_rational_form_k_is_one_recurrence_run(monkeypatch):

@@ -3,10 +3,17 @@ import itertools
 import pytest
 
 from flagseries.partitions import count_nested_flags
-from flagseries.shapes import ConnectedSkew, SkewShape, enum_connected_skew
+from flagseries.shapes import (
+    ConnectedSkew,
+    SkewShape,
+    _rotate,
+    _transpose,
+    enum_connected_skew,
+)
 from referees import (
     enum_skew_classes,
     insertion_count,
+    rotate,
     rp_count,
     skew_class_of_cells,
     sym_factor,
@@ -33,6 +40,20 @@ def test_enum_connected_counts():
     assert len(enum_connected_skew(1)) == 1
     assert len(enum_connected_skew(2)) == 2
     assert len(enum_connected_skew(3)) == 4
+
+
+def test_enumerated_signatures_pass_the_checks():
+    # the enumerator skips ConnectedSkew's checks, so rebuild each diagram
+    # through them; the symmetric images stay in the enumeration
+    for D in range(1, 9):
+        comps = enum_connected_skew(D)
+        assert list(comps) == sorted(set(comps))
+        for comp in comps:
+            assert ConnectedSkew(comp.rows) == comp
+            flipped = transpose(SkewShape((comp,))).components[0]
+            assert ConnectedSkew(_transpose(comp.rows)) == flipped
+            turned = rotate(SkewShape((comp,))).components[0]
+            assert ConnectedSkew(_rotate(comp.rows)) == turned
 
 
 def test_enum_class_counts():
@@ -188,3 +209,12 @@ def test_rp_count_transposition_invariant():
             for k in compositions(K):
                 assert rp_count(shape, k) == rp_count(flipped, k), (shape, k)
 
+
+def test_rp_count_rotation_reverses_content():
+    # a filling f of S with labels 1..m gives m + 1 - f on the rotated S
+    for K in range(1, 7):
+        for comp in enum_connected_skew(K):
+            shape = SkewShape((comp,))
+            turned = rotate(shape)
+            for k in compositions(K):
+                assert rp_count(turned, k) == rp_count(shape, k[::-1]), (shape, k)
