@@ -10,7 +10,9 @@ Exit codes: 0 success (and, for ``verify``, all identities hold);
 1 a ``verify`` identity failed; 2 parameter validation failure (or a
 ``tables --out`` that cannot be written);
 3 internal consistency check failure (two independent constructions of
-the same answer disagree, which is a bug in the program, not in the input).
+the same answer disagree, which is a bug in the program, not in the input);
+141 the reader closed standard output before it was written (128 + SIGPIPE,
+what shells report for a pipe closed early), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import io
 import itertools
 import json
+import os
 import sys
 from collections import namedtuple
 
@@ -375,7 +378,15 @@ def main(argv=None):
     except AssertionError as exc:
         print(f"internal consistency check failed: {exc}", file=sys.stderr)
         return 3
-    _emit(args.format, outcome)
+    try:
+        _emit(args.format, outcome)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so the interpreter's last flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return outcome.code
 
 

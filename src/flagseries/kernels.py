@@ -14,14 +14,14 @@ nothing here may introduce floats.
 Products of whole polynomials run on packed ints instead (Kronecker
 substitution, D. Harvey, J. Symbolic Comput. 44, 2009): ``_pack``
 evaluates a coefficient list at q = 2^bits, one big-int product then
-multiplies two polynomials, and ``_unpack`` reads the coefficients back
-as signed base-2^bits digits, a fixed count of them for ``series.ps_mul``'s
-rows and all of them (``_decode``) for a whole polynomial.  The decoding
-is exact when every coefficient it reads has absolute value at most the
-bound the caller proves, with ``bits = _signed_bits(bound)``.
-``series.ps_mul``, ``engine._rank_form`` and the engine's numerator
-recurrence (``engine._numerator_rows``, which runs whole at q = 2^bits
-and decodes only its results) work this way.
+multiplies two polynomials, and ``_unpacker`` reads the coefficients back
+as signed base-2^bits digits, a fixed count of them for every row of a
+series product and all of them (``_decode``) for a whole polynomial.  The
+decoding is exact when every coefficient it reads has absolute value at
+most the bound the caller proves, with ``bits = _signed_bits(bound)``.
+``series.ps_mul`` and ``ps_pow``, ``engine._rank_form`` and the engine's
+numerator recurrence (``engine._numerator_rows``, which runs whole at
+q = 2^bits and decodes only its results) work this way.
 """
 
 BACKEND = "pure"
@@ -105,17 +105,24 @@ def _pack(coeffs, bits):
     return value
 
 
-def _unpack(value, bits, count):
-    """The coefficients of degree < count of a polynomial packed by
-    :func:`_pack`, as digits in [-2^(bits-1), 2^(bits-1)); the higher ones
-    are ignored.  Adding 2^(bits-1) to every slot makes each digit
-    nonnegative, so one mask cuts the kept slots and each is read by a
-    shift and a mask."""
+def _unpacker(bits, count):
+    """The reader of the coefficients of degree < count of polynomials
+    packed by :func:`_pack`, as digits in [-2^(bits-1), 2^(bits-1)); the
+    higher ones are ignored.  Adding 2^(bits-1) to every slot makes each
+    digit nonnegative, so one mask cuts the kept slots and each is read by
+    a shift and a mask.  The offset and the mask are built once, for every
+    value the reader is given."""
     half = 1 << (bits - 1)
     slot = (1 << bits) - 1
     kept = (1 << (bits * count)) - 1
-    value = (value + half * (kept // slot)) & kept
-    return [((value >> (bits * i)) & slot) - half for i in range(count)]
+    offset = half * (kept // slot)
+    shifts = range(0, bits * count, bits)
+
+    def unpack(value):
+        value = (value + offset) & kept
+        return [(value >> shift & slot) - half for shift in shifts]
+
+    return unpack
 
 
 def _decode(value, bits):
@@ -123,7 +130,7 @@ def _decode(value, bits):
     zeros stripped.  A nonzero top digit at degree d makes
     |value| > 2^(bits * d - 1), so ``bit_length // bits + 1`` digits reach
     the degree."""
-    row = _unpack(value, bits, value.bit_length() // bits + 1)
+    row = _unpacker(bits, value.bit_length() // bits + 1)(value)
     while row and not row[-1]:
         row.pop()
     return row

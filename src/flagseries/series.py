@@ -4,11 +4,18 @@ Everything in this module is immutable after construction and all
 coefficients are exact Python integers.  Series carry their truncation
 explicitly; arithmetic between series with different truncations truncates
 down to the componentwise minimum.
+
+A product packs each row into one integer (see ``kernels``).  The leading
+exponents (i, j) of a row, absent ones read as 0, index a flat list of
+output rows at i * (lead[-1] + 1) + j, so two rows land at the sum of their
+indices when it fits; one factor's rows are sorted, so each row of the
+other stops at the first past its room.  The loop serves one to three
+variables.  A power squares and multiplies rows, building one series.
 """
 
 from __future__ import annotations
 
-from operator import add, gt, index
+from operator import index
 
 from . import kernels
 
@@ -199,47 +206,72 @@ def ps_add(a: QSeries, b: QSeries) -> QSeries:
     return QSeries.from_rows(a.variables, trunc, rows)
 
 
-def ps_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product, truncated to the minimum truncation: the dense rows
-    of the last variable are packed into ints (see ``kernels``), multiplied
-    for every pair of leading keys whose sum stays inside the truncation,
-    and decoded once per output row."""
-    trunc = a._check_compatible(b)
-    n = trunc[-1]
-    lead = trunc[:-1]
+def _row_product(a_rows, b_rows, n, lead):
+    """The nonzero rows of a product, cut at ``lead`` in the leading
+    variables and at ``n`` in the last one."""
+    sides = (b_rows,) if a_rows is b_rows else (b_rows, a_rows)
+    peaks = [
+        max((max(map(abs, row)) for row in rows.values()), default=0) for rows in sides
+    ]
     # an output coefficient sums at most (n + 1) * min(#rows) products
-    bound = (n + 1) * min(len(a.rows), len(b.rows))
-    for rows in a.rows, b.rows:
-        bound *= max((max(map(abs, row)) for row in rows.values()), default=0)
-    bits = kernels._signed_bits(bound)
-    packed_b = [(kb, kernels._pack(rb, bits)) for kb, rb in b.rows.items()]
-    out = {}
-    for ka, ra in a.rows.items():
-        va = kernels._pack(ra, bits)
-        for kb, vb in packed_b:
-            key = tuple(map(add, ka, kb))
-            if not any(map(gt, key, lead)):
-                out[key] = out.get(key, 0) + va * vb
-    rows = {k: kernels._unpack(v, bits, n + 1) for k, v in out.items()}
-    return QSeries.from_rows(a.variables, trunc, rows)
+    bits = kernels._signed_bits((n + 1) * min(map(len, sides)) * peaks[0] * peaks[-1])
+    top_i, top_j = (*lead, 0, 0)[:2]
+    width = top_j + 1
+    packed = []
+    for rows in sides:
+        entries = []
+        for key, row in rows.items():
+            i, j = (*key, 0, 0)[:2]
+            entries.append((i, j, i * width + j, kernels._pack(row, bits)))
+        packed.append(sorted(entries))
+    out = [0] * ((top_i + 1) * width)
+    for i, j, fa, va in packed[-1]:
+        room_i, room_j = top_i - i, top_j - j
+        for bi, bj, fb, vb in packed[0]:
+            if bi > room_i:
+                break
+            if bj <= room_j:
+                out[fa + fb] += va * vb
+    unpack = kernels._unpacker(bits, n + 1)
+    rows = {}
+    for f, value in enumerate(out):
+        row = unpack(value) if value else ()
+        if any(row):
+            rows[divmod(f, width)[: len(lead)]] = row
+    return rows
+
+
+def _with_rows(variables, truncation, rows):
+    """A series that keeps ``rows`` as they are: nonzero, dense to the
+    last truncation and keyed inside the leading ones."""
+    out = QSeries(variables, truncation, {})
+    object.__setattr__(out, "rows", rows)
+    return out
+
+
+def ps_mul(a: QSeries, b: QSeries) -> QSeries:
+    """Cauchy product, truncated to the minimum truncation."""
+    trunc = a._check_compatible(b)
+    rows = _row_product(a.rows, b.rows, trunc[-1], trunc[:-1])
+    return _with_rows(a.variables, trunc, rows)
 
 
 def ps_pow(a: QSeries, exponent: int) -> QSeries:
-    """Nonnegative integer power by binary exponentiation."""
+    """Nonnegative integer power by binary exponentiation on the rows,
+    with one series built at the end."""
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
     if exponent == 0:
         return QSeries.one(a.variables, a.truncation)
-    result = None
-    base = a
-    e = exponent
+    n, lead = a.truncation[-1], a.truncation[:-1]
+    result, base, e = None, a.rows, exponent
     while True:
         if e & 1:
-            result = base if result is None else ps_mul(result, base)
+            result = base if result is None else _row_product(result, base, n, lead)
         e >>= 1
         if not e:
-            return result
-        base = ps_mul(base, base)
+            return _with_rows(a.variables, a.truncation, result)
+        base = _row_product(base, base, n, lead)
 
 
 def expand_dense(numerator, denominator, n, z_power=0):

@@ -42,6 +42,9 @@ GAP_VECTORS = (
 ORBIT_VECTORS = ("3,3,3", "2,2,2,2", "1,1,1,1,1,1,1,1", "1,2,3,2")
 #: the benchmark's globalized boxes (rank, n1, n2)
 GLOBAL_BOXES = ((2, 8, 16), (4, 6, 12), (6, 4, 8))
+#: boxes (rank, n1, n2, chi) at the edges of the series row product: a
+#: single leading row, a square box, a high power and a long row
+EDGE_BOXES = ((3, 0, 9, 5), (2, 5, 5, 7), (5, 4, 10, 11), (1, 6, 24, 2))
 
 
 def _commands():
@@ -60,6 +63,11 @@ def _commands():
         ["globalize", "--rank", "6", "--n1", "6", "--n2", "12", "--chi", "6",
          "--coeff", "6,12"],
         ["globalize", "--rank", "1", "--n1", "3", "--n2", "5", "--chi", "0"],
+    ]
+    globalize += [
+        ["globalize", "--rank", str(r), "--n1", str(n1), "--n2", str(n2),
+         "--chi", str(chi)]
+        for r, n1, n2, chi in EDGE_BOXES
     ]
     motive = [
         ["motive", "--series", "2"],

@@ -564,6 +564,7 @@ def test_only_main_and_emit_write_output():
                 found.setdefault("sys." + node.attr, set()).add(owner)
     assert found == {
         "print": {"_emit", "main"},
+        "sys.stdout": {"main"},
         "sys.stderr": {"main"},
         "_emit": {"main"},
     }
@@ -587,6 +588,26 @@ def test_entry_point_subprocess():
     proc = run_fresh(["-m", "flagseries.cli", "oracle", "--nesting", "2,3,4"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == "10"
+
+
+def test_closed_pipe_ends_quietly_with_141():
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails, as under `flagseries fz --D 12 --format csv | head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(engine.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flagseries", "fz", "--D", "12", "--format", "csv"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 LOADED_AFTER = """

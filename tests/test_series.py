@@ -247,6 +247,83 @@ def test_product_slot_below_the_bound_decodes_wrongly(monkeypatch):
     assert widths and min(widths) >= need
 
 
+def binary_power_products(a, exponent):
+    """The products binary exponentiation takes for a^exponent, in order,
+    each by the row referee: a multiply when the exponent's low bit is set,
+    then a squaring while bits remain."""
+    products, result, base = [], None, a
+    while True:
+        if exponent & 1:
+            if result is None:
+                result = base
+            else:
+                result = ps_mul_by_rows(result, base)
+                products.append(result)
+        exponent >>= 1
+        if not exponent:
+            return products
+        base = ps_mul_by_rows(base, base)
+        products.append(base)
+
+
+def test_power_slot_below_the_bound_decodes_wrongly(monkeypatch):
+    rng = random.Random(31)
+    # a constant term carries every product's error into the power
+    one = QSeries.one(VARIABLES[2], (3, 6))
+    a = big_series(rng, 2, (3, 6), 3) + one * (1 << 40)
+    products = binary_power_products(a, 7)
+    needs = [max(map(signed_width, p.coefficients.values())) for p in products]
+    original = kernels._signed_bits
+    widths = []
+
+    def recorded(bound):
+        widths.append(original(bound))
+        return widths[-1]
+
+    monkeypatch.setattr(kernels, "_signed_bits", recorded)
+    assert ps_pow(a, 7) == products[-1]
+    assert len(widths) == len(needs)
+    assert all(w >= need for w, need in zip(widths, needs))
+    # one product's slot a bit narrower than that product needs spoils the power
+    for step, need in enumerate(needs):
+        calls = []
+
+        def narrowed(bound):
+            calls.append(bound)
+            return need - 1 if len(calls) - 1 == step else original(bound)
+
+        monkeypatch.setattr(kernels, "_signed_bits", narrowed)
+        assert ps_pow(a, 7) != products[-1], step
+
+
+def power_cases():
+    """Series for the power referee: one to three variables, coefficients
+    past 2^64 of both signs, leading truncations of 0, and either every
+    leading key filled, so that products of the top rows fall past the
+    truncation, or half of them.  A series whose every slot holds the same
+    c = +-(2^70 - 1) squares to (n + 1) * #rows * c^2 at its top term, the
+    product's slot bound itself."""
+    rng = random.Random(30)
+    cases = []
+    for truncation in ((7,), (3, 5), (0, 6), (2, 1, 4), (0, 2, 3), (2, 0, 3)):
+        nvars = len(truncation)
+        keys = list(itertools.product(*[range(t + 1) for t in truncation[:-1]]))
+        for rows in sorted({len(keys), max(1, len(keys) // 2)}):
+            cases.append(big_series(rng, nvars, truncation, rows))
+        for c in (1 - (1 << 70), (1 << 70) - 1):
+            full = {key: [c] * (truncation[-1] + 1) for key in keys}
+            cases.append(QSeries.from_rows(VARIABLES[nvars], truncation, full))
+    return cases
+
+
+def test_power_equals_repeated_row_products():
+    for a in power_cases():
+        expected = QSeries.one(a.variables, a.truncation)
+        for exponent in range(13):
+            assert ps_pow(a, exponent) == expected, (a.truncation, exponent)
+            expected = ps_mul_by_rows(expected, a)
+
+
 @given(st.sampled_from([1, 2, 3]).flatmap(
     lambda k: sampled_series(k, constant=st.sampled_from([1, -1]))
 ))
