@@ -1,27 +1,28 @@
 """Dense single-variable series kernels, in pure Python.
 
 There is one backend, because no workload shows that a second one pays.
-The kernels work on plain lists of Python ints indexed by exponent and
-truncated at a given order (inclusive).  Their callers are ``motives.LPoly``
-products and the table cross-check of ``surfaces`` (``mul_trunc``), and the
-engine's truncated placement DP, which only the tests run
-(``addmul_shifted``).  ``inv_trunc`` has no caller in the package: the
-tests' ``ps_inv`` referee inverts its constant row with it, and it stays
-here because the benchmark tracer (``perfbench/spans.py``) reads it from
-this module by name.  Coefficients are exact arbitrary precision integers;
-nothing here may introduce floats.
+The package multiplies in exactly two ways.  Packed ints carry the
+series products (``series.ps_mul`` and ``ps_pow``), the engine's rank
+forms and numerator recurrence (``engine._rank_form`` and
+``_numerator_rows``), and the nested-pair walk
+(``partitions.nested_pair_counts``).  ``mul_trunc`` multiplies the
+coefficient lists of ``motives.LPoly``.  The list kernels work on plain
+lists of Python ints indexed by exponent and truncated at a given order
+(inclusive); ``addmul_shifted`` serves the engine's truncated placement
+DP, which only the tests run, and ``inv_trunc`` has no caller in the
+package (the tests' ``ps_inv`` referee uses it, and the benchmark tracer,
+``perfbench/spans.py``, reads all three list kernels here by name).
+Coefficients are exact arbitrary precision integers; nothing here may
+introduce floats.
 
-Products of whole polynomials run on packed ints instead (Kronecker
-substitution, D. Harvey, J. Symbolic Comput. 44, 2009): ``_pack``
-evaluates a coefficient list at q = 2^bits, one big-int product then
-multiplies two polynomials, and ``_unpacker`` reads the coefficients back
-as signed base-2^bits digits, a fixed count of them for every row of a
-series product and all of them (``_decode``) for a whole polynomial.  The
-decoding is exact when every coefficient it reads has absolute value at
-most the bound the caller proves, with ``bits = _signed_bits(bound)``.
-``series.ps_mul`` and ``ps_pow``, ``engine._rank_form`` and the engine's
-numerator recurrence (``engine._numerator_rows``, which runs whole at
-q = 2^bits and decodes only its results) work this way.
+Packing is Kronecker substitution (D. Harvey, J. Symbolic Comput. 44,
+2009): ``_pack`` evaluates a coefficient list at q = 2^bits, one big-int
+product then multiplies two polynomials, and ``_unpacker`` reads the
+coefficients back as signed base-2^bits digits, a fixed count of them
+for every row of a product or of the walk and all of them (``_decode``)
+for a whole polynomial.  The decoding is exact when every coefficient it
+reads has absolute value at most the bound the caller proves, with
+``bits = _signed_bits(bound)``.
 """
 
 BACKEND = "pure"

@@ -8,11 +8,12 @@ bitsets: nu is inside mu iff no cell of nu lies outside mu, one integer
 operation per pair.  ``coloured_flag_counts`` convolves the one-colour
 counts of a box, enumerated once per box, and keeps the last table it
 built for the box, so the (r + 1)-colour table is one convolution from
-the r-colour one.  Some counts also run in
-production.  ``nested_pair_counts`` builds the rank-one table behind
-``globalize`` by a walk over outer partitions, and ``count_nested_flags``
-is its referee.  ``partition_count`` sizes the ``oracle`` command's work
-estimate against its cap.  The ``oracle`` command prints
+the r-colour one.  Some counts also run in production.
+``nested_pair_counts`` builds the rank-one table behind ``globalize`` by
+a walk over outer partitions, on count vectors packed and read back in
+the ``kernels`` convention, and ``count_nested_flags`` is its referee.
+``partition_count`` sizes the walk's slots and the ``oracle`` command's
+work estimate against its cap.  The ``oracle`` command prints
 ``count_nested_flags`` and ``count_coloured_flags``, and ``verify`` checks
 the series against ``count_nested_flags`` and ``coloured_flag_counts``.
 The census of nested pairs by the shape class of their difference and the
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, index, le, sub
+
+from . import kernels
 
 
 class Partition(tuple):
@@ -155,15 +158,17 @@ def nested_pair_counts(max1: int, max2: int) -> dict:
     row is p <= r as ``suffix[p]`` shifted by p; every prefix of mu is a
     smaller partition, so each mu costs one row of work.
 
-    A count vector by size is one int with a slot of ``bits`` bits per
-    size a <= max1, so adding vectors is one int addition, and shifting
-    by p drops the sizes past max1 under one mask.  Every count, final or
-    partial, is at most p(a) * p(b), which :func:`_pair_slot_bits` fits.
+    A count vector by size is one int in the ``kernels`` packing, a slot
+    of ``bits`` bits per size a <= max1, so adding vectors is one int
+    addition, and shifting by p drops the sizes past max1 under one mask.
+    Every count, final or partial, is nonnegative and at most
+    p(a) * p(b) <= p(max1) * p(max2), the bound the signed slots are
+    sized for, and ``kernels._unpacker`` reads the rows back.
     """
     if max1 < 0 or max2 < 0:
         raise ValueError("sizes must be nonnegative")
     width = max1 + 1
-    bits = _pair_slot_bits(max1, max2)
+    bits = kernels._signed_bits(partition_count(max1) * partition_count(max2))
     mask = (1 << (bits * width)) - 1
     rows = [0] * (max2 + 1)
 
@@ -178,18 +183,10 @@ def nested_pair_counts(max1: int, max2: int) -> dict:
             walk(size + r, r, new)
 
     walk(0, max2, [1] * (max2 + 1))
-    slot = (1 << bits) - 1
+    unpacked = list(map(kernels._unpacker(bits, width), rows))
     return {
-        (a, b): (rows[b] >> (bits * a)) & slot
-        for a in range(width)
-        for b in range(a, max2 + 1)
+        (a, b): unpacked[b][a] for a in range(width) for b in range(a, max2 + 1)
     }
-
-
-def _pair_slot_bits(max1: int, max2: int) -> int:
-    """Slot width of the walk's packed counts: a count of nu c mu with
-    |nu| = a <= max1 and |mu| = b <= max2 is at most p(a) * p(b)."""
-    return (partition_count(max1) * partition_count(max2)).bit_length()
 
 
 def count_coloured_flags(r: int, spec) -> int:
@@ -239,7 +236,6 @@ def _one_colour_counts(box):
     return tuple((v, count_nested_flags(v)) for v in _increasing_vectors_below(box))
 
 
-@lru_cache(maxsize=None)
 def _increasing_vectors_below(spec):
     """All weakly increasing vectors componentwise <= spec."""
     out = []

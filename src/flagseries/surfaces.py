@@ -4,7 +4,9 @@ At the Euler-characteristic level the power structure on unit series is
 ordinary exponentiation, so the two-variable punctual table raised to the
 surface Euler characteristic gives the global nested counts.  The sixth
 del Pezzo surface's Euler characteristic is the one exponent that takes the
-rank-6 table to the published (6, 12) count.
+rank-6 table to the published (6, 12) count.  The table's diagonals are
+cross-checked against the engine's rank-r forms, each expanded once by
+``series.expand_dense``; this module multiplies no coefficient lists.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import index
 
-from . import kernels
 from .engine import rational_form
 from .partitions import nested_pair_counts
 from .series import QSeries, expand_dense, ps_mul, ps_pow
@@ -54,9 +55,10 @@ def punctual_nested_table(rank: int, max1: int, max2: int) -> QSeries:
     ``nested_pair_counts`` builds in one walk over the outer partitions; its
     counts go into the rows keyed ``(a,)`` as they are.  The series engine
     cross-checks the diagonals b - a <= max2 - max1 in full, the ones whose
-    whole length fits the box: each diagonal is the expansion of its form's
-    ratio times Z^rank, and Z^rank is expanded once per table.  The tests
-    referee the triangle beyond them against the colouring oracle.
+    whole length fits the box: each diagonal is its form's ratio times
+    Z^rank, one ``expand_dense`` with Z^rank folded into the denominator's
+    passes.  The tests referee the triangle beyond them against the
+    colouring oracle.
     """
     rank, max1, max2 = index(rank), index(max1), index(max2)
     if rank < 1:
@@ -68,12 +70,10 @@ def punctual_nested_table(rank: int, max1: int, max2: int) -> QSeries:
         rows.setdefault((a,), [0] * (max2 + 1))[b] = count
     single = QSeries.from_rows(("q1", "q2"), (max1, max2), rows)
     table = ps_pow(single, rank)
-    z_rank = expand_dense([1], {}, max1, rank)
     # Largest gap first: its one-gap numerators serve every smaller gap.
     for gap in range(max2 - max1, -1, -1):
         form = rational_form((gap,), rank)
-        ratio = expand_dense(form.numerator, form.denominator, max1)
-        engine_side = kernels.mul_trunc(ratio, z_rank, max1)
+        engine_side = expand_dense(form.numerator, form.denominator, max1, rank)
         for a, value in enumerate(engine_side):
             if value != table.rows[(a,)][a + gap]:
                 raise AssertionError(

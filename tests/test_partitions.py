@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from flagseries import partitions
+from flagseries import kernels, partitions
 from flagseries.partitions import (
     FlagSpec,
     Partition,
@@ -198,13 +198,23 @@ def test_walk_slot_one_bit_narrower_than_the_box_needs_decodes_wrongly(
     monkeypatch, sizes
 ):
     # the largest count bounds every partial count of the walk, so its bit
-    # length is the narrowest slot that works; the bound must reach it
+    # length and a sign bit is the narrowest signed slot that works; the
+    # width the walk asks kernels for must reach it
     expected = nested_pair_counts_by_lists(*sizes)
-    need = max(expected.values()).bit_length()
-    assert partitions._pair_slot_bits(*sizes) >= need
-    monkeypatch.setattr(partitions, "_pair_slot_bits", lambda max1, max2: need)
+    need = max(expected.values()).bit_length() + 1
+    signed_bits = kernels._signed_bits
+    asked = []
+
+    def recorded(bound):
+        asked.append(signed_bits(bound))
+        return asked[-1]
+
+    monkeypatch.setattr(kernels, "_signed_bits", recorded)
     assert nested_pair_counts(*sizes) == expected
-    monkeypatch.setattr(partitions, "_pair_slot_bits", lambda max1, max2: need - 1)
+    assert asked and min(asked) >= need
+    monkeypatch.setattr(kernels, "_signed_bits", lambda bound: need)
+    assert nested_pair_counts(*sizes) == expected
+    monkeypatch.setattr(kernels, "_signed_bits", lambda bound: need - 1)
     assert nested_pair_counts(*sizes) != expected
 
 

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import pytest
 
-from flagseries import series, surfaces
+from flagseries import kernels, series, surfaces
 from flagseries.engine import rational_form
 from flagseries.partitions import count_coloured_flags
 from flagseries.series import QSeries, ps_mul, ps_pow
@@ -42,6 +42,25 @@ def test_table_equals_colouring_oracle_on_whole_box():
             assert table.coefficients == {e: c for e, c in oracle.items() if c}
     with pytest.raises(ValueError, match="colours must be positive"):
         punctual_nested_table(0, 2, 3)
+
+
+def test_table_build_multiplies_no_coefficient_lists(monkeypatch):
+    # each cross-checked diagonal is one expansion with Z^rank folded in
+    calls = []
+    mul_trunc = kernels.mul_trunc
+
+    def counted(a, b, n):
+        calls.append(None)
+        return mul_trunc(a, b, n)
+
+    monkeypatch.setattr(kernels, "mul_trunc", counted)
+    punctual_nested_table.cache_clear()
+    try:
+        table = punctual_nested_table(2, 4, 8)
+    finally:
+        punctual_nested_table.cache_clear()
+    assert calls == []
+    assert table[(4, 8)] == count_coloured_flags(2, (4, 8))
 
 
 def test_globalize_identity():
