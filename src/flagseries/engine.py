@@ -43,8 +43,9 @@ D. Harvey, J. Symbolic Comput. 44, 2009), and each numerator is decoded
 once by signed base-2^B digits.  B comes from a proven bound: the same
 program at q = 1 with every minus sign read as plus bounds each l1 norm,
 since ||a + b|| <= ||a|| + ||b||, ||ab|| <= ||a|| ||b|| and
-||(1 - q^i) a|| <= 2 ||a||.  A connected shape also has
-a closed q-beta form.  :func:`rational_form` is the one constructor of a
+||(1 - q^i) a|| <= 2 ||a||.  That program is linear and collapses to one
+sum per budget, so the recurrence itself runs once.  A connected shape
+also has a closed q-beta form.  :func:`rational_form` is the one constructor of a
 gap-vector form, any rank, and :func:`rational_form_lambda` that of a
 single shape; a series is its form expanded with Z^r to the order asked
 for.  At rank r > 1 it sums products of one-gap numerators
@@ -247,12 +248,12 @@ def _one_gap_groups(D: int, bits: int, sign: int) -> dict:
     return _path_groups(paths, bits, sign)
 
 
-def _horner(parts, stop: int, bits: int, sign: int) -> int:
-    """sum_{T<stop} parts[T] * prod_{T<i<stop} (1 + sign * q^i) at
-    q = 2^bits, by Horner's rule."""
+def _horner(parts, stop: int, bits: int) -> int:
+    """sum_{T<stop} parts[T] * prod_{T<i<stop} (1 - q^i) at q = 2^bits, by
+    Horner's rule."""
     acc = 0
     for T in range(stop):
-        acc += sign * (acc << (bits * T)) + parts.get(T, 0)
+        acc += parts.get(T, 0) - (acc << (bits * T))
     return acc
 
 
@@ -260,13 +261,14 @@ def _numerator_rows(groups, budget, steps, tops) -> dict:
     """The exact numerators N_b, as coefficient lists, with
     U(b, 0) = N_b / prod_{i<=top} (1 - q^i) for each b -> top in ``tops``:
     ``budget`` and budgets it steps down to, each top at least the largest T
-    below.
+    below and at least |b|, the sum of b's entries.
 
     ``groups(bits, sign)`` gives the groups (cost, L) -> {t: A_t} at
     q = 2^bits, every minus sign replaced by ``sign``: the group placed at
     offset j has weight sum_t A_t(q) * q^(j*t), with every t >= 1.  The
     caller's budget rule ``steps(b)`` maps (cost, b') to the number of ways
-    that placing one component of that cost leaves the budget b' of b.  Writing
+    that placing one component of that cost leaves the budget b' of b,
+    with |b'| < |b|.  Writing
     U(b, j) = sum_T q^(j*T) R_{b,T} in the placement DP and summing the
     geometric series in j gives
     R_{b,T} = (1 - q^T)^(-1) sum A_{cost,L,t} * q^(L*T') * R_{b',T'} over
@@ -277,10 +279,19 @@ def _numerator_rows(groups, budget, steps, tops) -> dict:
         X_{b,T,T'} = sum_{(cost,b'),t} count [sum_L q^(L*T') A_{cost,L,t}] N_{b',T'},
 
     and N_b = sum_{T<=top} N_{b,T} prod_{T<i<=top} (1 - q^i).  The program
-    runs twice: at (bits, sign) = (0, +1), where every value bounds the l1
-    norm of its polynomial (the group terms are their norms or bound them),
-    and at (bits, -1) with bits = ``kernels._signed_bits`` of the largest
-    bound, so every coefficient of every N_b is one signed digit.
+    runs once, at q = 2^bits with bits = ``kernels._signed_bits`` of a
+    bound on every l1 norm, so every coefficient of every N_b is one signed
+    digit.  The bound is the same program at q = 1 with every minus sign
+    read as plus, where each value bounds the l1 norm of its polynomial
+    (the group terms at (0, +1) are their norms or bound them), since
+    ||a + b|| <= ||a|| + ||b||, ||ab|| <= ||a|| ||b|| and
+    ||(1 - q^i) a|| <= 2 ||a||.  That program is linear and collapses: each
+    factor (1 + q^i) is 2, so with W_b = sum_T 2^(-T) N_{b,T} there,
+    W_0 = 1 and W_b = 1/2 sum_{(cost,b')} count ||A_cost|| W_b', where
+    ||A_cost|| sums every group term of that cost at (0, +1), and its
+    value for (b, top) is 2^top W_b, as every T <= top.  In integers,
+    V_b = 2^|b| W_b = sum count ||A_cost|| V_b' << (|b| - |b'| - 1), and
+    the bound is V_b << (top - |b|).
     """
     split = {}  # b -> {(cost, b'): count}, for every budget reached
     todo = [budget]
@@ -291,31 +302,44 @@ def _numerator_rows(groups, budget, steps, tops) -> dict:
             todo.extend(sub for _, sub in split[b])
     order = sorted(split, key=sum)  # a step lowers the budget's total
 
-    def run(bits, sign):
-        by_cost = {}  # cost -> t -> [(L, A)]
-        for (cost, L), terms in groups(bits, sign).items():
-            for t, value in terms.items():
-                by_cost.setdefault(cost, {}).setdefault(t, []).append((L, value))
-        shifted = {}  # (cost, T', t) -> sum_L q^(L*T') A_{cost,L,t}
-        rows = {}
-        for b in order:
-            if not any(b):
-                rows[b] = {0: 1}
-                continue
-            X = {}  # T -> T' -> X_{b,T,T'}
-            for (cost, sub), count in split[b].items():
-                for T0, src in rows[sub].items():
-                    for t, weights in by_cost[cost].items():
-                        key = cost, T0, t
-                        if key not in shifted:
-                            shifted[key] = sum(A << (bits * L * T0) for L, A in weights)
-                        part = X.setdefault(T0 + t, {})
-                        part[T0] = part.get(T0, 0) + count * src * shifted[key]
-            rows[b] = {T: _horner(parts, T, bits, sign) for T, parts in X.items()}
-        return {b: _horner(rows[b], top + 1, bits, sign) for b, top in tops.items()}
+    norms = {}  # cost -> ||A_cost||
+    for (cost, _), terms in groups(0, 1).items():
+        norms[cost] = norms.get(cost, 0) + sum(terms.values())
+    V = {}  # b -> V_b
+    for b in order:
+        if not any(b):
+            V[b] = 1
+            continue
+        V[b] = sum(
+            count * norms[cost] * V[sub] << (sum(b) - sum(sub) - 1)
+            for (cost, sub), count in split[b].items()
+        )
+    bits = kernels._signed_bits(max(V[b] << (top - sum(b)) for b, top in tops.items()))
 
-    bits = kernels._signed_bits(max(run(0, 1).values()))
-    return {b: kernels._decode(value, bits) for b, value in run(bits, -1).items()}
+    by_cost = {}  # cost -> t -> [(L, A)]
+    for (cost, L), terms in groups(bits, -1).items():
+        for t, value in terms.items():
+            by_cost.setdefault(cost, {}).setdefault(t, []).append((L, value))
+    shifted = {}  # (cost, T', t) -> sum_L q^(L*T') A_{cost,L,t}
+    rows = {}
+    for b in order:
+        if not any(b):
+            rows[b] = {0: 1}
+            continue
+        X = {}  # T -> T' -> X_{b,T,T'}
+        for (cost, sub), count in split[b].items():
+            for T0, src in rows[sub].items():
+                for t, weights in by_cost[cost].items():
+                    key = cost, T0, t
+                    if key not in shifted:
+                        shifted[key] = sum(A << (bits * L * T0) for L, A in weights)
+                    part = X.setdefault(T0 + t, {})
+                    part[T0] = part.get(T0, 0) + count * src * shifted[key]
+        rows[b] = {T: _horner(parts, T, bits) for T, parts in X.items()}
+    return {
+        b: kernels._decode(_horner(rows[b], top + 1, bits), bits)
+        for b, top in tops.items()
+    }
 
 
 def _type_steps(b) -> dict:
@@ -331,12 +355,19 @@ def _compress(b) -> tuple:
 
 def _gap_steps(b) -> dict:
     """Budget rule of a compressed gap budget: a component spends any vector
-    0 != c <= b, and the c are counted by (compress(c), compress(b - c))."""
-    out = {}
-    for c in itertools.product(*(range(x + 1) for x in b)):
-        if any(c):
-            key = _compress(c), _compress([x - y for x, y in zip(b, c)])
-            out[key] = out.get(key, 0) + 1
+    0 != c <= b, and the c are counted by (compress(c), compress(b - c)).
+    The counts are carried one entry of b at a time, each entry x splitting
+    as y + (x - y) with a zero part dropped; c = 0 is the one split
+    ((), b)."""
+    out = {((), ()): 1}
+    for x in b:
+        grown = {}
+        for (c, rest), count in out.items():
+            for y in range(x + 1):
+                key = (c + (y,) if y else c), (rest + (x - y,) if x > y else rest)
+                grown[key] = grown.get(key, 0) + count
+        out = grown
+    del out[(), b]
     return out
 
 

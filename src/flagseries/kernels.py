@@ -4,8 +4,8 @@ There is one backend, because no workload shows that a second one pays.
 The package multiplies in exactly two ways.  Packed ints carry the
 series products (``series.ps_mul`` and ``ps_pow``), the engine's rank
 forms and numerator recurrence (``engine._rank_form`` and
-``_numerator_rows``), and the nested-pair walk
-(``partitions.nested_pair_counts``).  ``mul_trunc`` multiplies the
+``_numerator_rows``), and the two-variable series of the rank-one
+nested-pair table (``partitions.nested_pair_counts``).  ``mul_trunc`` multiplies the
 coefficient lists of ``motives.LPoly``.  The list kernels work on plain
 lists of Python ints indexed by exponent and truncated at a given order
 (inclusive); ``addmul_shifted`` serves the engine's truncated placement
@@ -19,8 +19,8 @@ Packing is Kronecker substitution (D. Harvey, J. Symbolic Comput. 44,
 2009): ``_pack`` evaluates a coefficient list at q = 2^bits, one big-int
 product then multiplies two polynomials, and ``_unpacker`` reads the
 coefficients back as signed base-2^bits digits, a fixed count of them
-for every row of a product or of the walk and all of them (``_decode``)
-for a whole polynomial.  The decoding is exact when every coefficient it
+for every row of a product and for the rank-one table, and all of them
+(``_decode``) for a whole polynomial.  The decoding is exact when every coefficient it
 reads has absolute value at most the bound the caller proves, with
 ``bits = _signed_bits(bound)``.
 """

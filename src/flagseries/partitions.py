@@ -10,10 +10,10 @@ counts of a box, enumerated once per box, and keeps the last table it
 built for the box, so the (r + 1)-colour table is one convolution from
 the r-colour one.  Some counts also run in production.
 ``nested_pair_counts`` builds the rank-one table behind ``globalize`` by
-a walk over outer partitions, on count vectors packed and read back in
-the ``kernels`` convention, and ``count_nested_flags`` is its referee.
-``partition_count`` sizes the walk's slots and the ``oracle`` command's
-work estimate against its cap.  The ``oracle`` command prints
+a transfer matrix over row pairs, on two-variable series packed and read
+back in the ``kernels`` convention, and ``count_nested_flags`` is its
+referee.  ``partition_count`` sizes its slots and the ``oracle``
+command's work estimate against its cap.  The ``oracle`` command prints
 ``count_nested_flags`` and ``count_coloured_flags``, and ``verify`` checks
 the series against ``count_nested_flags`` and ``coloured_flag_counts``.
 The census of nested pairs by the shape class of their difference and the
@@ -151,41 +151,55 @@ def nested_pair_counts(max1: int, max2: int) -> dict:
     """``{(a, b): #{nu c mu : |nu| = a, |mu| = b}}`` for a <= max1 and
     a <= b <= max2.
 
-    Every outer partition mu with |mu| <= max2 is visited once, its rows
-    added in decreasing order.  ``suffix[p]`` holds the counts, by size
-    <= max1, of the nu inside the rows so far whose last row is >= p
-    (nu padded with zero rows).  Appending a row r gives the nu whose new
-    row is p <= r as ``suffix[p]`` shifted by p; every prefix of mu is a
-    smaller partition, so each mu costs one row of work.
+    A nested pair is a column of row pairs
+    (mu_1, nu_1) >= (mu_2, nu_2) >= ... >= (mu_k, nu_k), compared
+    componentwise, with mu_k >= 1 and 0 <= nu_i <= mu_i: a multichain in
+    the poset {(m, n) : 0 <= n <= m}.  So the transfer-matrix method
+    (Stanley EC1 4.7) counts them.  With G(m, n) the sum of
+    x^|nu| y^|mu| over the pairs whose bottom row is (m, n),
 
-    A count vector by size is one int in the ``kernels`` packing, a slot
-    of ``bits`` bits per size a <= max1, so adding vectors is one int
-    addition, and shifting by p drops the sizes past max1 under one mask.
-    Every count, final or partial, is nonnegative and at most
-    p(a) * p(b) <= p(max1) * p(max2), the bound the signed slots are
-    sized for, and ``kernels._unpacker`` reads the rows back.
+        G(m, n) = x^n y^m / (1 - x^n y^m) * (1 + sum G(m', n')),
+
+    the sum over (m', n') >= (m, n) other than (m, n), and the table is
+    1 + sum G.  The rows are visited m = max2 ... 1 and, inside each,
+    n = min(m, max1) ... 0.  ``above[n]`` sums G over m' > m and n' >= n,
+    and ``right`` over m' = m and n' > n, so each G is one geometric sum:
+    a shift and an add per power of x^n y^m, at most max2 / m of them.
+
+    A series in x and y is one int in the ``kernels`` packing, slot (a, b)
+    at index a + b * (max1 + 1), ``bits`` bits per slot.  Before each shift
+    by x^n y^m, two masks keep only the slots with a <= max1 - n and
+    b <= max2 - m, so no slot carries into another.  Every slot of every
+    value, final or partial, counts distinct nested pairs of its sizes
+    (a, b): each value sums disjoint sets of columns (the empty one, those
+    with a given bottom row, and those columns with j copies of the row
+    (m, n) appended), cut to the box.  So it is nonnegative and at most
+    p(a) * p(b) <= p(max1) * p(max2), the bound the signed slots are sized
+    for, and ``kernels._unpacker`` reads the table.
     """
     if max1 < 0 or max2 < 0:
         raise ValueError("sizes must be nonnegative")
     width = max1 + 1
     bits = kernels._signed_bits(partition_count(max1) * partition_count(max2))
-    mask = (1 << (bits * width)) - 1
-    rows = [0] * (max2 + 1)
-
-    def walk(size, top, suffix):
-        rows[size] += suffix[0]
-        for r in range(min(top, max2 - size), 0, -1):
-            acc = 0
-            new = [None] * (r + 1)
-            for p in range(r, -1, -1):
-                acc = (acc + (suffix[p] << (bits * p))) & mask
-                new[p] = acc
-            walk(size + r, r, new)
-
-    walk(0, max2, [1] * (max2 + 1))
-    unpacked = list(map(kernels._unpacker(bits, width), rows))
+    row = bits * width  # the shift of one power of y
+    every_row = ((1 << row * (max2 + 1)) - 1) // ((1 << row) - 1)
+    columns = [((1 << bits * (width - n)) - 1) * every_row for n in range(width)]
+    above = [0] * width
+    for m in range(max2, 0, -1):
+        rows_kept = (1 << row * (max2 - m + 1)) - 1
+        right = 0
+        for n in range(min(m, max1), -1, -1):
+            mask = columns[n] & rows_kept
+            shift = bits * n + row * m
+            term = (1 + above[n] + right) & mask
+            while term:
+                term <<= shift
+                right += term
+                term &= mask
+            above[n] += right
+    counts = kernels._unpacker(bits, width * (max2 + 1))(1 + above[0])
     return {
-        (a, b): unpacked[b][a] for a in range(width) for b in range(a, max2 + 1)
+        (a, b): counts[a + b * width] for a in range(width) for b in range(a, max2 + 1)
     }
 
 

@@ -2,7 +2,9 @@
 
 At the Euler-characteristic level the power structure on unit series is
 ordinary exponentiation, so the two-variable punctual table raised to the
-surface Euler characteristic gives the global nested counts.  The sixth
+surface Euler characteristic gives the global nested counts.  The rank-one
+table is ``partitions.nested_pair_counts``, a transfer matrix over row
+pairs, and its powers are ``series`` products.  The sixth
 del Pezzo surface's Euler characteristic is the one exponent that takes the
 rank-6 table to the published (6, 12) count.  The table's diagonals are
 cross-checked against the engine's rank-r forms, each expanded once by
@@ -52,7 +54,7 @@ def punctual_nested_table(rank: int, max1: int, max2: int) -> QSeries:
 
     An r-coloured nested pair is an r-tuple of nested pairs whose sizes add,
     so the table is the rank-th power of the rank-one table, which
-    ``nested_pair_counts`` builds in one walk over the outer partitions; its
+    ``nested_pair_counts`` builds by a transfer matrix over row pairs; its
     counts go into the rows keyed ``(a,)`` as they are.  The series engine
     cross-checks the diagonals b - a <= max2 - max1 in full, the ones whose
     whole length fits the box: each diagonal is its form's ratio times

@@ -16,9 +16,12 @@ bitset count, and the Göttsche recurrence run on ``LPoly`` values
 referees the one run on integer rows.  ``ps_inv`` inverts a unit series,
 building the other side of the functional equations whose products
 ``verify`` checks.  The list-arithmetic versions of the
-packed-int paths (the nested-pair walk, the row products of ``ps_mul``,
-the rank-r sum and the numerator recurrence behind the one-gap, multi-gap
-and single-shape forms) referee them.
+packed-int paths (the rank-one nested-pair table, by a walk over outer
+partitions, the row products of ``ps_mul``, the rank-r sum and the
+numerator recurrence behind the one-gap, multi-gap and single-shape
+forms) referee them.  The numerator recurrence's slot bound is refereed
+by the whole recurrence run at q = 1, and its budget rule for gaps by a
+product over every split.
 """
 
 from __future__ import annotations
@@ -413,8 +416,12 @@ def fq_rD_via_generating(r: int, D: int, truncation: int) -> QSeries:
 
 
 def nested_pair_counts_by_lists(max1: int, max2: int) -> dict:
-    """``partitions.nested_pair_counts`` by the same walk over outer
-    partitions, with each count vector by inner size a list."""
+    """``partitions.nested_pair_counts`` by a walk over every outer
+    partition mu with |mu| <= max2, its rows added in decreasing order.
+    ``suffix[p]`` lists the counts, by size <= max1, of the nu inside the
+    rows so far whose last row is >= p (nu padded with zero rows), so
+    appending a row r gives the nu whose new row is p <= r as ``suffix[p]``
+    shifted by p."""
     width = max1 + 1
     rows = [[0] * width for _ in range(max2 + 1)]
 
@@ -542,6 +549,64 @@ def _horner(parts, stop: int) -> list:
     return acc
 
 
+def _budget_steps(budget, steps) -> dict:
+    """b -> {(cost, b'): count} by the budget rule ``steps``, for
+    ``budget`` and every budget it steps down to."""
+    split = {}
+    todo = [budget]
+    while todo:
+        b = todo.pop()
+        if b not in split:
+            split[b] = steps(b)
+            todo.extend(sub for _, sub in split[b])
+    return split
+
+
+def numerator_bound_by_run(groups, budget, steps, tops) -> int:
+    """The slot bound of ``engine._numerator_rows`` as its whole recurrence
+    run at q = 1 with every minus sign read as plus, the program the engine
+    sums in closed form: each factor (1 + q^i) is 2 and each shift
+    q^(L*T') is 1, and the bound is the largest value over b -> top in
+    ``tops``.  ``groups`` and ``steps`` are the engine's arguments."""
+    norms = {}  # cost -> t -> sum_L A_{cost,L,t} at (0, +1)
+    for (cost, _), terms in groups(0, 1).items():
+        by_t = norms.setdefault(cost, {})
+        for t, value in terms.items():
+            by_t[t] = by_t.get(t, 0) + value
+
+    def horner(parts, stop):
+        acc = 0
+        for T in range(stop):
+            acc = 2 * acc + parts.get(T, 0)
+        return acc
+
+    split = _budget_steps(budget, steps)
+    rows = {}
+    for b in sorted(split, key=sum):
+        if not any(b):
+            rows[b] = {0: 1}
+            continue
+        X = {}  # T -> T' -> X_{b,T,T'}
+        for (cost, sub), count in split[b].items():
+            for T0, src in rows[sub].items():
+                for t, weight in norms[cost].items():
+                    part = X.setdefault(T0 + t, {})
+                    part[T0] = part.get(T0, 0) + count * src * weight
+        rows[b] = {T: horner(parts, T) for T, parts in X.items()}
+    return max(horner(rows[b], top + 1) for b, top in tops.items())
+
+
+def gap_steps_by_product(b) -> dict:
+    """``engine._gap_steps`` over every vector c <= b at once, each
+    compressed twice."""
+    out = {}
+    for c in itertools.product(*(range(x + 1) for x in b)):
+        if any(c):
+            key = _compress(c), _compress([x - y for x, y in zip(b, c)])
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
 def numerator_rows_by_lists(groups, budget, steps) -> dict:
     """The rows N_{b,T} of ``engine._numerator_rows``'s recurrence in list
     arithmetic, for ``budget`` and every budget it steps down to; the
@@ -561,13 +626,7 @@ def numerator_rows_by_lists(groups, budget, steps) -> dict:
                 _grow_add(acc, poly, L * T0)
         return shifted[cost, T0, t]
 
-    split = {}  # b -> {(cost, b'): count}, for every budget reached
-    todo = [budget]
-    while todo:
-        b = todo.pop()
-        if b not in split:
-            split[b] = steps(b)
-            todo.extend(sub for _, sub in split[b])
+    split = _budget_steps(budget, steps)
     rows = {}
     for b in sorted(split, key=sum):  # a step lowers the budget's total
         if not any(b):

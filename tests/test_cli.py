@@ -187,7 +187,7 @@ def test_corrupted_construction_fails_its_verify_check(
 
 
 def test_corrupted_rank_one_table_fails_globalize(monkeypatch, capsys):
-    # the prefix walk builds globalize's rank-one table; the engine
+    # the transfer matrix builds globalize's rank-one table; the engine
     # cross-check behind it must catch a single wrong entry.
     original = partitions.nested_pair_counts
 

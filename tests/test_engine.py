@@ -22,7 +22,9 @@ from referees import (
     component_paths_per_shape,
     enum_skew_classes,
     gap_numerator_by_lists,
+    gap_steps_by_product,
     insertion_count,
+    numerator_bound_by_run,
     one_gap_numerators_by_lists,
     rational_form_degree_bound,
     rational_form_k_degree_bound,
@@ -505,6 +507,52 @@ def test_disconnected_class_numerators_equal_the_list_recurrence():
             if not shape.is_connected:
                 expected = class_numerator_by_lists(shape)
                 assert engine._class_numerator(shape) == expected, shape
+
+
+def test_gap_steps_equal_the_product_form():
+    budgets = [
+        b for n in range(1, 6) for b in itertools.product(range(1, 4), repeat=n)
+    ]
+    for b in budgets + [(1,) * 10, (2,) * 5]:
+        assert engine._gap_steps(b) == gap_steps_by_product(b), b
+
+
+class _Sized(Exception):
+    """Ends a recurrence run once its slot is sized."""
+
+
+def test_numerator_slot_bound_equals_the_plus_run(monkeypatch):
+    # the closed-form bound against the whole recurrence run at q = 1 with
+    # every minus sign read as plus; each run ends once its slot is sized
+    runs = []
+    rows = engine._numerator_rows
+
+    def recording(*args):
+        runs.append(args)
+        return rows(*args)
+
+    def sized(bound):
+        runs[-1] += (bound,)
+        raise _Sized
+
+    monkeypatch.setattr(engine, "_numerator_rows", recording)
+    monkeypatch.setattr(kernels, "_signed_bits", sized)
+    forms = [partial(rational_form, k) for K in range(1, 7) for k in compositions(K)]
+    forms += [partial(rational_form, (D,)) for D in range(7, 15)]
+    forms += [partial(rational_form, k) for k in ((1, 1, 1, 2, 2), (2, 1, 1, 1, 2))]
+    forms += [
+        partial(rational_form_lambda, shape)
+        for D in range(2, 8)
+        for shape in enum_skew_classes(D)
+        if not shape.is_connected
+    ]
+    for form in forms:
+        monkeypatch.setattr(engine, "_numerators", ())
+        with pytest.raises(_Sized):
+            form()
+    assert len(runs) == len(forms)
+    for *args, bound in runs:
+        assert bound == numerator_bound_by_run(*args), args[1:]
 
 
 SPREAD = SkewShape.of([(0, 1)], [(0, 1)], [(0, 1)], [(0, 1), (0, 1)], [(0, 2)])

@@ -180,7 +180,7 @@ def test_nested_pair_counts_match_enumeration():
         nested_pair_counts(-1, 3)
 
 
-def test_packed_walk_equals_the_list_walk():
+def test_transfer_matrix_equals_the_list_walk():
     # every box with max1 <= 8 and max1 <= max2 <= 20, each against the
     # list walk on (max1, 20) cut to b <= max2: no entry depends on the box
     for max1 in range(9):
@@ -194,12 +194,13 @@ def test_packed_walk_equals_the_list_walk():
 @pytest.mark.parametrize(
     "sizes", [(2, 5), (8, 16), (8, 20), (12, 30)], ids=lambda b: f"{b[0]}-{b[1]}"
 )
-def test_walk_slot_one_bit_narrower_than_the_box_needs_decodes_wrongly(
+def test_transfer_matrix_slot_one_bit_narrower_than_the_box_needs_decodes_wrongly(
     monkeypatch, sizes
 ):
-    # the largest count bounds every partial count of the walk, so its bit
-    # length and a sign bit is the narrowest signed slot that works; the
-    # width the walk asks kernels for must reach it
+    # every slot of every partial series counts nested pairs of its sizes,
+    # so the largest count bounds them all, and its bit length and a sign
+    # bit is the narrowest signed slot that works; the width the transfer
+    # matrix asks kernels for must reach it
     expected = nested_pair_counts_by_lists(*sizes)
     need = max(expected.values()).bit_length() + 1
     signed_bits = kernels._signed_bits
