@@ -194,13 +194,13 @@ def test_transfer_matrix_equals_the_list_walk():
 @pytest.mark.parametrize(
     "sizes", [(2, 5), (8, 16), (8, 20), (12, 30)], ids=lambda b: f"{b[0]}-{b[1]}"
 )
-def test_transfer_matrix_slot_one_bit_narrower_than_the_box_needs_decodes_wrongly(
+def test_walk_slot_one_bit_narrower_than_the_box_needs_decodes_wrongly(
     monkeypatch, sizes
 ):
     # every slot of every partial series counts nested pairs of its sizes,
     # so the largest count bounds them all, and its bit length and a sign
-    # bit is the narrowest signed slot that works; the width the transfer
-    # matrix asks kernels for must reach it
+    # bit is the narrowest signed slot that works; the width the walk over
+    # row pairs (the transfer matrix) asks kernels for must reach it
     expected = nested_pair_counts_by_lists(*sizes)
     need = max(expected.values()).bit_length() + 1
     signed_bits = kernels._signed_bits
