@@ -40,16 +40,16 @@ evaluation at q = 2^B is a ring map, so each polynomial is one Python int,
 a product is ``*``, a shift ``<<`` and a factor (1 - q^i) is
 ``v - (v << B*i)`` (Kronecker substitution over the whole program;
 D. Harvey, J. Symbolic Comput. 44, 2009), and each numerator is decoded
-once by signed base-2^B digits.  B comes from a proven bound: the same
-program at q = 1 with every minus sign read as plus bounds each l1 norm,
-since ||a + b|| <= ||a|| + ||b||, ||ab|| <= ||a|| ||b|| and
-||(1 - q^i) a|| <= 2 ||a||.  That program is linear and collapses to one
-sum per budget, so the recurrence itself runs once.  A connected shape
-also has a closed q-beta form.  :func:`rational_form` is the one constructor of a
-gap-vector form, any rank, and :func:`rational_form_lambda` that of a
-single shape; a series is its form expanded with Z^r to the order asked
-for.  At rank r > 1 it sums products of one-gap numerators
-(:func:`_rank_form`).
+once by signed base-2^B digits.  B comes from a proven bound on each l1
+norm, since ||a + b|| <= ||a|| + ||b||, ||ab|| <= ||a|| ||b|| and
+||(1 - q^i) a|| <= 2 ||a||: a component of weight w and west length L
+adds terms whose norms sum to w(1) 2^(L-1), so the bound is one sum per
+budget over the components' counts, and the recurrence runs once.  A
+connected shape also has a closed q-beta form.  :func:`rational_form` is
+the one constructor of a gap-vector form, any rank, and
+:func:`rational_form_lambda` that of a single shape; a series is its
+form expanded with Z^r to the order asked for.  At rank r > 1 it sums
+products of one-gap numerators (:func:`_rank_form`).
 
 The truncated DP :func:`_relative_dense` (with :class:`PlacementWeight`,
 :func:`_shape_groups` and :func:`_compute_relative_dense`) runs on no
@@ -183,29 +183,23 @@ def _compute_relative_dense(shape: SkewShape, n: int) -> list:
     return _relative_dense(groups, budget, n)[budget]
 
 
-def _placement_values(L: int, bits: int, sign: int) -> list:
-    """The coefficients c_u of x^u in prod_{p=1}^{L-1} (1 + sign * x q^p) at
-    q = 2^bits.  At sign -1 they are (-1)^u q^(u(u+1)/2) [L-1 choose u]_q
-    by the q-binomial theorem; at (bits, sign) = (0, +1) they are the
-    binomials C(L-1, u), the l1 norms of those coefficients."""
+def _placement_values(L: int, bits: int) -> list:
+    """The coefficients c_u of x^u in prod_{p=1}^{L-1} (1 - x q^p) at
+    q = 2^bits: (-1)^u q^(u(u+1)/2) [L-1 choose u]_q by the q-binomial
+    theorem."""
     coeffs = [1]
     for p in range(1, L):
-        coeffs = [
-            a + sign * (b << (bits * p)) for a, b in zip(coeffs + [0], [0] + coeffs)
-        ]
+        coeffs = [a - (b << (bits * p)) for a, b in zip(coeffs + [0], [0] + coeffs)]
     return coeffs
 
 
-def _path_groups(paths, bits: int, sign: int) -> dict:
-    """Groups (cost, L) -> {t: A_t} of the placement recurrence at q = 2^bits
-    from components listed as (cost, L, V, offset, weight).  A component
-    with path data (L, V, offset) placed at offset j weighs
+def _path_groups(paths, bits: int) -> dict:
+    """Group terms cost -> t -> {L: A_t} of the placement recurrence at
+    q = 2^bits from components listed as (cost, L, V, offset, weight).  A
+    component with path data (L, V, offset) placed at offset j weighs
     q^(j*V + offset) prod_{p=1}^{L-1} (1 - q^(j+p)), which is
     sum_u q^offset c_u q^(j*(V+u)) with c_u from :func:`_placement_values`;
-    so it adds weight * q^offset * c_u to A_(V+u).  A weight is the value of
-    a polynomial with nonnegative coefficients (a count, or a sum of
-    q-powers), so at (0, +1) every A_t bounds the l1 norm of its
-    polynomial."""
+    so it adds weight * q^offset * c_u to A_(V+u) of its (cost, L)."""
     merged = {}  # (cost, L, V) -> sum of weight * q^offset
     for cost, L, V, offset, weight in paths:
         key = cost, L, V
@@ -214,21 +208,22 @@ def _path_groups(paths, bits: int, sign: int) -> dict:
     groups = {}
     for (cost, L, V), weight in merged.items():
         if L not in placements:
-            placements[L] = _placement_values(L, bits, sign)
-        terms = groups.setdefault((cost, L), {})
+            placements[L] = _placement_values(L, bits)
+        by_t = groups.setdefault(cost, {})
         for u, c in enumerate(placements[L], V):
-            terms[u] = terms.get(u, 0) + weight * c
+            terms = by_t.setdefault(u, {})
+            terms[L] = terms.get(L, 0) + weight * c
     return groups
 
 
-def _one_gap_groups(D: int, bits: int, sign: int) -> dict:
-    """Groups of the one-gap recurrence at q = 2^bits: every connected shape
-    of size s <= D, costing (s,), without enumerating shapes.  A row DP over
-    (last row length, s, L, V) yields sum_c q^(B_c) for each (s, L, V): a
-    row of length l1 under a row of length l0 starts delta >= max(0, l1 - l0),
-    delta < l1, columns further west, adding l1 boxes, one row, delta to L
-    and delta * (rows above) to B.  Its values have nonnegative
-    coefficients, so at bits 0 they are the counts, their l1 norms."""
+def _one_gap_paths(D: int, bits: int) -> list:
+    """Components (cost, L, V, 0, weight) of the one-gap recurrence at
+    q = 2^bits: every connected shape of size s <= D, costing (s,), without
+    enumerating shapes.  A row DP over (last row length, s, L, V) yields
+    the weight sum_c q^(B_c) for each (s, L, V): a row of length l1 under a
+    row of length l0 starts delta >= max(0, l1 - l0), delta < l1, columns
+    further west, adding l1 boxes, one row, delta to L and
+    delta * (rows above) to B.  At bits 0 the weights are the counts."""
     layers = [{} for _ in range(D + 1)]  # s -> (last row length, L, V) -> value
     for l in range(1, D + 1):
         layers[l][l, l, 1] = 1
@@ -245,7 +240,7 @@ def _one_gap_groups(D: int, bits: int, sign: int) -> dict:
                     key = l1, west, V + 1
                     layer[key] = layer.get(key, 0) + shifted
                     shifted <<= step
-    return _path_groups(paths, bits, sign)
+    return paths
 
 
 def _horner(parts, stop: int, bits: int) -> int:
@@ -257,14 +252,16 @@ def _horner(parts, stop: int, bits: int) -> int:
     return acc
 
 
-def _numerator_rows(groups, budget, steps, tops) -> dict:
+def _numerator_rows(paths, budget, steps, tops) -> dict:
     """The exact numerators N_b, as coefficient lists, with
     U(b, 0) = N_b / prod_{i<=top} (1 - q^i) for each b -> top in ``tops``:
     ``budget`` and budgets it steps down to, each top at least the largest T
     below and at least |b|, the sum of b's entries.
 
-    ``groups(bits, sign)`` gives the groups (cost, L) -> {t: A_t} at
-    q = 2^bits, every minus sign replaced by ``sign``: the group placed at
+    ``paths(bits)`` lists the components (cost, L, V, offset, weight) at
+    q = 2^bits, each weight the value of a polynomial with nonnegative
+    coefficients (a count, or a sum of q-powers); :func:`_path_groups`
+    merges them into the group terms A_{cost,L,t}: the group placed at
     offset j has weight sum_t A_t(q) * q^(j*t), with every t >= 1.  The
     caller's budget rule ``steps(b)`` maps (cost, b') to the number of ways
     that placing one component of that cost leaves the budget b' of b,
@@ -281,17 +278,15 @@ def _numerator_rows(groups, budget, steps, tops) -> dict:
     and N_b = sum_{T<=top} N_{b,T} prod_{T<i<=top} (1 - q^i).  The program
     runs once, at q = 2^bits with bits = ``kernels._signed_bits`` of a
     bound on every l1 norm, so every coefficient of every N_b is one signed
-    digit.  The bound is the same program at q = 1 with every minus sign
-    read as plus, where each value bounds the l1 norm of its polynomial
-    (the group terms at (0, +1) are their norms or bound them), since
+    digit.  A component's c_u have l1 norms C(L-1, u), so the norms of its
+    terms sum to w 2^(L-1), w its weight at bits 0; ||A_cost|| is the sum
+    of these over the components of that cost.  Since
     ||a + b|| <= ||a|| + ||b||, ||ab|| <= ||a|| ||b|| and
-    ||(1 - q^i) a|| <= 2 ||a||.  That program is linear and collapses: each
-    factor (1 + q^i) is 2, so with W_b = sum_T 2^(-T) N_{b,T} there,
-    W_0 = 1 and W_b = 1/2 sum_{(cost,b')} count ||A_cost|| W_b', where
-    ||A_cost|| sums every group term of that cost at (0, +1), and its
-    value for (b, top) is 2^top W_b, as every T <= top.  In integers,
-    V_b = 2^|b| W_b = sum count ||A_cost|| V_b' << (|b| - |b'| - 1), and
-    the bound is V_b << (top - |b|).
+    ||(1 - q^i) a|| <= 2 ||a||, W_b = sum_T 2^(-T) ||N_{b,T}|| obeys
+    W_0 = 1 and W_b <= 1/2 sum_{(cost,b')} count ||A_cost|| W_b', and
+    ||N_b|| <= 2^top W_b, as every T <= top.  In integers,
+    V_b = sum count ||A_cost|| V_b' << (|b| - |b'| - 1) bounds 2^|b| W_b,
+    and the bound is V_b << (top - |b|).
     """
     split = {}  # b -> {(cost, b'): count}, for every budget reached
     todo = [budget]
@@ -303,8 +298,8 @@ def _numerator_rows(groups, budget, steps, tops) -> dict:
     order = sorted(split, key=sum)  # a step lowers the budget's total
 
     norms = {}  # cost -> ||A_cost||
-    for (cost, _), terms in groups(0, 1).items():
-        norms[cost] = norms.get(cost, 0) + sum(terms.values())
+    for cost, L, _, _, weight in paths(0):
+        norms[cost] = norms.get(cost, 0) + (weight << (L - 1))
     V = {}  # b -> V_b
     for b in order:
         if not any(b):
@@ -316,10 +311,7 @@ def _numerator_rows(groups, budget, steps, tops) -> dict:
         )
     bits = kernels._signed_bits(max(V[b] << (top - sum(b)) for b, top in tops.items()))
 
-    by_cost = {}  # cost -> t -> [(L, A)]
-    for (cost, L), terms in groups(bits, -1).items():
-        for t, value in terms.items():
-            by_cost.setdefault(cost, {}).setdefault(t, []).append((L, value))
+    groups = _path_groups(paths(bits), bits)  # cost -> t -> {L: A_{cost,L,t}}
     shifted = {}  # (cost, T', t) -> sum_L q^(L*T') A_{cost,L,t}
     rows = {}
     for b in order:
@@ -329,10 +321,12 @@ def _numerator_rows(groups, budget, steps, tops) -> dict:
         X = {}  # T -> T' -> X_{b,T,T'}
         for (cost, sub), count in split[b].items():
             for T0, src in rows[sub].items():
-                for t, weights in by_cost[cost].items():
+                for t, terms in groups[cost].items():
                     key = cost, T0, t
                     if key not in shifted:
-                        shifted[key] = sum(A << (bits * L * T0) for L, A in weights)
+                        shifted[key] = sum(
+                            A << (bits * L * T0) for L, A in terms.items()
+                        )
                     part = X.setdefault(T0 + t, {})
                     part[T0] = part.get(T0, 0) + count * src * shifted[key]
         rows[b] = {T: _horner(parts, T, bits) for T, parts in X.items()}
@@ -384,8 +378,8 @@ def _class_numerator(shape: SkewShape) -> list:
     types = _component_types(shape)
     paths = [(i, *_path_data(comp), 1) for i, (comp, _) in enumerate(types)]
     budget = tuple(m for _, m in types)
-    groups = partial(_path_groups, paths)
-    return _numerator_rows(groups, budget, _type_steps, {budget: shape.size})[budget]
+    tops = {budget: shape.size}
+    return _numerator_rows(lambda bits: paths, budget, _type_steps, tops)[budget]
 
 
 #: The exact numerators (P_0, ..., P_D) of the last run; a run for D fills
@@ -402,7 +396,7 @@ def _one_gap_numerators(D: int) -> tuple:
     nums = _numerators
     if D >= len(nums):
         tops = {(d,): d for d in range(1, D + 1)}
-        rows = _numerator_rows(partial(_one_gap_groups, D), (D,), _gap_steps, tops)
+        rows = _numerator_rows(partial(_one_gap_paths, D), (D,), _gap_steps, tops)
         nums = _numerators = ((1,),) + tuple(tuple(rows[b]) for b in tops)
     return nums[: D + 1]
 
@@ -430,9 +424,9 @@ def rational_form_lambda(shape: SkewShape) -> RationalForm:
 
 def _component_paths(costs) -> list:
     """Components (cost, L, V, offset, fillings) of a gap budget, as
-    :func:`_path_groups` takes them: for each cost, every connected shape of
-    that size with its number of fillings with content ``cost``; shapes
-    with none are left out.  ``shapes.component_fillings`` counts the
+    :func:`_numerator_rows` takes them: for each cost, every connected
+    shape of that size with its number of fillings with content ``cost``;
+    shapes with none are left out.  ``shapes.component_fillings`` counts the
     fillings of each size for all its costs at once, once per orbit of the
     transpose and the 180-degree rotation."""
     from .shapes import component_fillings
@@ -514,5 +508,5 @@ def rational_form(k, r: int = 1) -> RationalForm:
     if len(budget) == 1:
         return RationalForm(_one_gap_numerators(K)[K], denominator)
     paths = _component_paths({cost for cost, _ in _gap_steps(budget)})
-    rows = _numerator_rows(partial(_path_groups, paths), budget, _gap_steps, {budget: K})
+    rows = _numerator_rows(lambda bits: paths, budget, _gap_steps, {budget: K})
     return RationalForm(rows[budget], denominator)

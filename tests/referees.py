@@ -20,8 +20,8 @@ packed-int paths (the rank-one nested-pair table, by a walk over outer
 partitions, the row products of ``ps_mul``, the rank-r sum and the
 numerator recurrence behind the one-gap, multi-gap and single-shape
 forms) referee them.  The numerator recurrence's slot bound is refereed
-by the whole recurrence run at q = 1, and its budget rule for gaps by a
-product over every split.
+by the whole recurrence run on l1 norms, and its budget rule for gaps by
+a product over every split.
 """
 
 from __future__ import annotations
@@ -503,9 +503,10 @@ def _placement_terms(L: int, V: int, B: int) -> dict:
 
 
 def one_gap_groups_by_lists(D: int) -> dict:
-    """``engine._one_gap_groups`` as list polynomials: the same row DP over
-    (last row length, s, L, V), each sum_c q^(B_c) a dense list, then
-    multiplied out against the placement terms."""
+    """The groups of ``engine._one_gap_paths`` as list polynomials, keyed
+    (cost, L): the same row DP over (last row length, s, L, V), each
+    sum_c q^(B_c) a dense list, then multiplied out against the placement
+    terms."""
     layers = [{} for _ in range(D + 1)]
     for l in range(1, D + 1):
         layers[l][l, l, 1] = [1]
@@ -526,8 +527,8 @@ def one_gap_groups_by_lists(D: int) -> dict:
 
 
 def path_groups_by_lists(paths) -> dict:
-    """``engine._path_groups`` as list polynomials, for components
-    (cost, L, V, offset, fillings) with integer fillings."""
+    """``engine._path_groups`` as list polynomials keyed (cost, L), for
+    components (cost, L, V, offset, fillings) with integer fillings."""
     groups = {}
     for cost, L, V, offset, fillings in paths:
         terms = groups.setdefault((cost, L), {})
@@ -562,17 +563,19 @@ def _budget_steps(budget, steps) -> dict:
     return split
 
 
-def numerator_bound_by_run(groups, budget, steps, tops) -> int:
+def numerator_bound_by_run(paths, budget, steps, tops) -> int:
     """The slot bound of ``engine._numerator_rows`` as its whole recurrence
-    run at q = 1 with every minus sign read as plus, the program the engine
-    sums in closed form: each factor (1 + q^i) is 2 and each shift
-    q^(L*T') is 1, and the bound is the largest value over b -> top in
-    ``tops``.  ``groups`` and ``steps`` are the engine's arguments."""
-    norms = {}  # cost -> t -> sum_L A_{cost,L,t} at (0, +1)
-    for (cost, _), terms in groups(0, 1).items():
+    run on l1 norms, the program the engine sums in closed form: each
+    factor (1 - q^i) is 2 and each shift q^(L*T') is 1, and the bound is
+    the largest value over b -> top in ``tops``.  A component
+    (cost, L, V, offset, weight) of ``paths(0)`` adds
+    weight * C(L - 1, u), the norm of its c_u, to the norm at t = V + u.
+    ``paths`` and ``steps`` are the engine's arguments."""
+    norms = {}  # cost -> t -> sum_L ||A_{cost,L,t}||
+    for cost, L, V, _, weight in paths(0):
         by_t = norms.setdefault(cost, {})
-        for t, value in terms.items():
-            by_t[t] = by_t.get(t, 0) + value
+        for u in range(L):
+            by_t[V + u] = by_t.get(V + u, 0) + weight * comb(L - 1, u)
 
     def horner(parts, stop):
         acc = 0

@@ -421,9 +421,9 @@ def test_verify_runs_the_numerator_recurrence_once(monkeypatch, capsys):
     budgets = []
     original = engine._numerator_rows
 
-    def recording(groups, budget, steps, tops):
+    def recording(paths, budget, steps, tops):
         budgets.append(budget)
-        return original(groups, budget, steps, tops)
+        return original(paths, budget, steps, tops)
 
     monkeypatch.setattr(engine, "_numerator_rows", recording)
     assert main(["verify"]) == 0

@@ -7,7 +7,8 @@ import pytest
 
 from flagseries import engine, kernels, quot
 from flagseries.engine import (
-    _one_gap_groups,
+    _one_gap_paths,
+    _path_groups,
     rational_form,
     rational_form_lambda,
 )
@@ -267,8 +268,9 @@ def test_one_entry_gap_vector_is_the_one_gap_form():
         # the shortcut's premise: on a one-entry budget the component run,
         # every component with its single filling, gives the one-gap form
         paths = engine._component_paths({(s,) for s in range(1, D + 1)})
-        groups = partial(engine._path_groups, paths)
-        rows = engine._numerator_rows(groups, (D,), engine._gap_steps, {(D,): D})
+        rows = engine._numerator_rows(
+            lambda bits: paths, (D,), engine._gap_steps, {(D,): D}
+        )
         assert rows[D,] == list(rf.numerator), D
 
 
@@ -391,13 +393,18 @@ def test_row_dp_groups_equal_enumerated_weights():
             poly = expected.setdefault(key, {}).setdefault(t, [])
             poly.extend([0] * (base + 1 - len(poly)))
             poly[base] += coef
-    # the groups at q = 2^bits, decoded with the slot their l1 bounds prove
-    bounds = _one_gap_groups(9, 0, 1)
-    bits = kernels._signed_bits(max(max(terms.values()) for terms in bounds.values()))
-    decoded = {
-        key: {t: kernels._decode(v, bits) for t, v in terms.items()}
-        for key, terms in _one_gap_groups(9, bits, -1).items()
-    }
+    # the groups at q = 2^bits, decoded with the slot the component counts
+    # prove: every term of a (cost, L) group has l1 norm at most the sum of
+    # count * 2^(L-1) over its components
+    norms = Counter()
+    for cost, L, _, _, count in _one_gap_paths(9, 0):
+        norms[cost, L] += count << (L - 1)
+    bits = kernels._signed_bits(max(norms.values()))
+    decoded = {}
+    for cost, by_t in _path_groups(_one_gap_paths(9, bits), bits).items():
+        for t, terms in by_t.items():
+            for L, value in terms.items():
+                decoded.setdefault((cost, L), {})[t] = kernels._decode(value, bits)
     assert _trimmed(decoded) == _trimmed(expected)
 
 
@@ -522,8 +529,9 @@ class _Sized(Exception):
 
 
 def test_numerator_slot_bound_equals_the_plus_run(monkeypatch):
-    # the closed-form bound against the whole recurrence run at q = 1 with
-    # every minus sign read as plus; each run ends once its slot is sized
+    # the closed-form bound against the whole recurrence run on l1 norms,
+    # each component's norms expanded by binomials in the referee; each run
+    # ends once its slot is sized
     runs = []
     rows = engine._numerator_rows
 
@@ -556,6 +564,30 @@ def test_numerator_slot_bound_equals_the_plus_run(monkeypatch):
 
 
 SPREAD = SkewShape.of([(0, 1)], [(0, 1)], [(0, 1)], [(0, 1), (0, 1)], [(0, 2)])
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda: engine._one_gap_numerators(12),
+        lambda: rational_form((1, 1, 2, 2)),
+        lambda: rational_form_lambda(SPREAD),
+    ],
+    ids=["one gap", "multi gap", "single shape"],
+)
+def test_recurrence_run_builds_its_group_terms_once(monkeypatch, form):
+    # the slot bound reads the component counts, not a second group build
+    builds = []
+    build = engine._path_groups
+
+    def counted(*args):
+        builds.append(args[1:])
+        return build(*args)
+
+    monkeypatch.setattr(engine, "_path_groups", counted)
+    monkeypatch.setattr(engine, "_numerators", ())
+    form()
+    assert len(builds) == 1, builds
 
 
 @pytest.mark.parametrize(
