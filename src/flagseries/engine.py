@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from math import factorial, perm, prod
+from math import comb, prod
 from operator import index
 
 from . import kernels
@@ -220,17 +220,19 @@ def _one_gap_paths(D: int, bits: int) -> list:
     """Components (cost, L, V, 0, weight) of the one-gap recurrence at
     q = 2^bits: every connected shape of size s <= D, costing (s,), without
     enumerating shapes.  A row DP over (last row length, s, L, V) yields
-    the weight sum_c q^(B_c) for each (s, L, V): a row of length l1 under a
-    row of length l0 starts delta >= max(0, l1 - l0), delta < l1, columns
-    further west, adding l1 boxes, one row, delta to L and
-    delta * (rows above) to B.  At bits 0 the weights are the counts."""
+    the weight sum_c q^(B_c), one entry per (s, L, V) merged over the last
+    row: a row of length l1 under a row of length l0 starts
+    delta >= max(0, l1 - l0), delta < l1, columns further west, adding l1
+    boxes, one row, delta to L and delta * (rows above) to B.  At bits 0
+    the weights are the counts."""
     layers = [{} for _ in range(D + 1)]  # s -> (last row length, L, V) -> value
     for l in range(1, D + 1):
         layers[l][l, l, 1] = 1
     paths = []
     for s in range(1, D + 1):
+        merged = {}  # (L, V) -> value
         for (l0, L, V), value in layers[s].items():
-            paths.append(((s,), L, V, 0, value))
+            merged[L, V] = merged.get((L, V), 0) + value
             step = bits * V
             for l1 in range(1, D - s + 1):
                 layer = layers[s + l1]
@@ -240,7 +242,22 @@ def _one_gap_paths(D: int, bits: int) -> list:
                     key = l1, west, V + 1
                     layer[key] = layer.get(key, 0) + shifted
                     shifted <<= step
+        paths.extend(((s,), L, V, 0, value) for (L, V), value in merged.items())
     return paths
+
+
+def _one_gap_norms(D: int) -> dict:
+    """||A_(s,)|| for s <= D, the count-weighted sum of 2^(L-1) over the
+    components of :func:`_one_gap_paths`, by its row DP keyed by
+    (last row length, s) alone: a row l1 under a row l0 multiplies 2^(L-1)
+    by sum_delta 2^delta = 2^l1 - 2^max(0, l1 - l0)."""
+    layers = [[0] * (D + 1) for _ in range(D + 1)]  # s -> last row length -> sum
+    for s in range(1, D + 1):
+        layers[s][s] = 1 << (s - 1)
+        for l0, value in enumerate(layers[s][: s + 1]):
+            for l1 in range(1, D - s + 1):
+                layers[s + l1][l1] += value * ((1 << l1) - (1 << max(0, l1 - l0)))
+    return {(s,): sum(layers[s]) for s in range(1, D + 1)}
 
 
 def _horner(parts, stop: int, bits: int) -> int:
@@ -252,7 +269,7 @@ def _horner(parts, stop: int, bits: int) -> int:
     return acc
 
 
-def _numerator_rows(paths, budget, steps, tops) -> dict:
+def _numerator_rows(paths, budget, steps, tops, norms) -> dict:
     """The exact numerators N_b, as coefficient lists, with
     U(b, 0) = N_b / prod_{i<=top} (1 - q^i) for each b -> top in ``tops``:
     ``budget`` and budgets it steps down to, each top at least the largest T
@@ -279,8 +296,10 @@ def _numerator_rows(paths, budget, steps, tops) -> dict:
     runs once, at q = 2^bits with bits = ``kernels._signed_bits`` of a
     bound on every l1 norm, so every coefficient of every N_b is one signed
     digit.  A component's c_u have l1 norms C(L-1, u), so the norms of its
-    terms sum to w 2^(L-1), w its weight at bits 0; ||A_cost|| is the sum
-    of these over the components of that cost.  Since
+    terms sum to w 2^(L-1), w its weight at bits 0; ``norms`` maps each
+    cost to ||A_cost||, the sum of these over its components
+    (:func:`_counted_rows` sums them, :func:`_one_gap_norms` counts them
+    without listing the components).  Since
     ||a + b|| <= ||a|| + ||b||, ||ab|| <= ||a|| ||b|| and
     ||(1 - q^i) a|| <= 2 ||a||, W_b = sum_T 2^(-T) ||N_{b,T}|| obeys
     W_0 = 1 and W_b <= 1/2 sum_{(cost,b')} count ||A_cost|| W_b', and
@@ -297,9 +316,6 @@ def _numerator_rows(paths, budget, steps, tops) -> dict:
             todo.extend(sub for _, sub in split[b])
     order = sorted(split, key=sum)  # a step lowers the budget's total
 
-    norms = {}  # cost -> ||A_cost||
-    for cost, L, _, _, weight in paths(0):
-        norms[cost] = norms.get(cost, 0) + (weight << (L - 1))
     V = {}  # b -> V_b
     for b in order:
         if not any(b):
@@ -312,7 +328,7 @@ def _numerator_rows(paths, budget, steps, tops) -> dict:
     bits = kernels._signed_bits(max(V[b] << (top - sum(b)) for b, top in tops.items()))
 
     groups = _path_groups(paths(bits), bits)  # cost -> t -> {L: A_{cost,L,t}}
-    shifted = {}  # (cost, T', t) -> sum_L q^(L*T') A_{cost,L,t}
+    shifted = {}  # (cost, T') -> [(t, sum_L q^(L*T') A_{cost,L,t})]
     rows = {}
     for b in order:
         if not any(b):
@@ -321,19 +337,30 @@ def _numerator_rows(paths, budget, steps, tops) -> dict:
         X = {}  # T -> T' -> X_{b,T,T'}
         for (cost, sub), count in split[b].items():
             for T0, src in rows[sub].items():
-                for t, terms in groups[cost].items():
-                    key = cost, T0, t
-                    if key not in shifted:
-                        shifted[key] = sum(
-                            A << (bits * L * T0) for L, A in terms.items()
-                        )
+                if (cost, T0) not in shifted:
+                    shifted[cost, T0] = [
+                        (t, sum(A << (bits * L * T0) for L, A in terms.items()))
+                        for t, terms in groups[cost].items()
+                    ]
+                if count != 1:
+                    src *= count
+                for t, A in shifted[cost, T0]:
                     part = X.setdefault(T0 + t, {})
-                    part[T0] = part.get(T0, 0) + count * src * shifted[key]
+                    part[T0] = part.get(T0, 0) + src * A
         rows[b] = {T: _horner(parts, T, bits) for T, parts in X.items()}
     return {
         b: kernels._decode(_horner(rows[b], top + 1, bits), bits)
         for b, top in tops.items()
     }
+
+
+def _counted_rows(paths, budget, steps, tops) -> dict:
+    """:func:`_numerator_rows` over a list of components whose weights are
+    counts, so ||A_cost|| sums count * 2^(L-1) over those of each cost."""
+    norms = {}
+    for cost, L, _, _, count in paths:
+        norms[cost] = norms.get(cost, 0) + (count << (L - 1))
+    return _numerator_rows(lambda bits: paths, budget, steps, tops, norms)
 
 
 def _type_steps(b) -> dict:
@@ -379,7 +406,7 @@ def _class_numerator(shape: SkewShape) -> list:
     paths = [(i, *_path_data(comp), 1) for i, (comp, _) in enumerate(types)]
     budget = tuple(m for _, m in types)
     tops = {budget: shape.size}
-    return _numerator_rows(lambda bits: paths, budget, _type_steps, tops)[budget]
+    return _counted_rows(paths, budget, _type_steps, tops)[budget]
 
 
 #: The exact numerators (P_0, ..., P_D) of the last run; a run for D fills
@@ -396,7 +423,8 @@ def _one_gap_numerators(D: int) -> tuple:
     nums = _numerators
     if D >= len(nums):
         tops = {(d,): d for d in range(1, D + 1)}
-        rows = _numerator_rows(partial(_one_gap_paths, D), (D,), _gap_steps, tops)
+        paths = partial(_one_gap_paths, D)
+        rows = _numerator_rows(paths, (D,), _gap_steps, tops, _one_gap_norms(D))
         nums = _numerators = ((1,),) + tuple(tuple(rows[b]) for b in tops)
     return nums[: D + 1]
 
@@ -448,29 +476,43 @@ def _rank_form(r: int, D: int) -> RationalForm:
     """Rational form of FQ_{r,D} / Z^r over the canonical denominator
     prod_{j=1}^{D} (1 - q^j)^{e_j}, e_j = min(r, D // j), exact: a gap
     multiset lam of D contributes inj(r, lam) * prod_i P_{lam_i} over
-    prod_j (1 - q^j)^{#{i : lam_i >= j}}, with P_d the one-gap numerators
-    and inj(r, lam) = perm(r, len(lam)) / prod_m mult_m!, 0 past r parts.
-    At most e_j parts of lam are >= j, and over all j they count D boxes,
-    so every term takes sum_j e_j - D factors (1 - q^j), each at most
-    doubling its l1 norm.  The sum runs on ints at q = 2^bits (``kernels``).
+    prod_j (1 - q^j)^{lam'_j}, lam'_j = #{i : lam_i >= j} the conjugate,
+    with P_d the one-gap numerators and inj(r, lam) = perm(r, len(lam)) /
+    prod_m mult_m! = C(r, lam'_1) prod_j C(lam'_j, lam'_(j+1)), 0 past r
+    parts.  At most e_j parts of lam are >= j, and over all j they count D
+    boxes, so every term takes sum_j e_j - D factors (1 - q^j), each at
+    most doubling its l1 norm.  One pointer walking down lam gives lam'_j
+    for j <= lam_1; every lam with lam_1 < j takes all e_j factors of j,
+    so these are taken once, by Horner's rule over lam_1.  The sum runs on
+    ints at q = 2^bits (``kernels``).
     """
     from .partitions import enum_partitions  # fz loads no partitions
 
     denominator = {j: min(r, D // j) for j in range(1, D + 1)}
     nums = _one_gap_numerators(D)
-    inj = {
-        lam: perm(r, len(lam)) // prod(map(factorial, lam.multiplicities().values()))
-        for lam in enum_partitions(D) if len(lam) <= r
-    }
-    bound = sum(w * prod(sum(map(abs, nums[p])) for p in lam) for lam, w in inj.items())
+    norms = [sum(map(abs, p)) for p in nums]
+    by_top, bound = [[] for _ in range(D + 1)], 0  # lam_1 -> [(inj, lam, factors)]
+    for lam in enum_partitions(D):
+        if len(lam) <= r:
+            i, factors, weight = len(lam), [], comb(r, len(lam))  # i = lam'_j
+            for j in range(1, lam[0] + 1):
+                above = i
+                while lam[i - 1] < j:
+                    i -= 1
+                weight *= comb(above, i)
+                factors += [j] * (denominator[j] - i)
+            by_top[lam[0]].append((weight, lam, factors))
+            bound += weight * prod(norms[part] for part in lam)
     bits = kernels._signed_bits(bound << (sum(denominator.values()) - D))
     lifted, value = [kernels._pack(p, bits) for p in nums], 0
-    for lam, weight in inj.items():
-        term = prod(lifted[part] for part in lam)
-        for j, e in denominator.items():
-            for _ in range(e - sum(1 for part in lam if part >= j)):
+    for top, e in denominator.items():
+        for _ in range(e):
+            value -= value << (bits * top)
+        for weight, lam, factors in by_top[top]:
+            term = prod(lifted[part] for part in lam)
+            for j in factors:
                 term -= term << (bits * j)
-        value += weight * term
+            value += weight * term
     return RationalForm(kernels._decode(value, bits), denominator)
 
 
@@ -508,5 +550,5 @@ def rational_form(k, r: int = 1) -> RationalForm:
     if len(budget) == 1:
         return RationalForm(_one_gap_numerators(K)[K], denominator)
     paths = _component_paths({cost for cost, _ in _gap_steps(budget)})
-    rows = _numerator_rows(lambda bits: paths, budget, _gap_steps, {budget: K})
+    rows = _counted_rows(paths, budget, _gap_steps, {budget: K})
     return RationalForm(rows[budget], denominator)

@@ -421,9 +421,9 @@ def test_verify_runs_the_numerator_recurrence_once(monkeypatch, capsys):
     budgets = []
     original = engine._numerator_rows
 
-    def recording(paths, budget, steps, tops):
+    def recording(paths, budget, *rest):
         budgets.append(budget)
-        return original(paths, budget, steps, tops)
+        return original(paths, budget, *rest)
 
     monkeypatch.setattr(engine, "_numerator_rows", recording)
     assert main(["verify"]) == 0

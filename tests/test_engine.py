@@ -268,9 +268,7 @@ def test_one_entry_gap_vector_is_the_one_gap_form():
         # the shortcut's premise: on a one-entry budget the component run,
         # every component with its single filling, gives the one-gap form
         paths = engine._component_paths({(s,) for s in range(1, D + 1)})
-        rows = engine._numerator_rows(
-            lambda bits: paths, (D,), engine._gap_steps, {(D,): D}
-        )
+        rows = engine._counted_rows(paths, (D,), engine._gap_steps, {(D,): D})
         assert rows[D,] == list(rf.numerator), D
 
 
@@ -559,8 +557,38 @@ def test_numerator_slot_bound_equals_the_plus_run(monkeypatch):
         with pytest.raises(_Sized):
             form()
     assert len(runs) == len(forms)
-    for *args, bound in runs:
-        assert bound == numerator_bound_by_run(*args), args[1:]
+    for paths, budget, steps, tops, _, bound in runs:
+        assert bound == numerator_bound_by_run(paths, budget, steps, tops), budget
+
+
+def test_one_gap_count_dp_norms_equal_the_component_counts():
+    # the referee sums count * 2^(L-1) over the true components at bits 0
+    for D in range(1, 15):
+        norms = Counter()
+        for cost, L, _, _, count in _one_gap_paths(D, 0):
+            norms[cost] += count << (L - 1)
+        assert engine._one_gap_norms(D) == norms, D
+
+
+def test_one_gap_run_lists_its_components_once_at_the_slot_width(monkeypatch):
+    # the count DP sizes the slot, so the row DP never runs at bits 0
+    calls, widths = [], []
+    paths, signed_bits = engine._one_gap_paths, kernels._signed_bits
+
+    def recorded(D, bits):
+        calls.append((D, bits))
+        return paths(D, bits)
+
+    def sized(bound):
+        widths.append(signed_bits(bound))
+        return widths[-1]
+
+    monkeypatch.setattr(engine, "_one_gap_paths", recorded)
+    monkeypatch.setattr(kernels, "_signed_bits", sized)
+    monkeypatch.setattr(engine, "_numerators", ())
+    engine._one_gap_numerators(12)
+    assert len(widths) == 1
+    assert calls == [(12, widths[0])]
 
 
 SPREAD = SkewShape.of([(0, 1)], [(0, 1)], [(0, 1)], [(0, 1), (0, 1)], [(0, 2)])
