@@ -51,6 +51,14 @@ the one constructor of a gap-vector form, any rank, and
 form expanded with Z^r to the order asked for.  At rank r > 1 it sums
 products of one-gap numerators (:func:`_rank_form`).
 
+The engine keeps two things between calls.  ``_numerators`` holds
+(P_0, ..., P_D) of its largest one-gap run, which fills every d <= D: a
+caller that spans gaps asks for its largest gap first.  The table is
+replaced whole, in one assignment (no lock), and no value it holds ever
+changes.  So :func:`_rank_form`, a function of (r, D) alone, keeps every
+form it builds (``lru_cache``); its callers share each kept form and never
+write its ``denominator`` dict.
+
 The truncated DP :func:`_relative_dense` (with :class:`PlacementWeight`,
 :func:`_shape_groups` and :func:`_compute_relative_dense`) runs on no
 production path.  The tests referee the exact forms with it (one shape
@@ -61,7 +69,7 @@ per-class sums and the insertion census there.
 from __future__ import annotations
 
 import itertools
-from functools import partial
+from functools import lru_cache, partial
 from math import comb, prod
 from operator import index
 
@@ -220,8 +228,8 @@ def _one_gap_paths(D: int, bits: int) -> list:
     """Components (cost, L, V, 0, weight) of the one-gap recurrence at
     q = 2^bits: every connected shape of size s <= D, costing (s,), without
     enumerating shapes.  A row DP over (last row length, s, L, V) yields
-    the weight sum_c q^(B_c), one entry per (s, L, V) merged over the last
-    row: a row of length l1 under a row of length l0 starts
+    the weight sum_c q^(B_c), one entry per key (:func:`_path_groups`
+    merges them): a row of length l1 under a row of length l0 starts
     delta >= max(0, l1 - l0), delta < l1, columns further west, adding l1
     boxes, one row, delta to L and delta * (rows above) to B.  At bits 0
     the weights are the counts."""
@@ -230,9 +238,8 @@ def _one_gap_paths(D: int, bits: int) -> list:
         layers[l][l, l, 1] = 1
     paths = []
     for s in range(1, D + 1):
-        merged = {}  # (L, V) -> value
         for (l0, L, V), value in layers[s].items():
-            merged[L, V] = merged.get((L, V), 0) + value
+            paths.append(((s,), L, V, 0, value))
             step = bits * V
             for l1 in range(1, D - s + 1):
                 layer = layers[s + l1]
@@ -242,7 +249,6 @@ def _one_gap_paths(D: int, bits: int) -> list:
                     key = l1, west, V + 1
                     layer[key] = layer.get(key, 0) + shifted
                     shifted <<= step
-        paths.extend(((s,), L, V, 0, value) for (L, V), value in merged.items())
     return paths
 
 
@@ -314,13 +320,10 @@ def _numerator_rows(paths, budget, steps, tops, norms) -> dict:
         if b not in split:
             split[b] = steps(b)
             todo.extend(sub for _, sub in split[b])
-    order = sorted(split, key=sum)  # a step lowers the budget's total
-
-    V = {}  # b -> V_b
+    # a step lowers the budget's total, so the empty budget comes first
+    empty, *order = sorted(split, key=sum)
+    V = {empty: 1}  # b -> V_b
     for b in order:
-        if not any(b):
-            V[b] = 1
-            continue
         V[b] = sum(
             count * norms[cost] * V[sub] << (sum(b) - sum(sub) - 1)
             for (cost, sub), count in split[b].items()
@@ -329,11 +332,8 @@ def _numerator_rows(paths, budget, steps, tops, norms) -> dict:
 
     groups = _path_groups(paths(bits), bits)  # cost -> t -> {L: A_{cost,L,t}}
     shifted = {}  # (cost, T') -> [(t, sum_L q^(L*T') A_{cost,L,t})]
-    rows = {}
+    rows = {empty: {0: 1}}
     for b in order:
-        if not any(b):
-            rows[b] = {0: 1}
-            continue
         X = {}  # T -> T' -> X_{b,T,T'}
         for (cost, sub), count in split[b].items():
             for T0, src in rows[sub].items():
@@ -409,10 +409,7 @@ def _class_numerator(shape: SkewShape) -> list:
     return _counted_rows(paths, budget, _type_steps, tops)[budget]
 
 
-#: The exact numerators (P_0, ..., P_D) of the last run; a run for D fills
-#: every d <= D.  A caller that spans gaps asks for its largest gap first,
-#: so one run serves the rest.  The table is replaced whole, in one
-#: assignment, so callers need no lock.
+#: (P_0, ..., P_D) of the largest one-gap run (the module docstring's rule)
 _numerators: tuple = ()
 
 
@@ -472,6 +469,7 @@ def _component_paths(costs) -> list:
     return paths
 
 
+@lru_cache(maxsize=None)
 def _rank_form(r: int, D: int) -> RationalForm:
     """Rational form of FQ_{r,D} / Z^r over the canonical denominator
     prod_{j=1}^{D} (1 - q^j)^{e_j}, e_j = min(r, D // j), exact: a gap

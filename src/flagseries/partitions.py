@@ -9,11 +9,12 @@ operation per pair.  ``coloured_flag_counts`` convolves the one-colour
 counts of a box, enumerated once per box, and keeps the last table it
 built for the box, so the (r + 1)-colour table is one convolution from
 the r-colour one.  Some counts also run in production.
-``nested_pair_counts`` builds the rank-one table behind ``globalize`` by
-a transfer matrix over row pairs, on two-variable series packed and read
-back in the ``kernels`` convention, and ``count_nested_flags`` is its
-referee.  ``partition_count`` sizes its slots and the ``oracle``
-command's work estimate against its cap.  The ``oracle`` command prints
+``_nested_pair_rows`` builds the rank-one table behind ``globalize``, as
+rows, by a transfer matrix over row pairs, on two-variable series packed
+and read back in the ``kernels`` convention; ``nested_pair_counts`` reads
+the same rows as a dict, and ``count_nested_flags`` is their referee.
+``partition_count`` sizes its slots and the ``oracle`` command's work
+estimate against its cap.  The ``oracle`` command prints
 ``count_nested_flags`` and ``count_coloured_flags``, and ``verify`` checks
 the series against ``count_nested_flags`` and ``coloured_flag_counts``.
 The census of nested pairs by the shape class of their difference and the
@@ -149,7 +150,14 @@ def _chains_below(outer, sizes, width) -> int:
 
 def nested_pair_counts(max1: int, max2: int) -> dict:
     """``{(a, b): #{nu c mu : |nu| = a, |mu| = b}}`` for a <= max1 and
-    a <= b <= max2.
+    a <= b <= max2, read from the rows of :func:`_nested_pair_rows`."""
+    rows = _nested_pair_rows(max1, max2)
+    return {(a, b): row[b] for a, row in enumerate(rows) for b in range(a, max2 + 1)}
+
+
+def _nested_pair_rows(max1: int, max2: int) -> list:
+    """The rank-one table as rows: entry b of row a <= max1 counts the
+    nested pairs nu c mu with |nu| = a and |mu| = b <= max2, 0 for b < a.
 
     A nested pair is a column of row pairs
     (mu_1, nu_1) >= (mu_2, nu_2) >= ... >= (mu_k, nu_k), compared
@@ -175,7 +183,8 @@ def nested_pair_counts(max1: int, max2: int) -> dict:
     with a given bottom row, and those columns with j copies of the row
     (m, n) appended), cut to the box.  So it is nonnegative and at most
     p(a) * p(b) <= p(max1) * p(max2), the bound the signed slots are sized
-    for, and ``kernels._unpacker`` reads the table.
+    for.  ``kernels._unpacker`` reads the table as one list, and row a is
+    every (max1 + 1)-th slot from index a.
     """
     if max1 < 0 or max2 < 0:
         raise ValueError("sizes must be nonnegative")
@@ -198,9 +207,7 @@ def nested_pair_counts(max1: int, max2: int) -> dict:
                 term &= mask
             above[n] += right
     counts = kernels._unpacker(bits, width * (max2 + 1))(1 + above[0])
-    return {
-        (a, b): counts[a + b * width] for a in range(width) for b in range(a, max2 + 1)
-    }
+    return [counts[a::width] for a in range(width)]
 
 
 def count_coloured_flags(r: int, spec) -> int:

@@ -3,8 +3,8 @@
 At the Euler-characteristic level the power structure on unit series is
 ordinary exponentiation, so the two-variable punctual table raised to the
 surface Euler characteristic gives the global nested counts.  The rank-one
-table is ``partitions.nested_pair_counts``, a transfer matrix over row
-pairs, and its powers are ``series`` products.  The sixth
+table is read as rows from ``partitions._nested_pair_rows``, a transfer
+matrix over row pairs, and its powers are ``series`` products.  The sixth
 del Pezzo surface's Euler characteristic is the one exponent that takes the
 rank-6 table to the published (6, 12) count.  The table's diagonals are
 cross-checked against the engine's rank-r forms, each expanded once by
@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import index
 
 from .engine import rational_form
-from .partitions import nested_pair_counts
+from .partitions import _nested_pair_rows
 from .series import QSeries, expand_dense, ps_mul, ps_pow
 
 #: Published rank-6 global count on the sixth del Pezzo surface for the
@@ -54,22 +54,21 @@ def punctual_nested_table(rank: int, max1: int, max2: int) -> QSeries:
 
     An r-coloured nested pair is an r-tuple of nested pairs whose sizes add,
     so the table is the rank-th power of the rank-one table, which
-    ``nested_pair_counts`` builds by a transfer matrix over row pairs; its
-    counts go into the rows keyed ``(a,)`` as they are.  The series engine
-    cross-checks the diagonals b - a <= max2 - max1 in full, the ones whose
-    whole length fits the box: each diagonal is its form's ratio times
-    Z^rank, one ``expand_dense`` with Z^rank folded into the denominator's
-    passes.  The tests referee the triangle beyond them against the
-    colouring oracle.
+    ``partitions._nested_pair_rows`` builds, as rows, by a transfer matrix
+    over row pairs; its row a goes in as the row keyed ``(a,)``, as it is.
+    The series engine cross-checks the diagonals b - a <= max2 - max1 in
+    full, the ones whose whole length fits the box: each diagonal is its
+    form's ratio times Z^rank, one ``expand_dense`` with Z^rank folded into
+    the denominator's passes.  The engine keeps every rank form it builds,
+    so the forms this process already built are read, not rebuilt.  The
+    tests referee the triangle beyond them against the colouring oracle.
     """
     rank, max1, max2 = index(rank), index(max1), index(max2)
     if rank < 1:
         raise ValueError("the number of colours must be positive")
     if max1 > max2:
         raise ValueError("need max1 <= max2")
-    rows = {}
-    for (a, b), count in nested_pair_counts(max1, max2).items():
-        rows.setdefault((a,), [0] * (max2 + 1))[b] = count
+    rows = {(a,): row for a, row in enumerate(_nested_pair_rows(max1, max2))}
     single = QSeries.from_rows(("q1", "q2"), (max1, max2), rows)
     table = ps_pow(single, rank)
     # Largest gap first: its one-gap numerators serve every smaller gap.

@@ -58,7 +58,8 @@ def test_fq(capsys):
 def test_corrupted_rank_form_fails_verify_and_globalize(monkeypatch, capsys):
     # fq prints the engine's rank-r sum, so verify and the cross-check
     # behind globalize must referee that very form: a corrupted one has to
-    # show.
+    # show, even when the true form was built and kept before.
+    engine.rational_form((2,), 2)
     original = engine._rank_form
 
     def corrupted(r, D):
@@ -189,14 +190,14 @@ def test_corrupted_construction_fails_its_verify_check(
 def test_corrupted_rank_one_table_fails_globalize(monkeypatch, capsys):
     # the transfer matrix builds globalize's rank-one table; the engine
     # cross-check behind it must catch a single wrong entry.
-    original = partitions.nested_pair_counts
+    original = partitions._nested_pair_rows
 
     def corrupted(max1, max2):
-        table = original(max1, max2)
-        table[(1, 2)] += 1
-        return table
+        rows = original(max1, max2)
+        rows[1][2] += 1
+        return rows
 
-    monkeypatch.setattr(surfaces, "nested_pair_counts", corrupted)
+    monkeypatch.setattr(surfaces, "_nested_pair_rows", corrupted)
     surfaces.punctual_nested_table.cache_clear()
     try:
         argv = ["globalize", "--rank", "2", "--n1", "2", "--n2", "4", "--chi", "1"]

@@ -471,15 +471,22 @@ def test_placement_weight_degree():
 
 
 def test_packed_rank_form_equals_the_list_sum():
-    # the largest gap first, so one numerator run serves the smaller ones
+    # the largest gap first, so one numerator run serves the smaller ones;
+    # each form is built from an emptied cache, then read back from it
+    engine._rank_form.cache_clear()
     assert engine._rank_form(8, 20) == rank_form_by_lists(8, 20)
-    for r in range(1, 9):
-        for D in range(1, 13):
-            assert engine._rank_form(r, D) == rank_form_by_lists(r, D), (r, D)
+    pairs = [(r, D) for r in range(1, 9) for D in range(1, 15)]
+    built = {pair: engine._rank_form(*pair) for pair in pairs}
+    for pair in pairs:
+        assert built[pair] == rank_form_by_lists(*pair), pair
+        assert engine._rank_form(*pair) is built[pair], pair
+    assert engine._rank_form.cache_info().misses == 1 + len(pairs)
 
 
 @pytest.mark.parametrize("r, D", [(2, 5), (4, 8), (8, 12)])
 def test_rank_form_slot_below_the_bound_decodes_wrongly(monkeypatch, r, D):
+    # the uncached function, so each width builds its form and none is kept
+    build = engine._rank_form.__wrapped__
     expected = rank_form_by_lists(r, D)
     need = max(abs(c) for c in expected.numerator).bit_length() + 1
     original = kernels._signed_bits
@@ -492,9 +499,9 @@ def test_rank_form_slot_below_the_bound_decodes_wrongly(monkeypatch, r, D):
         return slot_bits
 
     monkeypatch.setattr(kernels, "_signed_bits", fixed(need))
-    assert engine._rank_form(r, D) == expected
+    assert build(r, D) == expected
     monkeypatch.setattr(kernels, "_signed_bits", fixed(need - 1))
-    assert engine._rank_form(r, D) != expected
+    assert build(r, D) != expected
     assert min(widths) >= need
 
 

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import pytest
 
-from flagseries import kernels, series, surfaces
+from flagseries import engine, kernels, series, surfaces
 from flagseries.engine import rational_form
 from flagseries.partitions import count_coloured_flags
 from flagseries.series import QSeries, ps_mul, ps_pow
@@ -61,6 +61,24 @@ def test_table_build_multiplies_no_coefficient_lists(monkeypatch):
         punctual_nested_table.cache_clear()
     assert calls == []
     assert table[(4, 8)] == count_coloured_flags(2, (4, 8))
+
+
+def test_table_reads_the_rank_forms_its_process_kept():
+    # the gap-8 form is built first, so the table builds the gaps 1..7
+    # (gap 0 is the form 1, built by no rank sum)
+    kept = engine._rank_form
+    kept.cache_clear()
+    punctual_nested_table.cache_clear()
+    try:
+        rational_form((8,), 2)
+        table = punctual_nested_table(2, 8, 16)
+        assert kept.cache_info().misses == 8
+        assert kept.cache_info().hits == 1
+        kept.cache_clear()
+        punctual_nested_table.cache_clear()
+        assert punctual_nested_table(2, 8, 16) == table
+    finally:
+        punctual_nested_table.cache_clear()
 
 
 def test_globalize_identity():
