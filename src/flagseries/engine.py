@@ -342,8 +342,7 @@ def _numerator_rows(paths, budget, steps, tops, norms) -> dict:
                         (t, sum(A << (bits * L * T0) for L, A in terms.items()))
                         for t, terms in groups[cost].items()
                     ]
-                if count != 1:
-                    src *= count
+                src *= count
                 for t, A in shifted[cost, T0]:
                     part = X.setdefault(T0 + t, {})
                     part[T0] = part.get(T0, 0) + src * A

@@ -5,13 +5,17 @@ The package multiplies in exactly two ways.  Packed ints carry the
 series products (``series.ps_mul`` and ``ps_pow``), the engine's rank
 forms and numerator recurrence (``engine._rank_form`` and
 ``_numerator_rows``), and the two-variable series of the rank-one
-nested-pair table (``partitions.nested_pair_counts``).  ``mul_trunc`` multiplies the
-coefficient lists of ``motives.LPoly``.  The list kernels work on plain
-lists of Python ints indexed by exponent and truncated at a given order
-(inclusive); ``addmul_shifted`` serves the engine's truncated placement
-DP, which only the tests run, and ``inv_trunc`` has no caller in the
-package (the tests' ``ps_inv`` referee uses it, and the benchmark tracer,
-``perfbench/spans.py``, reads all three list kernels here by name).
+nested-pair table (``partitions._nested_pair_rows``).  ``mul_trunc``
+multiplies the coefficient lists of ``motives.LPoly``.  The list kernels
+work on plain lists of Python ints indexed by exponent and truncated at a
+given order (inclusive); ``addmul_shifted`` serves the engine's truncated
+placement DP, which only the tests run, and ``inv_trunc`` has no caller in
+the package (the tests' ``ps_inv`` referee uses it, and the benchmark
+tracer, ``perfbench/spans.py``, reads all three list kernels here by
+name).  Each list kernel is one plain loop over slices, with no branch
+for unit or zero coefficients: no workload runs them hot enough for such
+a branch to pay.  The one exception is ``mul_trunc``'s skip of a zero
+row, which pays on the sparse powers of L an ``LPoly`` product meets.
 Coefficients are exact arbitrary precision integers; nothing here may
 introduce floats.
 
@@ -31,22 +35,10 @@ BACKEND = "pure"
 def mul_trunc(a, b, n):
     """Truncated Cauchy product of two coefficient lists, up to degree n."""
     out = [0] * (n + 1)
-    la = min(len(a), n + 1)
-    for i in range(la):
-        ai = a[i]
-        if not ai:
-            continue
-        lb = min(len(b), n + 1 - i)
-        if ai == 1:
-            for j in range(lb):
-                bj = b[j]
-                if bj:
-                    out[i + j] += bj
-        else:
-            for j in range(lb):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+    for i, ai in enumerate(a[: max(n + 1, 0)]):
+        if ai:
+            for k, bj in enumerate(b[: n + 1 - i], i):
+                out[k] += ai * bj
     return out
 
 
@@ -57,14 +49,10 @@ def inv_trunc(a, n):
         raise ValueError("constant term must be a unit (+1 or -1)")
     out = [0] * (n + 1)
     out[0] = c0
-    la = len(a)
     for k in range(1, n + 1):
         acc = 0
-        top = min(k, la - 1)
-        for j in range(1, top + 1):
-            aj = a[j]
-            if aj:
-                acc += aj * out[k - j]
+        for aj, prev in zip(a[1 : k + 1], out[k - 1 :: -1]):
+            acc += aj * prev
         # c0 is its own inverse, so divide by multiplying.
         out[k] = -acc * c0
     return out
@@ -72,24 +60,8 @@ def inv_trunc(a, n):
 
 def addmul_shifted(dst, src, shift, coef, n):
     """dst[shift + i] += coef * src[i] for every index kept by truncation n."""
-    if not coef or shift > n:
-        return
-    top = min(len(src), n + 1 - shift)
-    if coef == 1:
-        for i in range(top):
-            si = src[i]
-            if si:
-                dst[shift + i] += si
-    elif coef == -1:
-        for i in range(top):
-            si = src[i]
-            if si:
-                dst[shift + i] -= si
-    else:
-        for i in range(top):
-            si = src[i]
-            if si:
-                dst[shift + i] += coef * si
+    for k, si in enumerate(src[: max(n + 1 - shift, 0)], shift):
+        dst[k] += coef * si
 
 
 def _signed_bits(bound):

@@ -32,7 +32,8 @@ def test_backend_name():
 def test_mul_trunc_matches_naive_product():
     rng = random.Random(20261018)
     for _ in range(60):
-        n = rng.randint(0, 12)
+        # n < 0 gives [], as LPoly() * LPoly() asks with n = -2
+        n = rng.randint(-2, 12)
         # lengths below, at and above n + 1
         a = _rand_list(rng, rng.randint(1, n + 5))
         b = _rand_list(rng, rng.randint(1, n + 5))
@@ -65,8 +66,9 @@ def test_addmul_shifted_matches_naive():
     for _ in range(200):
         n = rng.randint(0, 12)
         dst = _rand_list(rng, n + 1)
-        src = _rand_list(rng, rng.randint(0, n + 5))
-        shift = rng.randint(0, n + 2)
+        # shifts past n, and sources longer than the room left
+        shift = rng.randint(0, n + 4)
+        src = _rand_list(rng, rng.randint(0, max(n + 1 - shift, 0) + 3))
         coef = rng.choice((1, -1, 0, 3, -5, rng.randint(-BIG, BIG)))
         want = list(dst)
         for i, s in enumerate(src):
