@@ -19,6 +19,7 @@ _HOMES = {
         "rational_form",
         "rational_form_lambda",
     ),
+    "forms": ("RationalForm",),
     "motives": (
         "BASE_NESTED_MOTIVES",
         "GLOBAL_PLANE_MOTIVES",
@@ -58,7 +59,6 @@ _HOMES = {
     ),
     "series": (
         "QSeries",
-        "RationalForm",
         "ps_add",
         "ps_mul",
         "ps_pow",

@@ -4,7 +4,8 @@ Every subcommand returns an ``Outcome``, which ``main`` alone prints as
 text, canonical JSON or CSV; every user error reaches it as a ``ValueError``.
 Integer payloads that third-party JSON consumers might round (counts,
 Euler numbers, series coefficients) are serialized as decimal strings;
-rational-form numerators stay plain integers.
+rational-form numerators stay plain integers.  ``main`` parses with the
+invoked subcommand's parser alone unless an error needs the full usage.
 
 Exit codes: 0 success (and, for ``verify``, all identities hold);
 1 a ``verify`` identity failed; 2 parameter validation failure (or a
@@ -26,6 +27,7 @@ import sys
 from collections import namedtuple
 
 from . import engine
+from .forms import expand_dense
 
 #: A command's JSON payload, text lines, CSV rows and exit code (1: verify failed)
 Outcome = namedtuple("Outcome", "payload text rows code", defaults=(0,))
@@ -77,9 +79,9 @@ def _nonnegative_int(text):
 def _form_outcome(args, payload, rf, rank, ratio_to):
     """The outcome of a rational form of (series / Z^rank) with the series
     prefix: the form expanded to ``--prefix`` with Z^rank in its denominator."""
-    series = rf.expand(args.prefix, z_power=rank)
+    series = expand_dense(rf.numerator, rf.denominator, args.prefix, rank)
     payload.update(rf.to_json_dict())
-    payload["series_prefix"] = [str(c) for c in series.dense()]
+    payload["series_prefix"] = [str(c) for c in series]
     text = [
         f"ratio to the {ratio_to}: {rf!r}",
         "series prefix: " + ", ".join(payload["series_prefix"]),
@@ -298,7 +300,69 @@ def _cmd_tables(args):
     return Outcome(payload, written, [["file"]] + [[w] for w in written])
 
 
-def build_parser():
+def _fz_arguments(p):
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--D", type=_positive_int, help="single gap size")
+    mode.add_argument("--k", type=_gap_vector,
+                      help="comma-separated gap vector, e.g. 1,2")
+    p.add_argument("--prefix", type=_nonnegative_int, default=12,
+                   help="highest degree of the emitted series prefix (>= 0)")
+    return _cmd_fz
+
+
+def _fq_arguments(p):
+    p.add_argument("--r", type=_positive_int, required=True)
+    p.add_argument("--D", type=_positive_int, required=True)
+    p.add_argument("--prefix", type=_nonnegative_int, default=12,
+                   help="highest degree of the emitted series prefix (>= 0)")
+    return _cmd_fq
+
+
+def _oracle_arguments(p):
+    p.add_argument("--nesting", type=_parse_int_list, required=True)
+    p.add_argument("--rank", type=_positive_int, default=1)
+    return _cmd_oracle
+
+
+def _motive_arguments(p):
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--nesting", type=_parse_int_list)
+    mode.add_argument("--strata", type=int)
+    mode.add_argument("--series", type=int, choices=(2, 3))
+    p.add_argument("--order", type=_nonnegative_int,
+                   help="highest power of t in --series (>= 0, default 12)")
+    return _cmd_motive
+
+
+def _globalize_arguments(p):
+    p.add_argument("--rank", type=_positive_int, required=True)
+    p.add_argument("--n1", type=_nonnegative_int, required=True)
+    p.add_argument("--n2", type=_nonnegative_int, required=True)
+    p.add_argument("--chi", type=_nonnegative_int, required=True)
+    p.add_argument("--coeff", type=_parse_int_list, default=None)
+    return _cmd_globalize
+
+
+def _tables_arguments(p):
+    p.add_argument("--out", required=True)
+    p.add_argument("--max-gap", type=_positive_int, default=10)
+    return _cmd_tables
+
+
+#: subcommand -> (help, adder of its own arguments returning its handler)
+SUBCOMMANDS = {
+    "fz": ("one-gap or multi-gap flag series and rational form", _fz_arguments),
+    "fq": ("higher-rank one-gap series and exact rational form", _fq_arguments),
+    "oracle": ("brute-force nested/coloured flag counts", _oracle_arguments),
+    "motive": ("motivic classes for small nestings", _motive_arguments),
+    "globalize": ("global nested counts for a surface", _globalize_arguments),
+    "verify": ("run the full identity suite", lambda p: _cmd_verify),
+    "tables": ("regenerate the published tables to files", _tables_arguments),
+}
+
+
+def build_parser(only=None):
+    """The argument parser: every subcommand, or only the one named ``only``."""
     parser = argparse.ArgumentParser(
         prog="flagseries",
         description=(
@@ -307,69 +371,27 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-    p = sub.add_parser("fz", help="one-gap or multi-gap flag series and rational form")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--D", type=_positive_int, help="single gap size")
-    mode.add_argument("--k", type=_gap_vector,
-                      help="comma-separated gap vector, e.g. 1,2")
-    p.add_argument("--prefix", type=_nonnegative_int, default=12,
-                   help="highest degree of the emitted series prefix (>= 0)")
-    common(p)
-    p.set_defaults(func=_cmd_fz)
-
-    p = sub.add_parser("fq", help="higher-rank one-gap series and exact rational form")
-    p.add_argument("--r", type=_positive_int, required=True)
-    p.add_argument("--D", type=_positive_int, required=True)
-    p.add_argument("--prefix", type=_nonnegative_int, default=12,
-                   help="highest degree of the emitted series prefix (>= 0)")
-    common(p)
-    p.set_defaults(func=_cmd_fq)
-
-    p = sub.add_parser("oracle", help="brute-force nested/coloured flag counts")
-    p.add_argument("--nesting", type=_parse_int_list, required=True)
-    p.add_argument("--rank", type=_positive_int, default=1)
-    common(p)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("motive", help="motivic classes for small nestings")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--nesting", type=_parse_int_list)
-    mode.add_argument("--strata", type=int)
-    mode.add_argument("--series", type=int, choices=(2, 3))
-    p.add_argument("--order", type=_nonnegative_int,
-                   help="highest power of t in --series (>= 0, default 12)")
-    common(p)
-    p.set_defaults(func=_cmd_motive)
-
-    p = sub.add_parser("globalize", help="global nested counts for a surface")
-    p.add_argument("--rank", type=_positive_int, required=True)
-    p.add_argument("--n1", type=_nonnegative_int, required=True)
-    p.add_argument("--n2", type=_nonnegative_int, required=True)
-    p.add_argument("--chi", type=_nonnegative_int, required=True)
-    p.add_argument("--coeff", type=_parse_int_list, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_globalize)
-
-    p = sub.add_parser("verify", help="run the full identity suite")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("tables", help="regenerate the published tables to files")
-    p.add_argument("--out", required=True)
-    p.add_argument("--max-gap", type=_positive_int, default=10)
-    common(p)
-    p.set_defaults(func=_cmd_tables)
-
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            func = add_arguments(p)
+            p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+            p.set_defaults(func=func)
     return parser
 
 
+def _parse(argv):
+    """Parse with the invoked subcommand's parser alone; help, a missing or
+    unknown subcommand and leftover arguments need the full parser's usage."""
+    if argv and argv[0] in SUBCOMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv)
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         outcome = args.func(args)
     except ValueError as exc:

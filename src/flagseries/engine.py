@@ -47,9 +47,9 @@ adds terms whose norms sum to w(1) 2^(L-1), so the bound is one sum per
 budget over the components' counts, and the recurrence runs once.  A
 connected shape also has a closed q-beta form.  :func:`rational_form` is
 the one constructor of a gap-vector form, any rank, and
-:func:`rational_form_lambda` that of a single shape; a series is its
-form expanded with Z^r to the order asked for.  At rank r > 1 it sums
-products of one-gap numerators (:func:`_rank_form`).
+:func:`rational_form_lambda` that of a single shape (``forms``); a series
+is its form expanded with Z^r to the order asked for, with no ``series``
+loaded.  At rank r > 1 it sums products of one-gap numerators.
 
 The engine keeps two things between calls.  ``_numerators`` holds
 (P_0, ..., P_D) of its largest one-gap run, which fills every d <= D: a
@@ -74,7 +74,7 @@ from math import comb, prod
 from operator import index
 
 from . import kernels
-from .series import RationalForm
+from .forms import RationalForm
 
 
 class PlacementWeight:

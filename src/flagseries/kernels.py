@@ -16,8 +16,8 @@ name).  Each list kernel is one plain loop over slices, with no branch
 for unit or zero coefficients: no workload runs them hot enough for such
 a branch to pay.  The one exception is ``mul_trunc``'s skip of a zero
 row, which pays on the sparse powers of L an ``LPoly`` product meets.
-Coefficients are exact arbitrary precision integers; nothing here may
-introduce floats.
+Coefficients are exact arbitrary precision integers (``_as_int`` checks
+one); nothing here may introduce floats.
 
 Packing is Kronecker substitution (D. Harvey, J. Symbolic Comput. 44,
 2009): ``_pack`` evaluates a coefficient list at q = 2^bits, one big-int
@@ -62,6 +62,13 @@ def addmul_shifted(dst, src, shift, coef, n):
     """dst[shift + i] += coef * src[i] for every index kept by truncation n."""
     for k, si in enumerate(src[: max(n + 1 - shift, 0)], shift):
         dst[k] += coef * si
+
+
+def _as_int(value):
+    """``value`` itself if it is an exact integer; anything else raises."""
+    if isinstance(value, int):
+        return value
+    raise TypeError(f"expected an exact integer, got {type(value).__name__}")
 
 
 def _signed_bits(bound):

@@ -17,7 +17,7 @@ from math import comb
 from operator import add, index
 
 from . import kernels
-from .series import _as_int
+from .kernels import _as_int
 
 
 class LPoly:

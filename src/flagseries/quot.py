@@ -20,8 +20,9 @@ from __future__ import annotations
 from math import comb
 
 from .engine import rational_form
+from .forms import RationalForm, expand_dense
 from .partitions import coloured_flag_counts
-from .series import QSeries, RationalForm, expand_dense, ps_mul
+from .series import QSeries, ps_mul
 
 
 # fq_rD and rational_form_rD stay public only because perfbench/child.py calls them.

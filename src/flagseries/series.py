@@ -1,4 +1,4 @@
-"""Exact truncated power series and rational forms.
+"""Exact truncated power series in one to three variables.
 
 Everything in this module is immutable after construction and all
 coefficients are exact Python integers.  Series carry their truncation
@@ -11,6 +11,7 @@ output rows at i * (lead[-1] + 1) + j, so two rows land at the sum of their
 indices when it fits; one factor's rows are sorted, so each row of the
 other stops at the first past its room.  The loop serves one to three
 variables.  A power squares and multiplies rows, building one series.
+Rational forms live in ``forms``, which never loads this module first.
 """
 
 from __future__ import annotations
@@ -18,14 +19,9 @@ from __future__ import annotations
 from operator import index
 
 from . import kernels
+from .kernels import _as_int
 
 VARIABLE_NAMES = ("q", "s", "v", "t", "q1", "q2")
-
-
-def _as_int(value):
-    if isinstance(value, int):
-        return value
-    raise TypeError(f"expected an exact integer, got {type(value).__name__}")
 
 
 class QSeries:
@@ -272,69 +268,3 @@ def ps_pow(a: QSeries, exponent: int) -> QSeries:
         if not e:
             return _with_rows(a.variables, a.truncation, result)
         base = _row_product(base, base, n, lead)
-
-
-def expand_dense(numerator, denominator, n, z_power=0):
-    """numerator / prod_j (1 - q^j)^{e_j} * Z^z_power, dense up to degree n.
-
-    Z = prod_{j>=1} 1 / (1 - q^j) is the partition series, so its power
-    adds ``z_power`` to every exponent e_j.  Dividing by (1 - q^j) is one
-    prefix-sum pass of stride j, so the expansion takes e_j + z_power passes
-    per factor with j <= n (a larger j leaves every kept degree as it is)
-    and no series product or inverse.
-    """
-    if z_power < 0:
-        raise ValueError("the power of the partition series must be nonnegative")
-    out = list(numerator[: n + 1]) + [0] * max(0, n + 1 - len(numerator))
-    for j in range(1, n + 1):
-        for _ in range(denominator.get(j, 0) + z_power):
-            for m in range(j, n + 1):
-                out[m] += out[m - j]
-    return out
-
-
-class RationalForm:
-    """Integer polynomial numerator over prod_j (1 - q^j)^{e_j}."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator, denominator):
-        numerator = tuple(_as_int(c) for c in numerator)
-        while numerator and numerator[-1] == 0:
-            numerator = numerator[:-1]
-        denominator = {index(j): index(e) for j, e in dict(denominator).items() if e}
-        if any(j <= 0 or e < 1 for j, e in denominator.items()):
-            raise ValueError("denominator must map positive j to exponents >= 1")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalForm is immutable")
-
-    @property
-    def numerator_degree(self):
-        return len(self.numerator) - 1 if self.numerator else -1
-
-    def expand(self, truncation, z_power=0):
-        """The q-series of this form times Z^z_power, up to ``truncation``:
-        one :func:`expand_dense` run, with Z's power in the denominator."""
-        out = expand_dense(self.numerator, self.denominator, truncation, z_power)
-        return QSeries.from_dense("q", out, truncation)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalForm)
-            and self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
-
-    def __repr__(self):
-        den = " ".join(f"(1-q^{j})^{e}" for j, e in sorted(self.denominator.items()))
-        return f"RationalForm({list(self.numerator)} / {den or '1'})"
-
-    def to_json_dict(self):
-        return {
-            "numerator": list(self.numerator),
-            "denominator": [[j, e] for j, e in sorted(self.denominator.items())],
-        }
-

@@ -8,7 +8,7 @@ matrix over row pairs, and its powers are ``series`` products.  The sixth
 del Pezzo surface's Euler characteristic is the one exponent that takes the
 rank-6 table to the published (6, 12) count.  The table's diagonals are
 cross-checked against the engine's rank-r forms, each expanded once by
-``series.expand_dense``; this module multiplies no coefficient lists.
+``forms.expand_dense``; this module multiplies no coefficient lists.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from functools import lru_cache
 from operator import index
 
 from .engine import rational_form
+from .forms import expand_dense
 from .partitions import _nested_pair_rows
-from .series import QSeries, expand_dense, ps_mul, ps_pow
+from .series import QSeries, ps_mul, ps_pow
 
 #: Published rank-6 global count on the sixth del Pezzo surface for the
 #: size vector (6, 12); used to pin down that surface's Euler characteristic

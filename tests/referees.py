@@ -43,9 +43,10 @@ from flagseries.engine import (
     _type_steps,
     rational_form,
 )
+from flagseries.forms import RationalForm
 from flagseries.motives import LEFSCHETZ, LPoly
 from flagseries.partitions import FlagSpec, enum_partitions
-from flagseries.series import QSeries, RationalForm, ps_mul
+from flagseries.series import QSeries, ps_mul
 from flagseries.shapes import (
     ConnectedSkew,
     SkewShape,

@@ -9,6 +9,7 @@ import itertools
 import time
 
 from flagseries.engine import rational_form
+from flagseries.forms import RationalForm
 from flagseries.motives import (
     LPoly,
     component_count,
@@ -32,7 +33,7 @@ from flagseries.quot import (
     verify_fq_functional,
     verify_q_identity,
 )
-from flagseries.series import RationalForm, ps_mul
+from flagseries.series import ps_mul
 from flagseries.surfaces import (
     DEL_PEZZO_TARGET,
     SurfaceProfile,

@@ -11,9 +11,10 @@ import pytest
 
 from flagseries import cli, engine, motives, partitions, quot, surfaces
 from flagseries.cli import main
+from flagseries.forms import RationalForm
 from flagseries.motives import LEFSCHETZ
 from flagseries.partitions import coloured_flag_counts
-from flagseries.series import QSeries, RationalForm
+from flagseries.series import QSeries
 
 SCHEMA = json.loads(
     (
@@ -532,6 +533,61 @@ def test_handlers_return_a_record_and_print_nothing(capsys, tmp_path, argv):
     assert outcome.text and outcome.rows
 
 
+def parse_exit(parse, argv, capsys):
+    """Exit code and captured output of a parse that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+#: one valid call per subcommand, with a trailing argument no parser knows
+BOGUS_CALLS = [
+    (argv + ["t"] if argv[-1] == "--out" else argv) + ["--bogus"]
+    for argv in HANDLER_ARGVS.values()
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*BOGUS_CALLS, ["-h"], [], ["bogus"]],
+    ids=lambda argv: "_".join(argv) or "none",
+)
+def test_main_reports_as_the_full_parser(capsys, argv):
+    # main parses with the invoked subcommand's parser alone, and falls back
+    # to the full one wherever the message lists every subcommand
+    expected = parse_exit(cli.build_parser().parse_args, argv, capsys)
+    assert expected[0] == (0 if argv == ["-h"] else 2)
+    assert parse_exit(main, argv, capsys) == expected
+
+
+def test_bogus_calls_cover_every_subcommand():
+    assert {argv[0] for argv in BOGUS_CALLS} == set(cli.SUBCOMMANDS)
+
+
+def test_a_valid_call_builds_only_its_subparser(monkeypatch, capsys):
+    built = []
+    full = cli.build_parser
+
+    def recorded(only=None):
+        built.append(only)
+        return full(only)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    assert main(["fz", "--D", "2"]) == 0
+    assert built == ["fz"]
+    built.clear()
+    parse_exit(main, ["fz", "--D", "2", "--bogus"], capsys)
+    assert built == ["fz", None]
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    # the flagseries console script calls main() with no arguments
+    argv = ["fz", "--D", "3", "--format", "json"]
+    expected = main(argv), capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["flagseries", *argv])
+    assert (main(), capsys.readouterr()) == expected
+
+
 def test_cli_checks_raise_value_error(tmp_path):
     # the CLI's own checks reach main as the library's do: as a ValueError
     box = ["globalize", "--rank", "1", "--n1", "2", "--n2", "3", "--chi", "1"]
@@ -631,12 +687,13 @@ def loaded_after(argv):
 
 #: The package modules of three fresh-process requests.  A multi-gap form
 #: counts the fillings of connected shapes, and a rank above 1 sums over
-#: the partitions of its gap; packing integer vectors adds no module.
+#: the partitions of its gap; packing integer vectors adds no module, and
+#: a form's prefix is expanded without truncated series.
 REQUEST_MODULES = {
-    ("fz", "--D", "3"): {"cli", "engine", "kernels", "series"},
-    ("fz", "--k", "1,1"): {"cli", "engine", "kernels", "series", "shapes"},
+    ("fz", "--D", "3"): {"cli", "engine", "forms", "kernels"},
+    ("fz", "--k", "1,1"): {"cli", "engine", "forms", "kernels", "shapes"},
     ("fq", "--r", "2", "--D", "2"): {
-        "cli", "engine", "kernels", "partitions", "series",
+        "cli", "engine", "forms", "kernels", "partitions",
     },
 }
 
@@ -662,6 +719,13 @@ def test_rank_forms_load_partitions_not_quot():
     code, modules = loaded_after(["fz", "--D", "3"])
     assert code == 0
     assert not {"flagseries.partitions", "flagseries.quot"} & modules
+
+
+def test_motive_strata_loads_no_series():
+    code, modules = loaded_after(["motive", "--strata", "5"])
+    assert code == 0
+    assert "flagseries.motives" in modules
+    assert "flagseries.series" not in modules
 
 
 @pytest.mark.parametrize(
@@ -746,6 +810,9 @@ def test_package_import_graph_has_no_cycle():
                     edges.update(alias.name for alias in node.names)
     assert {"engine", "partitions"} <= graph["quot"]
     assert {"engine", "motives", "quot", "surfaces"} <= graph["cli"]
+    # forms load series only to build a QSeries, and never the reverse
+    assert "forms" in graph["engine"] and "series" not in graph["engine"]
+    assert "forms" not in graph["series"]
     try:
         list(TopologicalSorter(graph).static_order())
     except CycleError as exc:

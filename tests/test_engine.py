@@ -12,8 +12,9 @@ from flagseries.engine import (
     rational_form,
     rational_form_lambda,
 )
+from flagseries.forms import RationalForm
 from flagseries.partitions import count_nested_flags, partition_count
-from flagseries.series import QSeries, RationalForm, ps_mul, ps_pow
+from flagseries.series import QSeries, ps_mul, ps_pow
 from flagseries.shapes import SkewShape, enum_connected_skew
 import referees
 from referees import (

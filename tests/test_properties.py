@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagseries.engine import rational_form, rational_form_lambda
+from flagseries.forms import expand_dense
 from flagseries.kernels import mul_trunc
 from flagseries.partitions import (
     Partition,
@@ -14,7 +15,6 @@ from flagseries.partitions import (
     enum_partitions,
     nested_pair_counts,
 )
-from flagseries.series import expand_dense
 from referees import (
     contains,
     enum_skew_classes,

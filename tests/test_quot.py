@@ -4,6 +4,7 @@ import pytest
 
 from flagseries import engine
 from flagseries.engine import rational_form
+from flagseries.forms import RationalForm
 from flagseries.partitions import coloured_flag_counts, partition_count
 from flagseries.quot import (
     _fz_qv,
@@ -14,7 +15,7 @@ from flagseries.quot import (
     verify_fq_functional,
     verify_q_identity,
 )
-from flagseries.series import QSeries, RationalForm, ps_mul, ps_pow
+from flagseries.series import QSeries, ps_mul, ps_pow
 from referees import fq_rD_via_generating, ps_inv, ratio_rD_dense
 
 

@@ -5,6 +5,7 @@ rely on."""
 import pytest
 
 from flagseries.engine import rational_form
+from flagseries.forms import RationalForm
 from flagseries.motives import (
     HSVector,
     LPoly,
@@ -13,7 +14,7 @@ from flagseries.motives import (
     component_count,
 )
 from flagseries.partitions import FlagSpec, Partition, count_nested_flags
-from flagseries.series import QSeries, RationalForm
+from flagseries.series import QSeries
 from flagseries.shapes import ConnectedSkew, NWPath, SkewShape, filling_counts
 from flagseries.surfaces import SurfaceProfile, punctual_nested_table
 

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from flagseries import kernels
 from flagseries.engine import rational_form
+from flagseries.forms import RationalForm
 from flagseries.motives import LEFSCHETZ as L
 from flagseries.motives import LPoly, projective_space
 from flagseries.partitions import nested_pair_counts, partition_count
 from flagseries.series import (
     QSeries,
-    RationalForm,
     ps_add,
     ps_mul,
     ps_pow,
